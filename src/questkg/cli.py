@@ -27,6 +27,9 @@ from . import engine, exploration, extraction, games, questgraph, search
 OUTPUT_ROOT_VAR = "QUESTKG_OUTPUT_ROOT"
 
 STRATEGIES = ("vanilla", "mc", "mc+im", "go")
+# alpha when the config leaves it unset: intrinsic motivation is what mc+im
+# and go add, and vanilla and mc reject it
+DEFAULT_ALPHA = {"vanilla": 0.0, "mc": 0.0, "mc+im": 1.0, "go": 1.0}
 BACKENDS = ("oracle", "rule", "noisy")
 
 
@@ -46,7 +49,7 @@ class RunConfig:
     horizon: int = 50
     patience: int = 3000
     buffer_size: int = 40
-    alpha: float = 1.0
+    alpha: float | None = None       # None: DEFAULT_ALPHA[strategy]
     eps: float = 1.0
     gamma: float = 0.9
     learning_rate: float = 0.05
@@ -74,9 +77,12 @@ class RunConfig:
 
 
 def validate_config(config):
+    """Check a RunConfig; returns it with an unset alpha filled in."""
     if config.strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, "
                           f"got {config.strategy!r}")
+    if config.alpha is None:
+        config = replace(config, alpha=DEFAULT_ALPHA[config.strategy])
     if config.backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, "
                           f"got {config.backend!r}")
@@ -137,12 +143,13 @@ def _write(path, data):
 
 
 def run_experiment(config, out=sys.stdout):
-    """Execute every seed of a validated RunConfig and write artifacts.
+    """Validate a RunConfig, execute every seed and write artifacts.
 
     Returns the output directory.  Artifacts per seed: episode log
     (steps.log), per-episode CSV, score curve CSV, and the chain or
     archive; plus the config echo and a cross-seed summary at the root.
     """
+    config = validate_config(config)
     game = games.load_path(config.game)
     root = config.outdir or os.path.join(
         os.environ.get(OUTPUT_ROOT_VAR, "runs"),
@@ -271,7 +278,8 @@ def _add_run_flags(sub):
         if f.name == "seeds":
             sub.add_argument("--seeds", help="comma-separated seed list")
         else:
-            sub.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
+            kind = float if f.name == "alpha" else type(f.default)
+            sub.add_argument(f"--{f.name.replace('_', '-')}", type=kind)
 
 
 def _build_run_config(args):

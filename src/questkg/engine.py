@@ -104,20 +104,31 @@ def snapshot(state):
 
 
 def restore(snap):
-    """Rebuild a WorldState from snapshot bytes. Round-trip is bit-exact."""
-    payload = json.loads(snap.decode())
-    if payload.get("v") != SNAPSHOT_VERSION:
-        raise SnapshotError(f"snapshot version {payload.get('v')!r}, "
+    """Rebuild a WorldState from snapshot bytes. Round-trip is bit-exact.
+
+    Raises SnapshotError for bytes that are not a snapshot of this version.
+    """
+    try:
+        payload = json.loads(snap.decode())
+    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError
+        raise SnapshotError(f"snapshot is not UTF-8 JSON: {exc}") from None
+    version = payload.get("v") if isinstance(payload, dict) else None
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotError(f"snapshot version {version!r}, "
                             f"expected {SNAPSHOT_VERSION}")
-    return WorldState(
-        current_room=payload["room"],
-        object_locations={k: tuple(v) for k, v in payload["objects"].items()},
-        flags=dict(payload["flags"]),
-        score=payload["score"],
-        turn=payload["turn"],
-        alive=payload["alive"],
-        fired_events=set(payload["fired"]),
-    )
+    try:
+        return WorldState(
+            current_room=payload["room"],
+            object_locations={k: tuple(v)
+                              for k, v in payload["objects"].items()},
+            flags=dict(payload["flags"]),
+            score=payload["score"],
+            turn=payload["turn"],
+            alive=payload["alive"],
+            fired_events=set(payload["fired"]),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise SnapshotError(f"malformed snapshot field: {exc!r}") from None
 
 
 def state_hash(state):

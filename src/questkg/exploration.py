@@ -112,8 +112,10 @@ class AgentEnv:
         self.needs_reset = True
         self.done = False
         self._start_turn = 0
+        self.next_feats = None    # feats() of the current state, if known
 
     def begin(self, launch):
+        self.next_feats = None
         self.state = engine.restore(launch.snapshot)
         if not self.state.alive:
             raise ValueError("cannot launch an episode from a terminal state")
@@ -165,8 +167,9 @@ class AgentEnv:
         return self.entity_refs
 
     def step(self, action):
-        """Returns (r_game, r_im, r_shaped, done)."""
+        """Returns (r_game, r_im, r_shaped, done, truncated)."""
         cfg = self.config
+        self.next_feats = None
         self.state, self.obs, r_game, done, movement = engine.step_movement(
             self.state, action, self.game)
         answers = self.backend(self.state, self.obs)
@@ -630,29 +633,28 @@ class _Trainer:
 
     def act_and_step(self, env, params=None):
         params = params or self.params
-        feats = env.feats()
-        mask = env.mask()
-        result = policy.act(params, feats, mask, self.rng, self.encoder,
+        feats = env.next_feats
+        if feats is None:
+            feats = env.feats()
+        result = policy.act(params, feats, env.mask(), self.rng, self.encoder,
                             self.blanks)
         if result.mask_fallback:
             self.fallbacks += 1
         action = engine.GroundedAction(
             self.game.templates[result.template_index],
             tuple(params.entities[f] for f in result.filler_indices))
-        mask_idx = np.array(
-            [i for i, e in enumerate(params.entities) if e in mask], dtype=int)
-        if mask_idx.size == 0:
-            mask_idx = np.arange(len(params.entities))
         r_game, r_im, r_shaped, done, truncated = env.step(action)
         self.steps += 1
+        if not done:
+            env.next_feats = env.feats()
         transition = policy.Transition(
             feats=feats,
             template_index=result.template_index,
             filler_indices=result.filler_indices,
-            mask_idx=mask_idx,
+            mask_idx=result.mask_idx,
             template_pattern=params.templates[result.template_index],
             reward=r_shaped,
-            next_feats=None if done else env.feats(),
+            next_feats=env.next_feats,
         )
         self.transitions.append(transition)
         self.hasher.record(env.index, action.text, r_game, env.state.score,

@@ -246,6 +246,14 @@ def _parse_exit(rest, line):
     return direction, Exit(target, condition, blocked.strip())
 
 
+def _parse_int(text, what, line):
+    try:
+        return int(text)
+    except ValueError:
+        raise GameParseError(f"{what} must be an integer, got {text!r}",
+                             line) from None
+
+
 def _section_lines(text):
     """Yield (line_number, kind, payload) with kind in header/section/field."""
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -267,7 +275,7 @@ def parse_game(def_text):
     words = header.split()
     if len(words) != 2 or words[0] != "questgame":
         raise GameParseError("missing 'questgame <version>' header", first_no)
-    if int(words[1]) != FORMAT_VERSION:
+    if _parse_int(words[1], "format version", first_no) != FORMAT_VERSION:
         raise GameParseError(f"unsupported format version {words[1]}", first_no)
 
     meta = {}
@@ -305,7 +313,7 @@ def parse_game(def_text):
         elif kind == "event":
             if "when" not in body or "reward" not in body:
                 raise GameParseError(f"event {sid!r} needs when and reward", line)
-            events.append(RewardEvent(sid, body["when"], int(body["reward"]),
+            events.append(RewardEvent(sid, body["when"], body["reward"],
                                       once=True))
         elif kind == "death":
             if "when" not in body:
@@ -340,6 +348,8 @@ def parse_game(def_text):
         elif skind == "dag":
             words = payload.split()
             if words[0] == "vertex":
+                if len(words) < 2:
+                    raise GameParseError("vertex needs an id", no)
                 spec = {"loc": "", "inv": "", "reward": "0"}
                 for w in words[2:]:
                     if "=" not in w:
@@ -348,6 +358,7 @@ def parse_game(def_text):
                     if k not in spec:
                         raise GameParseError(f"unknown vertex field {k!r}", no)
                     spec[k] = v
+                spec["reward"] = _parse_int(spec["reward"], "vertex reward", no)
                 dag_vertices.append((words[1], spec, no))
             elif words[0] == "edge":
                 if len(words) != 3:
@@ -363,6 +374,8 @@ def parse_game(def_text):
                 body.setdefault("exits", []).append((direction, ex))
             elif key == "when":
                 body["when"] = parse_condition(rest, no)
+            elif (skind, key) in (("meta", "max-score"), ("event", "reward")):
+                body[key] = _parse_int(rest, key, no)
             elif skind == "object" and key == "loc":
                 if rest == "inventory":
                     body["loc"] = INVENTORY
@@ -399,7 +412,7 @@ def _build_dag(parsed):
             id=vid,
             locations=frozenset(x for x in spec["loc"].split(",") if x),
             items=frozenset(x for x in spec["inv"].split(",") if x),
-            reward=int(spec["reward"]),
+            reward=spec["reward"],
         )
     edges = set()
     for u, v, no in parsed["dag_edges"]:
@@ -458,7 +471,7 @@ def load_game(def_text):
                 raise GameValidationError(
                     f"object {obj.id!r} placed inside non-container "
                     f"{container.id!r}")
-    max_score = int(meta["max-score"])
+    max_score = meta["max-score"]
     total = sum(e.points for e in parsed["events"] if e.once)
     if total != max_score:
         raise GameValidationError(

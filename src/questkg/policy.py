@@ -7,6 +7,13 @@ observation components.  The learnable parameters are three linear heads:
 template logits, entity logits (shared across blank positions with a
 position indicator and partial-decode context), and a scalar critic.
 
+The A2C learner works on a whole transition batch with matrix products:
+the N states are stacked into X and the blank-filling decisions' entity
+contexts into C, each head's loss gradient with respect to its logits is
+one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.  The actor draws
+with numpy's own choice recipe (see _sample), so its draws are those of
+Generator.choice.
+
 All analytic gradients are verified against central finite differences in
 the test suite; everything is float64.
 """
@@ -286,6 +293,34 @@ def _log_softmax(logits):
     return shift - np.log(np.exp(shift).sum())
 
 
+def _log_softmax_rows(logits):
+    """Row-wise _log_softmax of a (K, C) logits matrix."""
+    shift = logits - logits.max(axis=1, keepdims=True)
+    return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+
+
+def _sample(p, rng):
+    """Draw an index with probabilities p.
+
+    This is rng.choice(len(p), p=p) without its argument validation: the
+    same cdf, the same single rng.random() draw and the same search, so it
+    returns the same index and leaves the generator in the same state.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _mask_indices(entities, mask):
+    """Indices of the permitted entities, and whether an empty mask forced
+    the full vocabulary."""
+    mask_idx = np.array([i for i, e in enumerate(entities) if e in mask],
+                        dtype=int)
+    if mask_idx.size == 0:
+        return np.arange(len(entities)), True
+    return mask_idx, False
+
+
 @dataclass
 class ActResult:
     template_index: int
@@ -293,6 +328,7 @@ class ActResult:
     log_prob: float
     value: float
     mask_fallback: bool  # an empty mask forced full-vocabulary filling
+    mask_idx: np.ndarray  # entity indices the fillers were drawn from
 
 
 def _entity_context(encoder, feats, position, template_pattern, prev_entity):
@@ -310,19 +346,13 @@ def act(params, feats, mask, rng, encoder, template_blanks):
     mask is the permitted entity set (graph mask); template_blanks maps
     template index -> blank count.  Masked-out entities receive exactly zero
     probability; an empty mask falls back to the full vocabulary and is
-    flagged on the result.
+    flagged on the result.  Draws are those of rng.choice (see _sample).
     """
     log_pt = _log_softmax(params.w_template @ feats + params.b_template)
-    t_idx = int(rng.choice(len(log_pt), p=np.exp(log_pt)))
+    t_idx = _sample(np.exp(log_pt), rng)
     log_prob = log_pt[t_idx]
 
-    mask_idx = np.array([i for i, e in enumerate(params.entities) if e in mask],
-                        dtype=int)
-    fallback = False
-    if mask_idx.size == 0:
-        mask_idx = np.arange(len(params.entities))
-        fallback = True
-
+    mask_idx, fallback = _mask_indices(params.entities, mask)
     fillers = []
     prev = ""
     for position in range(template_blanks[t_idx]):
@@ -330,23 +360,21 @@ def act(params, feats, mask, rng, encoder, template_blanks):
                             params.templates[t_idx], prev)
         log_pe = _masked_log_softmax(params.w_entity @ x + params.b_entity,
                                      mask_idx)
-        e_idx = int(rng.choice(len(log_pe), p=np.exp(log_pe)))
+        e_idx = _sample(np.exp(log_pe), rng)
         log_prob += log_pe[e_idx]
         fillers.append(e_idx)
         prev = params.entities[e_idx]
 
     value = float(params.w_value @ feats + params.b_value)
-    return ActResult(t_idx, tuple(fillers), float(log_prob), value, fallback)
+    return ActResult(t_idx, tuple(fillers), float(log_prob), value, fallback,
+                     mask_idx)
 
 
 def greedy_action(params, feats, mask, encoder, template_blanks):
     """Deterministic argmax decode used when executing frozen chain modules."""
     logits_t = params.w_template @ feats + params.b_template
     t_idx = int(np.argmax(logits_t))
-    mask_idx = np.array([i for i, e in enumerate(params.entities) if e in mask],
-                        dtype=int)
-    if mask_idx.size == 0:
-        mask_idx = np.arange(len(params.entities))
+    mask_idx, _ = _mask_indices(params.entities, mask)
     fillers = []
     prev = ""
     for position in range(template_blanks[t_idx]):
@@ -376,26 +404,44 @@ class Transition:
     target_q: float = 0.0
 
 
+def _stack(rows, width):
+    """(len(rows), width) matrix of the given vectors."""
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
 def prepare_targets(params, transitions):
     """Compute Q = r + gamma*V(s') and A = Q - V(s) as detached constants."""
-    for tr in transitions:
-        v_next = 0.0 if tr.next_feats is None else \
-            float(params.w_value @ tr.next_feats + params.b_value)
-        tr.target_q = tr.reward + params.gamma * v_next
-        tr.advantage = tr.target_q - float(params.w_value @ tr.feats
-                                           + params.b_value)
+    width = params.w_value.size
+    v = _stack([tr.feats for tr in transitions], width) @ params.w_value \
+        + params.b_value
+    live = [i for i, tr in enumerate(transitions) if tr.next_feats is not None]
+    v_next = np.zeros(len(transitions))
+    v_next[live] = _stack([transitions[i].next_feats for i in live],
+                          width) @ params.w_value + params.b_value
+    for tr, v_s, v_s_next in zip(transitions, v.tolist(), v_next.tolist()):
+        tr.target_q = tr.reward + params.gamma * v_s_next
+        tr.advantage = tr.target_q - v_s
     return transitions
 
 
-def _entropy_grad_terms(log_p, active_idx):
-    """Loss term sum(P log P) and its gradient w.r.t. the logits."""
-    p = np.exp(log_p[active_idx])
-    plogp = p * log_p[active_idx]
-    loss = plogp.sum()
+def _head_loss_and_dlogits(log_p, chosen, advantage, entropy_coef):
+    """Loss and logit gradient of K decisions of one head.
+
+    Row k holds one decision's log-probabilities; chosen[k] is the index
+    taken and advantage[k] its advantage.  Loss per row:
+    -A * log p[chosen] + entropy_coef * sum(p log p).  Entries off a mask
+    have p == 0.0 exactly, so they add nothing to the loss or the gradient.
+    """
+    rows = np.arange(len(chosen))
+    p = np.exp(log_p)
+    plogp = p * log_p
     inner = plogp + p
-    grad = np.zeros(log_p.shape)
-    grad[active_idx] = inner - p * inner.sum()
-    return loss, grad
+    d_logits = entropy_coef * (inner - p * inner.sum(axis=1, keepdims=True))
+    d_logits += advantage[:, None] * p
+    d_logits[rows, chosen] -= advantage
+    loss = -(advantage * log_p[rows, chosen]).sum() \
+        + entropy_coef * plogp.sum()
+    return loss, d_logits
 
 
 def a2c_loss_and_grads(params, transitions, encoder,
@@ -405,60 +451,58 @@ def a2c_loss_and_grads(params, transitions, encoder,
     Loss per transition: -(log pi_T + sum log pi_O) * A
                          + value_coef * 0.5 * (Q - V)^2
                          + entropy_coef * sum(P log P) over each decision.
-    Advantages and targets are treated as constants.
+    Advantages and targets are treated as constants.  The batch is computed
+    as matrix products: with the N states stacked in X and the M blank
+    decisions' entity contexts stacked in C, the weight gradients are
+    D_templateᵀ X and D_entityᵀ C, where D holds the loss gradient with
+    respect to each row's logits.
     """
-    grads = {n: np.zeros_like(getattr(params, n)) for n in params.ARRAYS}
-    total_loss = 0.0
-    n_templates = len(params.templates)
-    all_idx = np.arange(n_templates)
+    width = params.w_value.size
+    X = _stack([tr.feats for tr in transitions], width)
+    advantage = np.array([tr.advantage for tr in transitions], dtype=float)
+    target_q = np.array([tr.target_q for tr in transitions], dtype=float)
+    chosen_t = np.array([tr.template_index for tr in transitions], dtype=int)
 
+    # template head
+    log_pt = _log_softmax_rows(X @ params.w_template.T + params.b_template)
+    loss_t, d_t = _head_loss_and_dlogits(log_pt, chosen_t, advantage,
+                                         entropy_coef)
+
+    # entity head: one row per blank, off-mask logits pinned to NEG_INF
+    contexts, chosen_e, advantage_e, mask_rows = [], [], [], []
     for tr in transitions:
-        feats = tr.feats
-        log_pt = _log_softmax(params.w_template @ feats + params.b_template)
-        pt = np.exp(log_pt)
-        # actor: template head
-        total_loss += -tr.advantage * log_pt[tr.template_index]
-        d_logits = -tr.advantage * (_one_hot(tr.template_index, n_templates) - pt)
-        # entropy: template head
-        ent_loss, ent_grad = _entropy_grad_terms(log_pt, all_idx)
-        total_loss += entropy_coef * ent_loss
-        d_logits += entropy_coef * ent_grad
-        grads["w_template"] += np.outer(d_logits, feats)
-        grads["b_template"] += d_logits
-
-        # actor + entropy: entity head, one decision per blank
         prev = ""
         for position, e_idx in enumerate(tr.filler_indices):
-            x = _entity_context(encoder, feats, position,
-                                tr.template_pattern, prev)
-            log_pe = _masked_log_softmax(params.w_entity @ x + params.b_entity,
-                                         tr.mask_idx)
-            pe = np.exp(log_pe)
-            total_loss += -tr.advantage * log_pe[e_idx]
-            d_e = np.zeros(len(params.entities))
-            d_e[tr.mask_idx] = -tr.advantage * (-pe[tr.mask_idx])
-            d_e[e_idx] += -tr.advantage
-            ent_loss, ent_grad = _entropy_grad_terms(log_pe, tr.mask_idx)
-            total_loss += entropy_coef * ent_loss
-            d_e += entropy_coef * ent_grad
-            grads["w_entity"] += np.outer(d_e, x)
-            grads["b_entity"] += d_e
+            contexts.append(_entity_context(encoder, tr.feats, position,
+                                            tr.template_pattern, prev))
+            chosen_e.append(e_idx)
+            advantage_e.append(tr.advantage)
+            mask_rows.append(tr.mask_idx)
             prev = params.entities[e_idx]
+    C = _stack(contexts, params.w_entity.shape[1])
+    on_mask = np.zeros((len(contexts), len(params.entities)), dtype=bool)
+    for row, mask_idx in enumerate(mask_rows):
+        on_mask[row, mask_idx] = True
+    logits_e = np.where(on_mask, C @ params.w_entity.T + params.b_entity,
+                        NEG_INF)
+    loss_e, d_e = _head_loss_and_dlogits(
+        _log_softmax_rows(logits_e), np.array(chosen_e, dtype=int),
+        np.array(advantage_e, dtype=float), entropy_coef)
 
-        # critic
-        v = float(params.w_value @ feats + params.b_value)
-        delta = tr.target_q - v
-        total_loss += value_coef * 0.5 * delta * delta
-        grads["w_value"] += value_coef * (-delta) * feats
-        grads["b_value"] += value_coef * (-delta)
+    # critic
+    delta = target_q - (X @ params.w_value + params.b_value)
+    d_v = -value_coef * delta
 
-    return total_loss, grads
-
-
-def _one_hot(index, size):
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
+    grads = {
+        "w_template": d_t.T @ X,
+        "b_template": d_t.sum(axis=0),
+        "w_entity": d_e.T @ C,
+        "b_entity": d_e.sum(axis=0),
+        "w_value": d_v @ X,
+        "b_value": np.array(d_v.sum()),
+    }
+    total_loss = loss_t + loss_e + value_coef * 0.5 * float(delta @ delta)
+    return float(total_loss), grads
 
 
 def a2c_update(params, transitions, encoder, learning_rate=0.01,
@@ -472,10 +516,11 @@ def a2c_update(params, transitions, encoder, learning_rate=0.01,
     prepare_targets(params, transitions)
     loss, grads = a2c_loss_and_grads(params, transitions, encoder,
                                      value_coef, entropy_coef)
-    scale = learning_rate / len(transitions)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name}")
+    scale = learning_rate / len(transitions)
+    for name, g in grads.items():
         arr = getattr(params, name)
         arr -= scale * g
     return loss

@@ -2,7 +2,8 @@
 
 The expensive behavioral runs (full-budget training on the bundled games)
 are computed once in module-scoped fixtures and shared by the tests that
-grade them.
+grade them; those tests are marked slow, so `pytest -m "not slow"` skips the
+runs.
 """
 
 import statistics
@@ -262,12 +263,14 @@ def _module_event_order(game, chain):
     return fired_at
 
 
+@pytest.mark.slow
 def test_vanilla_and_no_im_agents_stall_below_cellar(miniz_bench):
     for name in ("vanilla", "noim"):
         scores = sorted(r.j_max for r in miniz_bench[name])
         assert statistics.median(scores) <= 35, (name, scores)
 
 
+@pytest.mark.slow
 def test_mc_im_clears_bottlenecks_in_order(miniz, miniz_bench):
     scores = sorted(r.j_max for r in miniz_bench["mc"])
     assert statistics.median(scores) >= 40, scores
@@ -284,12 +287,14 @@ def test_mc_im_clears_bottlenecks_in_order(miniz, miniz_bench):
     assert checked >= 3
 
 
+@pytest.mark.slow
 def test_deceptive_game_go_does_not_beat_mc_im(deceive_bench):
     mc = statistics.median(r.j_max for r in deceive_bench["mc"])
     go = statistics.median(r.j_max for r in deceive_bench["go"])
     assert go <= mc
 
 
+@pytest.mark.slow
 def test_benchmark_runs_fit_the_wall_clock_budget(miniz_bench):
     assert miniz_bench["elapsed"] < 1800.0
 
@@ -297,6 +302,7 @@ def test_benchmark_runs_fit_the_wall_clock_budget(miniz_bench):
 # --- every emitted chain replays exactly ----------------------------------------
 
 
+@pytest.mark.slow
 def test_every_emitted_chain_replays_to_its_logged_return(
         miniz, chainworld, miniz_bench):
     chains = [(miniz, r.chain) for r in miniz_bench["mc"]

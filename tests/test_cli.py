@@ -34,7 +34,15 @@ def test_run_config_rejects_unknown_field():
         RunConfig.from_json(json.dumps({"strategy": "mc+im", "turbo": True}))
 
 
+def test_run_config_with_default_alpha_round_trips_through_json():
+    config = RunConfig(strategy="vanilla")
+    assert RunConfig.from_json(config.to_json()) == config
+
+
 def test_validate_config_rules():
+    for strategy, alpha in (("vanilla", 0.0), ("mc", 0.0), ("mc+im", 1.0),
+                            ("go", 1.0)):
+        assert validate_config(RunConfig(strategy=strategy)).alpha == alpha
     validate_config(RunConfig(strategy="mc+im", alpha=1.0))
     validate_config(RunConfig(strategy="vanilla", alpha=0.0))
     with pytest.raises(ConfigError):
@@ -87,8 +95,23 @@ wait
 def test_config_error_exit_code():
     code, _ = run_cli(["run", "--strategy", "vanilla", "--alpha", "2.0"])
     assert code == 2
+    code, _ = run_cli(["run", "--strategy", "mc", "--alpha", "1"])
+    assert code == 2
     code, _ = run_cli(["run", "--strategy", "warp"])
     assert code == 2
+
+
+@pytest.mark.parametrize("strategy", cli.STRATEGIES)
+def test_every_strategy_runs_with_default_flags(strategy, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_VAR, str(tmp_path))
+    code, _ = run_cli(["run", "--strategy", strategy, "--budget", "50",
+                       "--seeds", "0"])
+    assert code == 0
+    root = tmp_path / f"{strategy.replace('+', '-')}-miniz"
+    echoed = RunConfig.from_json((root / "config.json").read_text())
+    assert echoed.alpha == cli.DEFAULT_ALPHA[strategy]
+    assert (root / "seed0" / "steps.log").exists()
 
 
 def test_run_writes_artifacts_and_summary(tmp_path, monkeypatch):

@@ -55,6 +55,16 @@ def test_restore_rejects_wrong_version(miniz):
         restore(bad)
 
 
+@pytest.mark.parametrize("blob", [
+    b"\xff\x00", b"", b"not json", b"[1, 2]", b'{"v": 1}',
+    b'{"v":1,"room":"hall","objects":3,"flags":{},"score":0,"turn":0,'
+    b'"alive":true,"fired":[]}',
+])
+def test_restore_rejects_garbage(blob):
+    with pytest.raises(engine.SnapshotError):
+        restore(blob)
+
+
 def test_state_hash_ignores_turn_counter(miniz):
     a, _, _ = play(miniz, ["wait"])
     b, _, _ = play(miniz, ["wait", "wait"])

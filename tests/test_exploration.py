@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,32 @@ def test_mc_curve_is_monotone(chainworld):
     result = mc_train(chainworld, FAST)
     scores = [s for _, s in result.curve]
     assert scores == sorted(scores)
+
+
+@pytest.mark.parametrize("train", [
+    vanilla_train, mc_train, lambda game, cfg: go_train(game, cfg)[0]],
+    ids=["vanilla", "mc", "go"])
+def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
+                                                train):
+    """Post-step features are reused as the next step's input; act must
+    still always see exactly what AgentEnv.feats() gives for the acting
+    env, across episode starts, backtracks and cell restores."""
+    acting, stale = [], []
+    real_act_and_step = exploration._Trainer.act_and_step
+    real_act = policy.act
+
+    def act_and_step(self, env, params=None):
+        acting.append(env)
+        return real_act_and_step(self, env, params)
+
+    def act(params, feats, *args):
+        stale.append(not np.array_equal(feats, acting[-1].feats()))
+        return real_act(params, feats, *args)
+
+    monkeypatch.setattr(exploration._Trainer, "act_and_step", act_and_step)
+    monkeypatch.setattr(policy, "act", act)
+    train(chainworld, replace(FAST, total_steps=1500))
+    assert stale and not any(stale)
 
 
 def test_archive_insert_keeps_best_score(chainworld):

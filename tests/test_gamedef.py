@@ -111,6 +111,19 @@ def test_malformed_games_are_rejected(mutation, error):
         load_game(mutation)
 
 
+@pytest.mark.parametrize("mutation, bad_line", [
+    (MINIMAL.replace("questgame 1", "questgame x"), "questgame x"),
+    (MINIMAL.replace("max-score 5", "max-score z"), "max-score z"),
+    (MINIMAL.replace("reward 5", "reward five"), "reward five"),
+    (MINIMAL + "[dag]\nvertex\n", "vertex"),
+    (MINIMAL + "[dag]\nvertex coin reward=z\n", "vertex coin reward=z"),
+], ids=["header", "max-score", "event-reward", "vertex-id", "vertex-reward"])
+def test_malformed_fields_report_their_line(mutation, bad_line):
+    with pytest.raises(GameParseError) as exc:
+        load_game(mutation)
+    assert exc.value.line == mutation.splitlines().index(bad_line) + 1
+
+
 def test_object_in_non_container_rejected():
     text = MINIMAL.replace("loc closet", "loc in coin")
     with pytest.raises(GameValidationError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from questkg import engine, kg, policy
+from questkg import engine, exploration, kg, policy
 from questkg.policy import (EncoderConfig, PooledGraphTracker, StateEncoder,
                             Transition, a2c_loss_and_grads, a2c_update, act,
                             greedy_action, init_params, load_params,
@@ -195,6 +195,176 @@ def test_analytic_gradients_match_finite_differences(miniz):
     assert worst <= 1e-4
 
 
+def reference_loss_and_grads(params, transitions, encoder, value_coef,
+                             entropy_coef):
+    """a2c_loss_and_grads written as one loop over transitions and blanks."""
+    def entropy_terms(log_p, active_idx):
+        p = np.exp(log_p[active_idx])
+        plogp = p * log_p[active_idx]
+        inner = plogp + p
+        grad = np.zeros(log_p.shape)
+        grad[active_idx] = inner - p * inner.sum()
+        return plogp.sum(), grad
+
+    grads = {n: np.zeros_like(getattr(params, n)) for n in params.ARRAYS}
+    total_loss = 0.0
+    n_templates = len(params.templates)
+    for tr in transitions:
+        feats = tr.feats
+        log_pt = policy._log_softmax(params.w_template @ feats
+                                     + params.b_template)
+        pt = np.exp(log_pt)
+        one_hot = np.zeros(n_templates)
+        one_hot[tr.template_index] = 1.0
+        total_loss += -tr.advantage * log_pt[tr.template_index]
+        d_logits = -tr.advantage * (one_hot - pt)
+        ent_loss, ent_grad = entropy_terms(log_pt, np.arange(n_templates))
+        total_loss += entropy_coef * ent_loss
+        d_logits += entropy_coef * ent_grad
+        grads["w_template"] += np.outer(d_logits, feats)
+        grads["b_template"] += d_logits
+
+        prev = ""
+        for position, e_idx in enumerate(tr.filler_indices):
+            x = policy._entity_context(encoder, feats, position,
+                                       tr.template_pattern, prev)
+            log_pe = policy._masked_log_softmax(
+                params.w_entity @ x + params.b_entity, tr.mask_idx)
+            total_loss += -tr.advantage * log_pe[e_idx]
+            pe = np.exp(log_pe)
+            d_e = np.zeros(len(params.entities))
+            d_e[tr.mask_idx] = -tr.advantage * (-pe[tr.mask_idx])
+            d_e[e_idx] += -tr.advantage
+            ent_loss, ent_grad = entropy_terms(log_pe, tr.mask_idx)
+            total_loss += entropy_coef * ent_loss
+            d_e += entropy_coef * ent_grad
+            grads["w_entity"] += np.outer(d_e, x)
+            grads["b_entity"] += d_e
+            prev = params.entities[e_idx]
+
+        v = float(params.w_value @ feats + params.b_value)
+        delta = tr.target_q - v
+        total_loss += value_coef * 0.5 * delta * delta
+        grads["w_value"] += value_coef * (-delta) * feats
+        grads["b_value"] += value_coef * (-delta)
+    return total_loss, grads
+
+
+def test_batched_loss_and_grads_match_reference_loop(miniz):
+    rng = np.random.default_rng(14)
+    encoder = small_encoder()
+    blanks = [t.blanks for t in miniz.templates]
+    n_entities = len(miniz.entities)
+    for _ in range(30):
+        params = random_params(miniz, rng, scale=1.0)
+        transitions = [random_transition(miniz, params, encoder, rng)
+                       for _ in range(int(rng.integers(1, 40)))]
+        # every blank count, full-vocabulary fallback masks and terminals
+        for tr, t_idx in zip(transitions, (blanks.index(0), blanks.index(1),
+                                           blanks.index(2))):
+            tr.template_index = t_idx
+            tr.template_pattern = params.templates[t_idx]
+            tr.filler_indices = tuple(int(tr.mask_idx[-1])
+                                      for _ in range(blanks[t_idx]))
+        transitions[-1].mask_idx = np.arange(n_entities)
+        transitions[0].next_feats = None
+        prepare_targets(params, transitions)
+        loss, grads = a2c_loss_and_grads(params, transitions, encoder,
+                                         value_coef=0.5, entropy_coef=0.05)
+        ref_loss, ref_grads = reference_loss_and_grads(
+            params, transitions, encoder, value_coef=0.5, entropy_coef=0.05)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        for name in params.ARRAYS:
+            assert grads[name].shape == getattr(params, name).shape
+            np.testing.assert_allclose(grads[name], ref_grads[name],
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_prepare_targets_matches_per_transition_values(miniz):
+    rng = np.random.default_rng(15)
+    params = random_params(miniz, rng)
+    encoder = small_encoder()
+    transitions = [random_transition(miniz, params, encoder, rng)
+                   for _ in range(25)]
+    prepare_targets(params, transitions)
+    for tr in transitions:
+        v_next = 0.0 if tr.next_feats is None else \
+            float(params.w_value @ tr.next_feats + params.b_value)
+        v = float(params.w_value @ tr.feats + params.b_value)
+        assert tr.target_q == pytest.approx(tr.reward + params.gamma * v_next,
+                                            rel=1e-12, abs=1e-12)
+        assert tr.advantage == pytest.approx(tr.target_q - v,
+                                             rel=1e-12, abs=1e-12)
+
+
+def reference_act(params, feats, mask, rng, encoder, template_blanks):
+    """act() drawing through rng.choice: (template, fillers, log_prob)."""
+    log_pt = policy._log_softmax(params.w_template @ feats
+                                 + params.b_template)
+    t_idx = int(rng.choice(len(log_pt), p=np.exp(log_pt)))
+    log_prob = log_pt[t_idx]
+    mask_idx = np.array([i for i, e in enumerate(params.entities)
+                         if e in mask], dtype=int)
+    if mask_idx.size == 0:
+        mask_idx = np.arange(len(params.entities))
+    fillers = []
+    prev = ""
+    for position in range(template_blanks[t_idx]):
+        x = policy._entity_context(encoder, feats, position,
+                                   params.templates[t_idx], prev)
+        log_pe = policy._masked_log_softmax(
+            params.w_entity @ x + params.b_entity, mask_idx)
+        e_idx = int(rng.choice(len(log_pe), p=np.exp(log_pe)))
+        log_prob += log_pe[e_idx]
+        fillers.append(e_idx)
+        prev = params.entities[e_idx]
+    return t_idx, tuple(fillers), float(log_prob)
+
+
+def test_act_draws_match_rng_choice(miniz):
+    rng = np.random.default_rng(16)
+    params = random_params(miniz, rng, scale=1.5)
+    encoder = small_encoder()
+    blanks = {i: t.blanks for i, t in enumerate(miniz.templates)}
+    masks = [set(), {"egg"}, {"mailbox", "egg", "north", "lamp"},
+             set(miniz.entities)]
+    ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+    for k in range(2000):
+        feats = rng.normal(0, 1, SMALL.feature_dim)
+        mask = masks[k % len(masks)]
+        result = act(params, feats, mask, ours, encoder, blanks)
+        expected = reference_act(params, feats, mask, theirs, encoder, blanks)
+        assert (result.template_index, result.filler_indices,
+                result.log_prob) == expected
+        assert result.mask_fallback == (not mask)
+        assert set(result.mask_idx.tolist()) == (
+            set(range(len(miniz.entities))) if not mask else
+            {i for i, e in enumerate(miniz.entities) if e in mask})
+    assert ours.random() == theirs.random()
+
+
+BENCH = dict(batch_size=16, horizon=40, patience=1000, learning_rate=0.01,
+             entropy_coef=0.05, backend="oracle")
+
+
+def test_vanilla_trajectory_hash_is_pinned(miniz):
+    """Recorded before the learner and actor were batched; any change to
+    draws, features or updates moves it."""
+    result = exploration.vanilla_train(miniz, exploration.ExplorationConfig(
+        seed=0, total_steps=640, **{**BENCH, "alpha": 0.0}))
+    assert result.steps_used == 640
+    assert result.trajectory_hash == "b430adb55c7d18e38bcbe3011313dfa1"
+
+
+def test_go_trajectory_hash_is_pinned(deceive):
+    result, archive = exploration.go_train(
+        deceive, exploration.ExplorationConfig(
+            seed=1, total_steps=600, stop_at_max=False,
+            **{**BENCH, "alpha": 2.0}))
+    assert (result.steps_used, result.j_max, len(archive)) == (600, 90, 47)
+    assert result.trajectory_hash == "a0616c10ac18f41899b418e50a4c170f"
+
+
 def test_a2c_update_moves_params_and_rejects_empty(miniz):
     rng = np.random.default_rng(13)
     params = random_params(miniz, rng)
@@ -207,3 +377,24 @@ def test_a2c_update_moves_params_and_rejects_empty(miniz):
     assert params.finite()
     with pytest.raises(ValueError):
         a2c_update(params, [], encoder)
+
+
+def test_a2c_update_leaves_params_untouched_on_non_finite_gradient(
+        miniz, monkeypatch):
+    rng = np.random.default_rng(17)
+    params = random_params(miniz, rng)
+    encoder = small_encoder()
+    transitions = [random_transition(miniz, params, encoder, rng)
+                   for _ in range(4)]
+    real = policy.a2c_loss_and_grads
+
+    def last_gradient_nan(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads["b_value"] = np.array(np.nan)
+        return loss, grads
+
+    monkeypatch.setattr(policy, "a2c_loss_and_grads", last_gradient_nan)
+    before = params.to_vector()
+    with pytest.raises(FloatingPointError):
+        a2c_update(params, transitions, encoder)
+    assert np.array_equal(params.to_vector(), before)
