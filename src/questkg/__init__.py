@@ -17,7 +17,7 @@ from .engine import (GroundedAction, Observation, WorldState,
                      restore, snapshot, step)
 from .games import load_bundled
 from .kg import (GlobalEdgeSet, KnowledgeGraph, Triple, im_reward, kg_hash,
-                 shaped_reward, update)
+                 shaped_reward)
 from .questgraph import (DependencyGraph, DepVertex, bottlenecks,
                          topological_levels, validate_against_game)
 
@@ -27,7 +27,7 @@ __all__ = [
     "enumerate_grounded", "ground", "reset", "restore", "snapshot", "step",
     "load_bundled",
     "GlobalEdgeSet", "KnowledgeGraph", "Triple", "im_reward", "kg_hash",
-    "shaped_reward", "update",
+    "shaped_reward",
     "DependencyGraph", "DepVertex", "bottlenecks", "topological_levels",
     "validate_against_game",
 ]

@@ -215,16 +215,12 @@ def render_inventory(state, game):
 
 
 def observe(state, game, feedback=None, prev_action=""):
-    """Observation for a state outside of step(), e.g. after a restore."""
-    if feedback is None:
-        feedback = render_look(state, game)
-    return _observe(state, game, feedback, prev_action)
-
-
-def _observe(state, game, feedback, prev_action):
+    """Observation of a state.  Without feedback (e.g. after a restore) the
+    feedback is the room description."""
+    desc = render_look(state, game)
     return Observation(
-        desc=render_look(state, game),
-        feedback=feedback,
+        desc=desc,
+        feedback=desc if feedback is None else feedback,
         inv=render_inventory(state, game),
         prev_action=prev_action,
     )
@@ -249,12 +245,12 @@ def reset(game):
             state.fired_events.add(event.id)
             initial += event.points
     state.score = initial
-    obs = _observe(state, game, render_look(state, game), "")
-    return state, obs, initial
+    return state, observe(state, game), initial
 
 
 def _apply_verb(state, game, action):
-    """Apply the action's effect. Returns (feedback, movement or None).
+    """Apply the action's effect. Returns (feedback, movement), where
+    movement is (from, direction, to) when the room changed, else None.
 
     World state is only touched when the action applies; otherwise the
     feedback explains the failure and the state is left unchanged.
@@ -274,6 +270,8 @@ def _apply_verb(state, game, action):
         if ex.condition is not None and not ex.condition.holds(state):
             return ex.blocked_text, None
         origin = state.current_room
+        if ex.target == origin:     # a self-loop exit moves nowhere
+            return render_look(state, game), None
         state.current_room = ex.target
         return render_look(state, game), (origin, direction, ex.target)
 
@@ -373,6 +371,15 @@ def step(state, action, game):
     The state object is mutated in place. Stepping a dead or terminal state
     is a contract violation.
     """
+    return step_movement(state, action, game)[:4]
+
+
+def step_movement(state, action, game):
+    """Like step() but also reports movement as (from, direction, to), or
+    None when the room did not change.
+
+    Needed by agents that record directional knowledge-graph triples.
+    """
     if not state.alive:
         raise RuntimeError("cannot step a dead/terminal state")
 
@@ -398,23 +405,8 @@ def step(state, action, game):
             feedback += f"\n{rule.text}"
             break
 
-    obs = _observe(state, game, feedback, action.text)
-    return state, obs, reward, done
-
-
-def step_movement(state, action, game):
-    """Like step() but also reports movement as (from, direction, to) or None.
-
-    Needed by agents that record directional knowledge-graph triples.
-    """
-    if not state.alive:
-        raise RuntimeError("cannot step a dead/terminal state")
-    before = state.current_room
-    state_, obs, reward, done = step(state, action, game)
-    movement = None
-    if (action.template.verb == "go" and state_.current_room != before):
-        movement = (before, action.fillers[0], state_.current_room)
-    return state_, obs, reward, done, movement
+    obs = observe(state, game, feedback, action.text)
+    return state, obs, reward, done, movement
 
 
 # --- action space ---------------------------------------------------------

@@ -1,11 +1,12 @@
 """Structured exploration: stagnation detection, backtracking, policy
 chaining, the vanilla A2C baseline, and the Go-Explore-style cell archive.
 
-Training runs a synchronous batch of independent environment instances that
-share policy parameters and a run-level global edge set.  Bookkeeping
-(buffers, monitor, chain, archive) happens between steps by the coordinator;
-action sampling draws from a dedicated RNG stream so that deterministic
-bookkeeping never perturbs trajectories.
+Training steps a batch of independent environment instances one after
+another, round-robin; they share policy parameters and a run-level global
+edge set.  Bookkeeping (buffers, monitor, chain, archive) happens between
+steps by the coordinator, and replays of recorded action sequences all go
+through replay(); action sampling draws from a dedicated RNG stream so that
+deterministic bookkeeping never perturbs trajectories.
 """
 
 from __future__ import annotations
@@ -93,6 +94,37 @@ def game_start_launch(game):
     return Launch(engine.snapshot(state), frozenset(), initial)
 
 
+def launch_at(state, graph):
+    return Launch(engine.snapshot(state), frozenset(graph.triples),
+                  state.score)
+
+
+def replay(game, launch, action_texts, backend=None):
+    """Replay action texts from a launch, yielding (i, state, graph) after
+    each of the first i actions, from i = 0 (the launch itself) until the
+    texts run out or a step makes the state terminal.
+
+    With a backend the graph starts as the launch graph plus the answers for
+    the launch observation and is updated after every step; without one it
+    is None.  state and graph are mutated in place, so a caller copies what
+    it keeps.
+    """
+    state = engine.restore(launch.snapshot)
+    graph = None
+    if backend is not None:
+        graph = launch.make_graph()
+        kg.apply_answers(graph, backend(state, engine.observe(state, game)))
+    yield 0, state, graph
+    for i, text in enumerate(action_texts, start=1):
+        state, obs, _, done, movement = engine.step_movement(
+            state, engine.ground(game, text), game)
+        if graph is not None:
+            kg.apply_answers(graph, backend(state, obs), movement=movement)
+        yield i, state, graph
+        if done:
+            return
+
+
 class AgentEnv:
     """One environment instance with its knowledge graph and feature cache."""
 
@@ -174,21 +206,16 @@ class AgentEnv:
             self.state, action, self.game)
         answers = self.backend(self.state, self.obs)
         added, removed = kg.apply_answers(self.graph, answers,
-                                          prev_action=action.text,
                                           movement=movement)
         self._absorb_diff(added, removed)
         r_im = self.global_edges.absorb(added)
         r_shaped = kg.shaped_reward(
             r_game, self.state.score, self.game.max_score, r_im,
             alpha=cfg.alpha, eps=cfg.eps, score_term_mode=cfg.score_term_mode)
-        truncated = False
-        if not done and self.state.turn - self._start_turn >= cfg.horizon:
-            self.done = True
-            self.needs_reset = True
-            truncated = True
-        if done:
-            self.done = True
-            self.needs_reset = True
+        truncated = (not done
+                     and self.state.turn - self._start_turn >= cfg.horizon)
+        if done or truncated:
+            self.done = self.needs_reset = True
         self.episode_actions.append(action.text)
         self.episode_new += r_im
         if r_game > 0 or r_im > 0:
@@ -234,14 +261,9 @@ def detect_stagnation(monitor):
 
 
 @dataclass(frozen=True)
-class BufferEntry:
-    snapshot: bytes
-    graph_triples: frozenset
-    score: int
+class BufferEntry(Launch):
+    """A launch on the best trajectory."""
     prefix_len: int     # actions from game reset to this state
-
-    def as_launch(self):
-        return Launch(self.snapshot, self.graph_triples, self.score)
 
 
 def build_state_buffer(game, backend, actions_from_reset, capacity):
@@ -251,33 +273,18 @@ def build_state_buffer(game, backend, actions_from_reset, capacity):
     (state hash, graph hash), skips terminal states, and keeps the most
     recent `capacity` entries.
     """
-    state, obs, _ = engine.reset(game)
-    graph = kg.KnowledgeGraph()
-    added, _ = kg.apply_answers(graph, backend(state, obs))
     entries = []
     seen = set()
-
-    def push(prefix_len):
+    for i, state, graph in replay(game, game_start_launch(game),
+                                  actions_from_reset, backend):
         if not state.alive:
-            return
+            continue
         key = (engine.state_hash(state), kg.kg_hash(graph))
-        if key in seen:
-            return
-        seen.add(key)
-        entries.append(BufferEntry(engine.snapshot(state),
-                                   frozenset(graph.triples),
-                                   state.score, prefix_len))
-
-    push(0)
-    for i, text in enumerate(actions_from_reset):
-        action = engine.ground(game, text)
-        state, obs, _, done, movement = engine.step_movement(
-            state, action, game)
-        kg.apply_answers(graph, backend(state, obs),
-                         prev_action=text, movement=movement)
-        push(i + 1)
-        if done:
-            break
+        if key not in seen:
+            seen.add(key)
+            entries.append(BufferEntry(engine.snapshot(state),
+                                       frozenset(graph.triples),
+                                       state.score, i))
     return entries[-capacity:]
 
 
@@ -285,7 +292,8 @@ def build_state_buffer(game, backend, actions_from_reset, capacity):
 
 
 class ChainExecutionError(RuntimeError):
-    """Replay diverged from the recorded handoff; indicates nondeterminism."""
+    """A chain does not fit the game, or its replay diverged from the
+    recorded handoff (which indicates nondeterminism)."""
 
 
 class ChainCloneError(RuntimeError):
@@ -345,21 +353,29 @@ def save_chain(chain):
 
 
 def load_chain(blob):
-    doc = json.loads(blob.decode())
-    if doc.get("v") != CHAIN_VERSION:
-        raise ValueError(f"chain checkpoint version {doc.get('v')!r}")
-    modules = [
-        ChainModule(
-            params=policy.load_params(base64.b64decode(m["params"])),
-            launch=Launch(base64.b64decode(m["snapshot"]),
-                          frozenset(kg.Triple(*t) for t in m["graph"]),
-                          m["launch_score"]),
-            handoff_score=m["handoff_score"],
-            length=m["length"],
-            actions=tuple(m["actions"]))
-        for m in doc["modules"]
-    ]
-    return PolicyChain(modules=modules, j_max=doc["j_max"])
+    """Inverse of save_chain.  Raises ValueError for anything else."""
+    try:
+        doc = json.loads(blob.decode())
+    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError
+        raise ValueError(f"chain checkpoint not UTF-8 JSON: {exc}") from None
+    version = doc.get("v") if isinstance(doc, dict) else None
+    if version != CHAIN_VERSION:
+        raise ValueError(f"chain checkpoint version {version!r}")
+    try:
+        modules = [
+            ChainModule(
+                params=policy.load_params(base64.b64decode(m["params"])),
+                launch=Launch(base64.b64decode(m["snapshot"]),
+                              frozenset(kg.Triple(*t) for t in m["graph"]),
+                              m["launch_score"]),
+                handoff_score=m["handoff_score"],
+                length=m["length"],
+                actions=tuple(m["actions"]))
+            for m in doc["modules"]
+        ]
+        return PolicyChain(modules=modules, j_max=doc["j_max"])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"malformed chain checkpoint: {exc!r}") from None
 
 
 def _interpolate_head(feats, targets, n_classes, margin=10.0):
@@ -380,30 +396,27 @@ def shorten_trajectory(game, actions_from_reset):
     """Remove loops: whenever the replay revisits a (state, graph) pair the
     actions in between are spliced out.  Score-equivalent by construction
     (events depend only on world state) and leaves every visited pair unique,
-    which keeps the per-step features of a segment distinct."""
+    which keeps the per-step features of a segment distinct.
+
+    One pass suffices: the state hash leaves out only the turn counter, which
+    no rule reads, so a revisited pair evolves exactly like its first visit.
+    Actions after a terminal step are kept as they are.
+    """
     backend = extraction.make_backend("oracle", game)
     actions = list(actions_from_reset)
-    changed = True
-    while changed:
-        changed = False
-        state, obs, _ = engine.reset(game)
-        graph = kg.KnowledgeGraph()
-        kg.apply_answers(graph, backend(state, obs))
-        seen = {(engine.state_hash(state), kg.kg_hash(graph)): 0}
-        for i, text in enumerate(actions):
-            state, obs, _, done, movement = engine.step_movement(
-                state, engine.ground(game, text), game)
-            kg.apply_answers(graph, backend(state, obs), prev_action=text,
-                             movement=movement)
-            key = (engine.state_hash(state), kg.kg_hash(graph))
-            if key in seen:
-                del actions[seen[key]:i + 1]
-                changed = True
-                break
-            seen[key] = i + 1
-            if done:
-                break
-    return actions
+    kept = []
+    seen = {}       # pair on the kept path -> len(kept) at its visit
+    for i, state, graph in replay(game, game_start_launch(game), actions,
+                                  backend):
+        if i:
+            kept.append(actions[i - 1])
+        key = (engine.state_hash(state), kg.kg_hash(graph))
+        at = seen.setdefault(key, len(kept))
+        if at < len(kept):
+            del kept[at:]
+            while len(seen) > at + 1:   # forget the pairs of the loop
+                seen.popitem()
+    return kept + actions[i:]
 
 
 def clone_segment_policy(game, encoder, config, launch, action_texts):
@@ -463,55 +476,53 @@ def clone_segment_policy(game, encoder, config, launch, action_texts):
 def build_chain(game, encoder, config, actions_from_reset):
     """Cut the best trajectory at score gains and distill one module each."""
     oracle = extraction.make_backend("oracle", game)
-    actions_from_reset = shorten_trajectory(game, actions_from_reset)
-    state, obs, initial = engine.reset(game)
-    graph = kg.KnowledgeGraph()
-    kg.apply_answers(graph, oracle(state, obs))
-    launch = Launch(engine.snapshot(state), frozenset(graph.triples), initial)
-    chain = PolicyChain(j_max=initial)
+    actions = shorten_trajectory(game, actions_from_reset)
+    steps = replay(game, game_start_launch(game), actions, oracle)
+    _, state, graph = next(steps)
+    launch = launch_at(state, graph)
+    chain = PolicyChain(j_max=state.score)
 
     segment = []
-    for text in actions_from_reset:
-        action = engine.ground(game, text)
-        before = state.score
-        state, obs, _, done, movement = engine.step_movement(
-            state, action, game)
-        kg.apply_answers(graph, oracle(state, obs),
-                         prev_action=text, movement=movement)
-        segment.append(text)
+    before = state.score
+    for i, state, graph in steps:
+        segment.append(actions[i - 1])
         if state.score > before:
             params = clone_segment_policy(game, encoder, config, launch,
                                           segment)
             chain.modules.append(ChainModule(
                 params=params, launch=launch, handoff_score=state.score,
                 length=len(segment), actions=tuple(segment)))
-            launch = Launch(engine.snapshot(state), frozenset(graph.triples),
-                            state.score)
+            launch = launch_at(state, graph)
             segment = []
             chain.j_max = state.score
-        if done:
-            break
+        before = state.score
     return chain
 
 
 def execute_chain(chain, game, config=None):
     """Greedy, deterministic replay of a chain. Returns (actions, score, hash).
 
-    Raises ChainExecutionError if any module fails to reproduce its recorded
-    handoff score (which would indicate nondeterminism).
+    Raises ChainExecutionError if a module's policy was trained on other
+    templates or entities than the game's, or if any module fails to
+    reproduce its recorded handoff score (which would indicate
+    nondeterminism).
     """
     config = config or ExplorationConfig()
     encoder = policy.StateEncoder(config.encoder)
     backend = extraction.make_backend("oracle", game)
     blanks = {j: t.blanks for j, t in enumerate(game.templates)}
     hasher = TrajectoryHasher()
-    state, obs, initial = engine.reset(game)
     trajectory = []
-    score = initial
+    score = engine.reset(game)[2]
     shared = kg.GlobalEdgeSet()
     replay_cfg = replace(config, alpha=0.0, horizon=10**9)
 
+    vocab = (tuple(t.pattern for t in game.templates), tuple(game.entities))
     for i, module in enumerate(chain.modules):
+        if (module.params.templates, module.params.entities) != vocab:
+            raise ChainExecutionError(
+                f"module {i}: policy templates or entities differ from "
+                f"game {game.name!r}")
         env = AgentEnv(game, encoder, backend, shared, replay_cfg, 0)
         env.begin(module.launch)
         if engine.state_hash(env.state) != engine.state_hash(
@@ -562,42 +573,22 @@ def _state_capability(state):
     return inv, flags
 
 
-def _replay_outcome(game, action_texts):
-    """(score, inventory, flags) after an engine-only replay from reset."""
-    state, _, _ = engine.reset(game)
-    for text in action_texts:
-        state, _, _, done, _ = engine.step_movement(
-            state, engine.ground(game, text), game)
-        if done:
-            break
-    inv, flags = _state_capability(state)
-    return state.score, inv, flags
-
-
-def _capability(game, launch, action_texts):
-    """(inventory set, true-flag set) at the end of a replayed segment."""
-    state = engine.restore(launch.snapshot)
-    for text in action_texts:
-        state, _, _, done, _ = engine.step_movement(
-            state, engine.ground(game, text), game)
-        if done:
-            break
-    return _state_capability(state)
+def _end_state(game, launch, action_texts):
+    """Engine state at the end of an engine-only replay from the launch."""
+    for _, state, _ in replay(game, launch, action_texts):
+        pass
+    return state
 
 
 def _truncate_at_peak(game, launch, action_texts):
-    """Drop the trailing actions after the last score gain."""
-    state = engine.restore(launch.snapshot)
-    last_gain = 0
-    for i, text in enumerate(action_texts):
-        before = state.score
-        state, _, _, done, _ = engine.step_movement(
-            state, engine.ground(game, text), game)
-        if state.score > before:
-            last_gain = i + 1
-        if done:
-            break
-    return list(action_texts[:last_gain]), state.score if last_gain else \
+    """Drop the trailing actions after the last score gain.  Returns them
+    with the final score, or the launch score when nothing was gained."""
+    last_gain, score = 0, launch.score
+    for i, state, _ in replay(game, launch, action_texts):
+        if state.score > score:
+            last_gain = i
+        score = state.score
+    return list(action_texts[:last_gain]), score if last_gain else \
         launch.score
 
 
@@ -616,7 +607,6 @@ class _Trainer:
         self.params = policy.init_params(game, config.encoder,
                                          gamma=config.gamma)
         self.blanks = {i: t.blanks for i, t in enumerate(game.templates)}
-        self.entity_index = {e: i for i, e in enumerate(self.params.entities)}
         self.rng = np.random.default_rng(config.seed)
         self.hasher = TrajectoryHasher()
         self.log = []
@@ -624,7 +614,6 @@ class _Trainer:
         self.steps = 0
         self.fallbacks = 0
         self.transitions = []
-        self.pending = {}     # instance index -> incomplete Transition
 
     def make_envs(self, count):
         return [AgentEnv(self.game, self.encoder, self.backend,
@@ -680,7 +669,7 @@ class _Trainer:
 def _phase(trainer, envs, get_launch, budget, j_target, params=None,
            monitor=None, on_improvement=None, stop_score=None,
            accept_ties=False, tie_guard=None, splice=None):
-    """Run synchronous batch training until the budget or an improvement.
+    """Step the batch round-robin until the budget or an improvement.
 
     Returns (best_improvement or None, steps used).  An improvement is an
     episode whose final score strictly exceeds j_target, or (with
@@ -754,8 +743,7 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
         budget = per_snapshot_budget
         if max_total is not None:
             budget = min(budget, max_total - total)
-        launch = entry.as_launch()
-        improvement, used = _phase(trainer, envs, lambda: launch, budget,
+        improvement, used = _phase(trainer, envs, lambda: entry, budget,
                                    j_target, params=fresh,
                                    accept_ties=accept_ties,
                                    tie_guard=tie_guard,
@@ -784,21 +772,19 @@ def mc_train(game, config):
                                 cfg.batch_size, j_max=j_max)
     backtracks = 0
     gave_up = False
-    chain = None
     n_backtrack = cfg.backtrack_steps or max(
         cfg.horizon * cfg.batch_size, cfg.total_steps // 50)
     buffer_entries = [BufferEntry(start.snapshot, start.graph_triples,
                                   start.score, 0)]
 
-    frontier_inv, frontier_flags = _capability(game, start, [])
+    frontier_inv, frontier_flags = _state_capability(
+        _end_state(game, start, []))
 
     def tie_guard(env):
         """Ties must keep every carried item and every set flag, so a
         discovery made while e.g. dropping the lamp cannot poison the
         launch frontier."""
-        inv = {o for o, loc in env.state.object_locations.items()
-               if loc == engine.INVENTORY}
-        flags = {f for f, v in env.state.flags.items() if v}
+        inv, flags = _state_capability(env.state)
         return inv >= frontier_inv and flags >= frontier_flags
 
     def adopt(candidate_actions, score, force_advance=False):
@@ -818,10 +804,10 @@ def mc_train(game, config):
                                             best_actions, cfg.buffer_size)
         if cfg.alpha > 0 or force_advance:
             tail = buffer_entries[-1]
-            launch = tail.as_launch()
+            launch = tail
             prefix = list(best_actions[:tail.prefix_len])
-            frontier_inv, frontier_flags = _capability(game, start,
-                                                       best_actions)
+            frontier_inv, frontier_flags = _state_capability(
+                _end_state(game, start, best_actions))
             # modular chaining: a fresh policy takes over at the new frontier
             trainer.params = policy.init_params(game, cfg.encoder,
                                                 gamma=cfg.gamma)
@@ -866,7 +852,9 @@ def mc_train(game, config):
                 return None
             tried.add(key)
             candidate = pre + list(env.episode_actions) + suffix
-            final, cinv, cflags = _replay_outcome(game, candidate)
+            end = _end_state(game, start, candidate)
+            final = end.score
+            cinv, cflags = _state_capability(end)
             if final < j_max:
                 return None
             if final == j_max:
@@ -954,10 +942,7 @@ def vanilla_train(game, config):
 
     def on_improvement(improvement):
         nonlocal j_max, best_actions
-        score, episode_actions, _ = improvement
-        truncated, peak = _truncate_at_peak(game, start, episode_actions)
-        j_max = peak
-        best_actions = truncated
+        best_actions, j_max = _truncate_at_peak(game, start, improvement[1])
         trainer.curve.append((trainer.steps, j_max))
         return j_max
 
@@ -1028,10 +1013,8 @@ def go_train(game, config):
     start = game_start_launch(game)
     env.begin(start)
     start_key = (engine.state_hash(env.state), kg.kg_hash(env.graph))
-    archive.insert(start_key, Cell(
-        Launch(engine.snapshot(env.state), frozenset(env.graph.triples),
-               env.state.score),
-        env.state.score, 0, ()))
+    archive.insert(start_key, Cell(launch_at(env.state, env.graph),
+                                   env.state.score, 0, ()))
     best_score = env.state.score
     best_actions = ()
 
@@ -1050,10 +1033,8 @@ def go_train(game, config):
             path.append(action.text)
             if env.state.alive:
                 key = (engine.state_hash(env.state), kg.kg_hash(env.graph))
-                archive.insert(key, Cell(
-                    Launch(engine.snapshot(env.state),
-                           frozenset(env.graph.triples), env.state.score),
-                    env.state.score, 0, tuple(path)))
+                archive.insert(key, Cell(launch_at(env.state, env.graph),
+                                         env.state.score, 0, tuple(path)))
             if env.state.score > best_score:
                 best_score = env.state.score
                 best_actions = tuple(path)

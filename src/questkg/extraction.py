@@ -27,12 +27,6 @@ SECTION_MARKERS = ("[loc]", "[inv]", "[obs]", "[atr]")
 
 
 @dataclass(frozen=True)
-class QuestionSet:
-    """The four fixed question forms asked at every step."""
-    forms: tuple[str, ...] = QUESTIONS
-
-
-@dataclass(frozen=True)
 class AnswerSet:
     location: str = ""
     surroundings: tuple[str, ...] = ()
@@ -74,7 +68,7 @@ def parse_context(text):
     return QAContext(*m.groups())
 
 
-def oracle_answer(state, game, questions=QuestionSet()):
+def oracle_answer(state, game):
     """Ground-truth answers read directly from the simulator state.
 
     Surroundings include visible co-located objects and the exit directions

@@ -178,7 +178,6 @@ class RewardEvent:
     id: str
     condition: Condition
     points: int
-    once: bool = True
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,6 @@ class GameDef:
     entities: tuple[str, ...]  # grounding vocabulary: object ids + directions
     attr_vocab: tuple[str, ...]
     name_to_id: dict[str, str]  # normalized room/object name -> id
-
-    def room_of(self, state):
-        return self.rooms[state.current_room]
 
 
 def parse_condition(text, line=None):
@@ -313,8 +309,7 @@ def parse_game(def_text):
         elif kind == "event":
             if "when" not in body or "reward" not in body:
                 raise GameParseError(f"event {sid!r} needs when and reward", line)
-            events.append(RewardEvent(sid, body["when"], body["reward"],
-                                      once=True))
+            events.append(RewardEvent(sid, body["when"], body["reward"]))
         elif kind == "death":
             if "when" not in body:
                 raise GameParseError(f"death {sid!r} needs a when", line)
@@ -472,7 +467,7 @@ def load_game(def_text):
                     f"object {obj.id!r} placed inside non-container "
                     f"{container.id!r}")
     max_score = meta["max-score"]
-    total = sum(e.points for e in parsed["events"] if e.once)
+    total = sum(e.points for e in parsed["events"])
     if total != max_score:
         raise GameValidationError(
             f"once-only reward points sum to {total}, expected max-score "

@@ -49,11 +49,10 @@ def triple_digest(triple):
 class KnowledgeGraph:
     """Mutable triple set with set semantics and an incremental XOR digest."""
 
-    __slots__ = ("triples", "step", "_digest")
+    __slots__ = ("triples", "_digest")
 
-    def __init__(self, triples=(), step=0):
+    def __init__(self, triples=()):
         self.triples = set()
-        self.step = step
         self._digest = EMPTY_DIGEST
         for t in triples:
             self.add(t)
@@ -73,7 +72,7 @@ class KnowledgeGraph:
         return False
 
     def copy(self):
-        clone = KnowledgeGraph(step=self.step)
+        clone = KnowledgeGraph()
         clone.triples = set(self.triples)
         clone._digest = self._digest
         return clone
@@ -124,7 +123,7 @@ class GlobalEdgeSet:
         return triple in self.triples
 
 
-def apply_answers(graph, answers, prev_action=None, movement=None):
+def apply_answers(graph, answers, movement=None):
     """Apply the four update rules plus location-tracking to the graph.
 
     Returns (added, removed) triple lists.  Rules: room-has-item,
@@ -157,14 +156,7 @@ def apply_answers(graph, answers, prev_action=None, movement=None):
     if movement is not None:
         origin, direction, target = movement
         put(Triple.make(origin, f"{direction} of", target))
-    graph.step += 1
     return added, removed
-
-
-def update(graph, answers, prev_action=None, movement=None):
-    """Convenience wrapper over apply_answers; returns the updated graph."""
-    apply_answers(graph, answers, prev_action, movement)
-    return graph
 
 
 def im_reward(graph, global_edges):

@@ -165,8 +165,9 @@ class PooledGraphTracker:
         self.total = np.zeros(encoder.config.d_graph)
         self.count = 0
         if graph is not None:
-            for t in graph.triples:
-                self.apply([t], [])
+            # a fixed order keeps the float sum independent of the string
+            # hash seed that orders the set
+            self.apply(sorted(graph.triples, key=lambda t: t.line()), [])
 
     def apply(self, added, removed):
         for t in added:
@@ -180,12 +181,6 @@ class PooledGraphTracker:
         pooled = self.total / self.count if self.count else \
             np.zeros(self.encoder.config.d_graph)
         return self.encoder.graph_summary_from_pool(pooled)
-
-    def copy(self):
-        clone = PooledGraphTracker(self.encoder)
-        clone.total = self.total.copy()
-        clone.count = self.count
-        return clone
 
 
 # --- parameters -------------------------------------------------------------

@@ -33,9 +33,6 @@ class DependencyGraph:
     vertices: dict[str, DepVertex]
     edges: frozenset[tuple[str, str]]
 
-    def successors(self, vid):
-        return [v for (u, v) in self.edges if u == vid]
-
 
 def _find_cycle(graph):
     """Return a cycle witness as a vertex list, or None."""

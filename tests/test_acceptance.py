@@ -100,8 +100,7 @@ def test_intrinsic_reward_sums_to_global_graph_size(miniz):
             action = engine.ground(miniz, text)
             state, obs, _, done, movement = engine.step_movement(
                 state, action, miniz)
-            kg.apply_answers(graph, backend(state, obs),
-                             prev_action=text, movement=movement)
+            kg.apply_answers(graph, backend(state, obs), movement=movement)
             r_im, _ = kg.im_reward(graph, shared)
             total += r_im
             if done:

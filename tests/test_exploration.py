@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +257,109 @@ def test_go_explore_clears_chainworld(chainworld):
     assert len(archive) > 1
     again, _ = go_train(chainworld, FAST)
     assert again.trajectory_hash == result.trajectory_hash
+
+
+# --- outputs pinned before the replay helpers were rebuilt on replay() ------
+
+BENCH = dict(batch_size=16, horizon=40, patience=1000, learning_rate=0.01,
+             entropy_coef=0.05, backend="oracle")
+
+MC_PINS = {
+    # seed 3 stagnates, backtracks twice and tries detour splices
+    3: dict(trajectory_hash="7d2d6dee1b410a23cfbfbf9db7541254", j_max=10,
+            steps_used=20_000, backtracks=2,
+            best_actions=[
+                "open mailbox", "take leaflet", "go south", "drop leaflet",
+                "take leaflet", "go east", "open window", "go west",
+                "go east", "go east", "go west", "go west", "open sack",
+                "take sack", "go east"],
+            modules=[(0, 10, 8)]),
+    # seed 4 clears miniz and distills a 4-module chain
+    4: dict(trajectory_hash="aeca3b4b729e13ddeb1f9fe4c5853ec8", j_max=50,
+            steps_used=12_789, backtracks=0,
+            best_actions=[
+                "go north", "go east", "go east", "go south", "go up",
+                "take egg", "go down", "go east", "go north", "go east",
+                "drop egg", "open window", "go west", "take sack", "go east",
+                "go south", "go east", "go west", "open sack", "go west",
+                "go east", "go west", "take lamp", "light lamp", "drop sack",
+                "open trapdoor", "go down", "go north", "take painting"],
+            modules=[(0, 5, 6), (5, 15, 7), (15, 40, 14), (40, 50, 2)]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MC_PINS))
+def test_mc_train_outputs_are_pinned(miniz, seed):
+    pin = MC_PINS[seed]
+    result = mc_train(miniz, ExplorationConfig(
+        seed=seed, total_steps=20_000, **{**BENCH, "alpha": 2.0}))
+    assert result.trajectory_hash == pin["trajectory_hash"]
+    assert (result.j_max, result.steps_used, result.backtracks) == (
+        pin["j_max"], pin["steps_used"], pin["backtracks"])
+    assert list(result.best_actions) == pin["best_actions"]
+    modules, start = [], 0
+    for i, (launch, handoff, length) in enumerate(pin["modules"]):
+        modules.append({"index": i, "launch_score": launch,
+                        "handoff_score": handoff, "length": length,
+                        "actions": pin["best_actions"][start:start + length]})
+        start += length
+    assert result.chain.manifest() == {"j_max": pin["j_max"],
+                                       "modules": modules}
+
+
+def test_vanilla_train_best_actions_are_pinned(miniz):
+    """Two improvements, each cut back to its last score gain."""
+    result = vanilla_train(miniz, ExplorationConfig(
+        seed=0, total_steps=4000, **{**BENCH, "alpha": 0.0}))
+    assert result.j_max == 10
+    assert result.curve == [(1274, 5), (2554, 10)]
+    assert list(result.best_actions) == [
+        "read north", "close south", "look", "put south in west",
+        "light south", "wait", "close west", "extinguish north",
+        "light mailbox", "look", "light south", "open north", "go north",
+        "light east", "inventory", "drop south", "put south in south",
+        "wait", "close mailbox", "go east", "go window", "close south",
+        "read mailbox", "open mailbox", "wait", "light east", "drop north",
+        "light west", "take mailbox", "inventory", "read south",
+        "inventory", "open window", "go north", "take north", "go east",
+        "look", "go west"]
+
+
+CHAIN_DIGEST = """\
+import hashlib, sys
+from questkg import exploration, games, policy, search
+game = games.load_bundled("miniz")
+cfg = exploration.ExplorationConfig()
+texts = [a.text for a in search.walkthrough(game)[0]]
+chain = exploration.build_chain(game, policy.StateEncoder(cfg.encoder), cfg,
+                                texts)
+print(hashlib.blake2b(exploration.save_chain(chain)).hexdigest())
+"""
+
+
+def test_chain_checkpoint_bytes_ignore_the_string_hash_seed():
+    src = Path(exploration.__file__).resolve().parents[1]
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", CHAIN_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_execute_chain_rejects_a_chain_of_another_game(chainworld, miniz):
+    chain = build_chain(chainworld, policy.StateEncoder(FAST.encoder), FAST,
+                        walkthrough_texts(chainworld))
+    with pytest.raises(ChainExecutionError, match="module 0"):
+        execute_chain(chain, miniz)
+
+
+@pytest.mark.parametrize("blob", [b"\xff\x00", b'{"v":1}', b"[1]",
+                                  b'{"v":1,"j_max":0,"modules":[{}]}'])
+def test_load_chain_rejects_malformed_checkpoints(blob):
+    with pytest.raises(ValueError, match="chain checkpoint"):
+        load_chain(blob)

@@ -1,0 +1,52 @@
+"""The benchmark's tracer still fits the code it wraps.
+
+perfbench/run.py wraps questkg functions by name from outside the package;
+a renamed or removed function makes its traced pass raise KeyError, and a
+call through a local alias silently escapes the count.  The benchmark files
+are loaded by path and are not modified.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from questkg import engine, exploration
+from questkg.exploration import ExplorationConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+CONFIG = ExplorationConfig(seed=0, total_steps=1500, batch_size=4, horizon=25,
+                           patience=200, alpha=2.0, learning_rate=0.01,
+                           entropy_coef=0.05)
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
+    run, spans = load("run"), load("spans")
+    untraced = exploration.mc_train(chainworld, CONFIG)
+    original = engine.step_movement
+    tracer = spans.Tracer()
+    try:
+        run.install(tracer)
+        traced = exploration.mc_train(chainworld, CONFIG)
+        exploration.execute_chain(traced.chain, chainworld, CONFIG)
+    finally:
+        tracer.unwrap_all()
+    assert engine.step_movement is original
+    assert traced.trajectory_hash == untraced.trajectory_hash
+    stats, overfull = tracer.per_name()
+    assert overfull == 0
+    assert stats["exploration.mc_train"][0] == 1
+    assert stats["engine.step_movement"][0] > 0
+    assert stats["exploration.shorten_trajectory"][0] > 0
+    assert stats["exploration.execute_chain"][0] == 1
+    # one pass: each recorded action is stepped at most once
+    assert 0 < tracer.child_calls(
+        "engine.step_movement", "exploration.shorten_trajectory") <= \
+        tracer.counts["shorten_trajectory.actions_in"]

@@ -1,0 +1,201 @@
+"""Property tests over random action sequences on the bundled games.
+
+A walk mostly takes admissible actions, sometimes an arbitrary grounding
+(which usually fails but still spends a turn), and after a death keeps
+going with arbitrary groundings, which every replay must ignore.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from questkg import engine, extraction, games, kg, load_game, policy
+from questkg.exploration import (AgentEnv, ExplorationConfig,
+                                 game_start_launch, launch_at, replay,
+                                 shorten_trajectory)
+
+GAMES = {name: games.load_bundled(name) for name in games.BUNDLED}
+# walks may start with a lead-in; this one ends beside miniz's open
+# trapdoor, one step from the grue
+LEADS = {"miniz": ((), ("go south", "go east", "open window", "go west",
+                        "go west", "open trapdoor"))}
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def walks(draw, max_len=40):
+    """(game, action texts) from reset."""
+    name = draw(st.sampled_from(sorted(GAMES)))
+    game = GAMES[name]
+    state = engine.reset(game)[0]
+    texts = list(draw(st.sampled_from(LEADS.get(name, ((),)))))
+    for text in texts:
+        engine.step(state, engine.ground(game, text), game)
+    for _ in range(draw(st.integers(0, max_len))):
+        options = sorted(a.text for a in engine.admissible_actions(
+            state, game)) if state.alive else []
+        if options and draw(st.integers(0, 3)):
+            text = draw(st.sampled_from(options))
+        else:
+            template = draw(st.sampled_from(game.templates))
+            fillers = [draw(st.sampled_from(game.entities))
+                       for _ in range(template.blanks)]
+            text = template.ground_text(fillers)
+        texts.append(text)
+        if state.alive:
+            engine.step(state, engine.ground(game, text), game)
+    return game, texts
+
+
+def alive_prefix(game, texts):
+    """The actions up to and including the one that ends the game."""
+    state = engine.reset(game)[0]
+    for i, text in enumerate(texts):
+        if engine.step(state, engine.ground(game, text), game)[3]:
+            return texts[:i + 1]
+    return texts
+
+
+def restart_shorten(game, actions_from_reset):
+    """Loop removal by restarting from reset after every splice: the
+    reference that the one-pass shorten_trajectory must match."""
+    backend = extraction.make_backend("oracle", game)
+    actions = list(actions_from_reset)
+    changed = True
+    while changed:
+        changed = False
+        state, obs, _ = engine.reset(game)
+        graph = kg.KnowledgeGraph()
+        kg.apply_answers(graph, backend(state, obs))
+        seen = {(engine.state_hash(state), kg.kg_hash(graph)): 0}
+        for i, text in enumerate(actions):
+            state, obs, _, done, movement = engine.step_movement(
+                state, engine.ground(game, text), game)
+            kg.apply_answers(graph, backend(state, obs), movement=movement)
+            key = (engine.state_hash(state), kg.kg_hash(graph))
+            if key in seen:
+                del actions[seen[key]:i + 1]
+                changed = True
+                break
+            seen[key] = i + 1
+            if done:
+                break
+    return actions
+
+
+@PROPERTY
+@given(walks())
+def test_step_is_step_movement_without_the_movement(walk):
+    game, texts = walk
+    a, b = engine.reset(game)[0], engine.reset(game)[0]
+    for text in alive_prefix(game, texts):
+        action = engine.ground(game, text)
+        origin = b.current_room
+        plain = engine.step(a, action, game)
+        moved = engine.step_movement(b, action, game)
+        assert plain[1:] == moved[1:4]
+        assert engine.snapshot(plain[0]) == engine.snapshot(moved[0])
+        movement = moved[4]
+        if b.current_room == origin:
+            assert movement is None
+        else:
+            assert movement == (origin, action.fillers[0], b.current_room)
+
+
+@PROPERTY
+@given(walks())
+def test_snapshot_restore_round_trips(walk):
+    game, texts = walk
+    state = engine.reset(game)[0]
+    for text in alive_prefix(game, texts):
+        blob = engine.snapshot(state)
+        copy = engine.restore(blob)
+        assert engine.snapshot(copy) == blob
+        assert engine.state_hash(copy) == engine.state_hash(state)
+        action = engine.ground(game, text)
+        got = engine.step(copy, action, game)
+        want = engine.step(state, action, game)
+        assert got[1:] == want[1:]
+        assert engine.snapshot(copy) == engine.snapshot(state)
+
+
+@PROPERTY
+@given(walks(), st.integers(1, 1000))
+def test_state_hash_ignores_the_turn_counter(walk, extra):
+    game, texts = walk
+    for _, state, _ in replay(game, game_start_launch(game), texts):
+        later = engine.restore(engine.snapshot(state))
+        later.turn += extra
+        assert engine.state_hash(later) == engine.state_hash(state)
+        assert engine.snapshot(later) != engine.snapshot(state)
+
+
+@PROPERTY
+@given(walks(), st.integers(0, 40))
+def test_replay_graph_matches_an_agent_env(walk, cut):
+    game, texts = walk
+    oracle = extraction.make_backend("oracle", game)
+    config = ExplorationConfig(alpha=0.0, horizon=10**9)
+    encoder = policy.StateEncoder(config.encoder)
+    launch, rest = game_start_launch(game), texts
+    for i, state, graph in replay(game, launch, texts, oracle):
+        if i == min(cut, len(texts)) and state.alive:
+            launch, rest = launch_at(state, graph), texts[i:]
+    env = AgentEnv(game, encoder, oracle, kg.GlobalEdgeSet(), config, 0)
+    env.begin(launch)
+    for text in rest:
+        if env.step(engine.ground(game, text))[3]:
+            break
+    for _, state, graph in replay(game, launch, rest, oracle):
+        pass
+    assert graph.triples == env.graph.triples
+    assert engine.snapshot(state) == engine.snapshot(env.state)
+
+
+@PROPERTY
+@given(walks(max_len=60))
+def test_one_pass_shorten_matches_restart_reference(walk):
+    game, texts = walk
+    assert shorten_trajectory(game, texts) == restart_shorten(game, texts)
+
+
+LOOPWORLD = """questgame 1
+
+[meta]
+name loopworld
+start hall
+max-score 1
+
+[room hall]
+name Hall
+desc A hall whose east door opens back onto the hall.
+exit east hall
+exit north yard
+
+[room yard]
+name Yard
+desc An open yard.
+exit south hall
+
+[templates]
+go ___
+wait
+
+[event reach-yard]
+when at yard
+reward 1
+"""
+
+
+def test_self_loop_exit_reports_no_movement():
+    game = load_game(LOOPWORLD)
+    state = engine.reset(game)[0]
+    *_, movement = engine.step_movement(state, engine.ground(game, "go east"),
+                                        game)
+    assert movement is None
+    assert state.current_room == "hall" and state.turn == 1
+    oracle = extraction.make_backend("oracle", game)
+    *_, (_, _, graph) = replay(game, game_start_launch(game),
+                               ["go east", "go north"], oracle)
+    relations = {t.relation for t in graph.triples}
+    assert "north of" in relations and "east of" not in relations
