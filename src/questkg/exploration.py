@@ -20,6 +20,9 @@ import numpy as np
 
 from . import engine, extraction, kg, policy
 
+ROLLOUT = 8             # outer iterations between A2C updates
+STUCK_FRACTION = 0.75   # share of the batch that must stagnate to backtrack
+
 
 @dataclass(frozen=True)
 class ExplorationConfig:
@@ -27,21 +30,16 @@ class ExplorationConfig:
     total_steps: int = 100_000       # summed over the instance batch
     batch_size: int = 16
     horizon: int = 50                # per-episode turn limit
-    rollout: int = 8                 # outer iterations between A2C updates
     patience: int | None = 3000      # per-instance stagnant steps; None = off
-    patience_batch_factor: float = 0.75
     buffer_size: int = 40
-    backtrack_steps: int | None = None   # per-snapshot budget; None = M // 10
     alpha: float = 1.0
     eps: float = 1.0
     gamma: float = 0.9
     learning_rate: float = 0.05
     entropy_coef: float = 0.01
-    value_coef: float = 0.5
     backend: str = "oracle"
     p_drop: float = 0.1
     p_swap: float = 0.05
-    score_term_mode: str = "cumulative"
     cell_step: int = 32
     stop_at_max: bool = True
     encoder: policy.EncoderConfig = field(default_factory=policy.EncoderConfig)
@@ -211,7 +209,7 @@ class AgentEnv:
         r_im = self.global_edges.absorb(added)
         r_shaped = kg.shaped_reward(
             r_game, self.state.score, self.game.max_score, r_im,
-            alpha=cfg.alpha, eps=cfg.eps, score_term_mode=cfg.score_term_mode)
+            alpha=cfg.alpha, eps=cfg.eps)
         truncated = (not done
                      and self.state.turn - self._start_turn >= cfg.horizon)
         if done or truncated:
@@ -229,7 +227,6 @@ class AgentEnv:
 @dataclass
 class BottleneckMonitor:
     patience: int | None
-    patience_batch_factor: float
     batch_size: int
     j_max: float = 0.0
     p: list[int] = field(default_factory=list)
@@ -250,11 +247,12 @@ class BottleneckMonitor:
 
 
 def detect_stagnation(monitor):
-    """True when enough of the batch has been stagnant for `patience` steps."""
+    """True when at least STUCK_FRACTION of the batch has been stagnant for
+    `patience` steps."""
     if monitor.patience is None:
         return False
     stuck = sum(1 for v in monitor.p if v >= monitor.patience)
-    return stuck / len(monitor.p) >= monitor.patience_batch_factor
+    return stuck / len(monitor.p) >= STUCK_FRACTION
 
 
 # --- state buffer ------------------------------------------------------------
@@ -525,9 +523,6 @@ def execute_chain(chain, game, config=None):
                 f"game {game.name!r}")
         env = AgentEnv(game, encoder, backend, shared, replay_cfg, 0)
         env.begin(module.launch)
-        if engine.state_hash(env.state) != engine.state_hash(
-                engine.restore(module.launch.snapshot)):
-            raise ChainExecutionError(f"module {i}: bad launch snapshot")
         for _ in range(module.length):
             feats = env.feats()
             t_idx, fillers = policy.greedy_action(module.params, feats,
@@ -657,7 +652,6 @@ class _Trainer:
         policy.a2c_update(params or self.params, self.transitions,
                           self.encoder,
                           learning_rate=self.config.learning_rate,
-                          value_coef=self.config.value_coef,
                           entropy_coef=self.config.entropy_coef)
         self.transitions = []
 
@@ -668,19 +662,18 @@ class _Trainer:
 
 def _phase(trainer, envs, get_launch, budget, j_target, params=None,
            monitor=None, on_improvement=None, stop_score=None,
-           accept_ties=False, tie_guard=None, splice=None):
+           tie_guard=None, splice=None):
     """Step the batch round-robin until the budget or an improvement.
 
     Returns (best_improvement or None, steps used).  An improvement is an
-    episode whose final score strictly exceeds j_target, or (with
-    accept_ties) one that matches it while discovering globally new triples;
-    its payload is (score, action_texts, last_useful_index).  When
-    on_improvement is None the phase returns at the first improvement,
-    otherwise the callback consumes it and returns the new target.
-    get_launch is called whenever an instance starts an episode, so the
-    caller may move the launch point mid-phase.
+    episode whose final score strictly exceeds j_target, or one that matches
+    it while discovering globally new triples and passing tie_guard(env)
+    (None refuses ties); its payload is (score, action_texts,
+    last_useful_index).  When on_improvement is None the phase returns at
+    the first improvement, otherwise the callback consumes it and returns
+    the new target.  get_launch is called whenever an instance starts an
+    episode, so the caller may move the launch point mid-phase.
     """
-    cfg = trainer.config
     used = 0
     for env in envs:
         env.needs_reset = True
@@ -704,8 +697,8 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
             if done or truncated:
                 final = env.state.score
                 improved = final > j_target or (
-                    accept_ties and final >= j_target and env.episode_new > 0
-                    and (tie_guard is None or tie_guard(env)))
+                    tie_guard is not None and final >= j_target
+                    and env.episode_new > 0 and tie_guard(env))
                 if improved:
                     improvement = (final, list(env.episode_actions),
                                    env.last_useful)
@@ -717,7 +710,7 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
                         return improvement, used
                 else:
                     trainer.log_row(env, r_im, r_t, "")
-            if used % (cfg.rollout * len(envs)) == 0:
+            if used % (ROLLOUT * len(envs)) == 0:
                 trainer.flush_update(params)
         if monitor is not None and detect_stagnation(monitor):
             return None, used
@@ -725,30 +718,26 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
 
 
 def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
-              max_total=None, accept_ties=False, tie_guard=None,
-              make_splice=None):
+              max_total, tie_guard, make_splice):
     """Search backwards through the best-trajectory buffer for a better
-    policy.  A fresh policy is trained from every snapshot, latest first.
+    policy.  A fresh policy is trained from every snapshot, latest first,
+    for at most per_snapshot_budget steps and max_total steps in all.
 
-    Returns (entry, params, improvement) on success, None on exhaustion.
+    Returns (entry, params, improvement, steps used); the first three are
+    None on exhaustion.
     """
     total = 0
     for entry in reversed(buffer_entries):
-        if max_total is not None and total >= max_total:
+        if total >= max_total:
             break
         fresh = policy.init_params(trainer.game, trainer.config.encoder,
                                    gamma=trainer.config.gamma)
         envs = trainer.make_envs(trainer.config.batch_size)
         trainer.transitions = []
-        budget = per_snapshot_budget
-        if max_total is not None:
-            budget = min(budget, max_total - total)
-        improvement, used = _phase(trainer, envs, lambda: entry, budget,
-                                   j_target, params=fresh,
-                                   accept_ties=accept_ties,
-                                   tie_guard=tie_guard,
-                                   splice=make_splice(entry)
-                                   if make_splice else None)
+        improvement, used = _phase(
+            trainer, envs, lambda: entry,
+            min(per_snapshot_budget, max_total - total), j_target,
+            params=fresh, tie_guard=tie_guard, splice=make_splice(entry))
         total += used
         trainer.transitions = []
         if improvement is not None:
@@ -768,12 +757,12 @@ def mc_train(game, config):
     prefix = []                    # actions from reset to launch
     j_max = start.score
     best_actions = []
-    monitor = BottleneckMonitor(cfg.patience, cfg.patience_batch_factor,
-                                cfg.batch_size, j_max=j_max)
+    monitor = BottleneckMonitor(cfg.patience, cfg.batch_size, j_max=j_max)
     backtracks = 0
     gave_up = False
-    n_backtrack = cfg.backtrack_steps or max(
-        cfg.horizon * cfg.batch_size, cfg.total_steps // 50)
+    # steps per backtrack snapshot: a batch of full episodes, or 2% of
+    # the run's budget when that is larger
+    n_backtrack = max(cfg.horizon * cfg.batch_size, cfg.total_steps // 50)
     buffer_entries = [BufferEntry(start.snapshot, start.graph_triples,
                                   start.score, 0)]
 
@@ -875,8 +864,8 @@ def mc_train(game, config):
         stop = game.max_score if cfg.stop_at_max else None
         _, used = _phase(trainer, envs, lambda: launch, remaining, j_max,
                          monitor=monitor, on_improvement=on_improvement,
-                         stop_score=stop, accept_ties=cfg.alpha > 0,
-                         tie_guard=tie_guard)
+                         stop_score=stop,
+                         tie_guard=tie_guard if cfg.alpha > 0 else None)
         if cfg.stop_at_max and j_max >= game.max_score:
             break
         if trainer.steps >= cfg.total_steps:
@@ -894,8 +883,7 @@ def mc_train(game, config):
             entry, fresh, improvement, _ = backtrack(
                 trainer, buffer_entries, j_max, n_backtrack,
                 max_total=cfg.total_steps - trainer.steps,
-                accept_ties=cfg.alpha > 0, tie_guard=tie_guard,
-                make_splice=make_splice)
+                tie_guard=tie_guard, make_splice=make_splice)
             if improvement is None:
                 break
             backtracks += 1

@@ -237,7 +237,7 @@ def qa_record(ctx, answers):
     return "\n".join(lines)
 
 
-def emit_qa_dataset(records, game=None):
+def emit_qa_dataset(records):
     """Serialize (QAContext, AnswerSet) pairs in the QA corpus layout."""
     return "\n\n".join(qa_record(ctx, ans) for ctx, ans in records)
 

@@ -198,10 +198,8 @@ class GameDef:
     events: tuple[RewardEvent, ...]
     deaths: tuple[DeathRule, ...]
     dag: "DependencyGraph | None"
-    vocabulary: frozenset[str]
     entities: tuple[str, ...]  # grounding vocabulary: object ids + directions
     attr_vocab: tuple[str, ...]
-    name_to_id: dict[str, str]  # normalized room/object name -> id
 
 
 def parse_condition(text, line=None):
@@ -264,9 +262,9 @@ def _section_lines(text):
 
 def parse_game(def_text):
     """Parse game definition text into an unvalidated GameDef skeleton dict."""
-    if not def_text.strip():
-        raise GameParseError("empty game definition")
     lines = list(_section_lines(def_text))
+    if not lines:
+        raise GameParseError("empty game definition")
     first_no, _, header = lines[0]
     words = header.split()
     if len(words) != 2 or words[0] != "questgame":
@@ -320,6 +318,8 @@ def parse_game(def_text):
         if kind == "section":
             close(section)
             words = payload.split()
+            if not words:
+                raise GameParseError("section with no name", no)
             name = words[0]
             if name in ("templates", "dag"):
                 section = (name, None, {}, no)
@@ -418,18 +418,6 @@ def _build_dag(parsed):
     return DependencyGraph(vertices=vertices, edges=frozenset(edges))
 
 
-def _derive_vocabulary(rooms, objects, templates):
-    vocab = set(DIRECTIONS)
-    for room in rooms.values():
-        vocab.update(normalize(room.name).split())
-    for obj in objects.values():
-        vocab.add(obj.id)
-        vocab.update(normalize(obj.name).split())
-    for t in templates:
-        vocab.update(w for w in t.words if w != BLANK)
-    return frozenset(vocab)
-
-
 def load_game(def_text):
     """Parse and validate a game definition, returning a GameDef.
 
@@ -489,17 +477,9 @@ def load_game(def_text):
         from .questgraph import topological_levels
         topological_levels(dag)  # raises on cycles
 
-    vocabulary = _derive_vocabulary(rooms, objects, templates)
     entities = tuple(sorted(objects)) + DIRECTIONS
     attr_vocab = sorted({a for o in objects.values() for a in o.attrs}
                         | {"open", "lit"})
-    name_to_id = {}
-    for room in rooms.values():
-        name_to_id[normalize(room.name)] = room.id
-    for obj in objects.values():
-        name_to_id[normalize(obj.name)] = obj.id
-        name_to_id.setdefault(obj.id, obj.id)
-
     return GameDef(
         name=meta["name"],
         start=meta["start"],
@@ -510,8 +490,6 @@ def load_game(def_text):
         events=tuple(parsed["events"]),
         deaths=tuple(parsed["deaths"]),
         dag=dag,
-        vocabulary=vocabulary,
         entities=entities,
         attr_vocab=tuple(attr_vocab),
-        name_to_id=name_to_id,
     )

@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from .gamedef import load_game
+from .gamedef import GameParseError, load_game
 
 BUNDLED = ("miniz", "chainworld", "deceive")
 
@@ -18,11 +18,18 @@ def load_bundled(name):
 
 
 def load_path(path):
-    """Load a game from a file path or a bundled name."""
+    """Load a game from a file path or a bundled name.  A file that is not
+    UTF-8 raises GameParseError at the line of the first bad byte."""
     import os
     if os.path.exists(path):
-        with open(path) as fh:
-            return load_game(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GameParseError(f"not UTF-8 text: {exc.reason}",
+                                 raw.count(b"\n", 0, exc.start) + 1) from None
+        return load_game(text)
     if path in BUNDLED:
         return load_bundled(path)
     raise FileNotFoundError(path)

@@ -77,13 +77,6 @@ class KnowledgeGraph:
         clone._digest = self._digest
         return clone
 
-    def entities(self):
-        out = set()
-        for t in self.triples:
-            out.add(t.subject)
-            out.add(t.object)
-        return out
-
     def __len__(self):
         return len(self.triples)
 
@@ -169,25 +162,17 @@ def im_reward(graph, global_edges):
     return r_im, global_edges
 
 
-def shaped_reward(r_game, episode_score, r_max, r_im, alpha=1.0, eps=1.0,
-                  score_term_mode="cumulative"):
+def shaped_reward(r_game, episode_score, r_max, r_im, alpha=1.0, eps=1.0):
     """Game reward plus score-scaled intrinsic bonus.
 
-    r = r_game + alpha * r_im * (score_term + eps) / r_max where score_term
-    is the cumulative episode score by default, or the step reward when
-    score_term_mode == "step".
+    r = r_game + alpha * r_im * (episode_score + eps) / r_max, where
+    episode_score is the cumulative score of the episode.
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     if alpha < 0 or eps < 0:
         raise ValueError("alpha and eps must be non-negative")
-    if score_term_mode == "cumulative":
-        score_term = episode_score
-    elif score_term_mode == "step":
-        score_term = r_game
-    else:
-        raise ValueError(f"unknown score_term_mode {score_term_mode!r}")
-    return r_game + alpha * r_im * (score_term + eps) / r_max
+    return r_game + alpha * r_im * (episode_score + eps) / r_max
 
 
 def serialize_triples(graph):

@@ -99,17 +99,6 @@ class StateEncoder:
     def graph_summary_from_pool(self, pooled):
         return np.tanh(self._w_out @ pooled + self._b_out)
 
-    def graph_summary(self, graph):
-        c = self.config
-        if len(graph) == 0:
-            pooled = np.zeros(c.d_graph)
-        else:
-            pooled = np.zeros(c.d_graph)
-            for t in graph.triples:
-                pooled += self.message(t)
-            pooled /= len(graph)
-        return self.graph_summary_from_pool(pooled)
-
     # -- observation hashing ---------------------------------------------
 
     def _token_slot(self, token):
@@ -147,18 +136,11 @@ class StateEncoder:
             self._text_vec[token] = vec
         return vec
 
-    def encode(self, obs, graph):
-        """Feature vector for (observation, knowledge graph); deterministic."""
-        parts = [self.graph_summary(graph),
-                 self.text_vector(obs.desc),
-                 self.text_vector(obs.feedback),
-                 self.text_vector(obs.inv),
-                 self.text_vector(obs.prev_action)]
-        return np.concatenate(parts)
-
 
 class PooledGraphTracker:
-    """Incremental mirror of StateEncoder.graph_summary for hot loops."""
+    """The graph summary: the mean of the triples' messages, kept up to date
+    as triples are added and removed, through the encoder's output layer.
+    It is the only implementation; AgentEnv.feats builds features on it."""
 
     def __init__(self, encoder, graph=None):
         self.encoder = encoder
@@ -220,9 +202,6 @@ class PolicyParams:
             setattr(self, name, vec[offset:offset + size].reshape(arr.shape))
             offset += size
         return self
-
-    def finite(self):
-        return all(np.isfinite(getattr(self, n)).all() for n in self.ARRAYS)
 
 
 def init_params(game, config=EncoderConfig(), gamma=0.9):

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .gamedef import GameValidationError
 
-class CycleError(ValueError):
-    """Raised when a graph expected to be acyclic contains a cycle."""
+
+class CycleError(GameValidationError):
+    """Raised when a graph expected to be acyclic contains a cycle; a game
+    file whose [dag] is cyclic fails validation with it."""
 
     def __init__(self, witness):
         self.witness = list(witness)
@@ -135,7 +138,7 @@ class ValidationReport:
         return "\n".join(self.lines())
 
 
-def validate_against_game(graph, game, max_states=200_000):
+def validate_against_game(graph, game):
     """Check every vertex is attainable in the engine and rewards are mapped.
 
     A vertex is attainable when the search oracle reaches a state located in
@@ -164,7 +167,7 @@ def validate_against_game(graph, game, max_states=200_000):
             report.problems.append(
                 f"vertex {v.id!r} reward {v.reward} matches no reward event")
 
-    reached = explore(game, max_states=max_states)
+    reached = explore(game)
     for v in sorted(graph.vertices.values(), key=lambda x: x.id):
         if _attainable(v, reached):
             continue

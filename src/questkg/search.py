@@ -2,10 +2,11 @@
 
 Used for authoring-time checks and as the independent ground truth in tests:
 reachability of quest vertices, the true optimal score, and a walkthrough
-action sequence attaining it.  The search deduplicates on state digests and,
-by default, skips purely regressive actions (drop/close/extinguish/put) that
-cannot unlock anything in the supported rule set; this keeps the explored
-graph small without losing reachability of score or dependencies.
+action sequence attaining it.  explore and walkthrough share one
+breadth-first walk, which deduplicates on state digests and skips purely
+regressive actions (drop/close/extinguish/put) that cannot unlock anything in
+the supported rule set; this keeps the explored graph small without losing
+reachability of score or dependencies.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from . import engine
 
 REGRESSIVE_VERBS = ("drop", "close", "extinguish", "put")
+MAX_STATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -31,47 +33,52 @@ class SearchBudgetExceeded(RuntimeError):
     pass
 
 
-def _frontier_actions(state, game, include_regressive):
-    actions = engine.admissible_actions(state, game)
-    if include_regressive:
-        return sorted(actions, key=lambda a: a.text)
-    return sorted((a for a in actions
+def _frontier_actions(state, game):
+    return sorted((a for a in engine.admissible_actions(state, game)
                    if a.template.verb not in REGRESSIVE_VERBS),
                   key=lambda a: a.text)
 
 
-def explore(game, max_states=200_000, include_regressive=False):
+def _bfs(game):
+    """Breadth-first walk over distinct state digests from the start state.
+
+    Yields (digest, state, parent_digest, action) for every newly reached
+    state, the start state first with parent and action None.  Terminal
+    states are not expanded.  Raises SearchBudgetExceeded past MAX_STATES.
+    """
+    state, _, _ = engine.reset(game)
+    digest = engine.state_hash(state)
+    seen = {digest}
+    queue = deque([(digest, engine.snapshot(state))])
+    yield digest, state, None, None
+    while queue:
+        digest, snap = queue.popleft()
+        base = engine.restore(snap)
+        if not base.alive:
+            continue
+        for action in _frontier_actions(base, game):
+            nxt, _, _, _ = engine.step(engine.restore(snap), action, game)
+            ndigest = engine.state_hash(nxt)
+            if ndigest in seen:
+                continue
+            if len(seen) >= MAX_STATES:
+                raise SearchBudgetExceeded(f"exceeded {MAX_STATES} states")
+            seen.add(ndigest)
+            queue.append((ndigest, engine.snapshot(nxt)))
+            yield ndigest, nxt, digest, action
+
+
+def explore(game):
     """Breadth-first enumeration of reachable states.
 
     Returns a list of ReachedState summaries (one per distinct state digest).
     Raises SearchBudgetExceeded when the cap is hit.
     """
     out = []
-    seen = set()
-    state, _, _ = engine.reset(game)
-    queue = deque([engine.snapshot(state)])
-    seen.add(engine.state_hash(state))
-    out.append(_summarize(state, 0))
-    depth_of = {engine.state_hash(state): 0}
-
-    while queue:
-        snap = queue.popleft()
-        base = engine.restore(snap)
-        if not base.alive:
-            continue
-        depth = depth_of[engine.state_hash(base)]
-        for action in _frontier_actions(base, game, include_regressive):
-            nxt = engine.restore(snap)
-            nxt, _, _, _ = engine.step(nxt, action, game)
-            digest = engine.state_hash(nxt)
-            if digest in seen:
-                continue
-            if len(seen) >= max_states:
-                raise SearchBudgetExceeded(f"exceeded {max_states} states")
-            seen.add(digest)
-            depth_of[digest] = depth + 1
-            out.append(_summarize(nxt, depth + 1))
-            queue.append(engine.snapshot(nxt))
+    depth = {}
+    for digest, state, parent, _ in _bfs(game):
+        depth[digest] = 0 if parent is None else depth[parent] + 1
+        out.append(_summarize(state, depth[digest]))
     return out
 
 
@@ -82,41 +89,22 @@ def _summarize(state, depth):
                         score=state.score, alive=state.alive, depth=depth)
 
 
-def walkthrough(game, max_states=200_000, include_regressive=False):
+def walkthrough(game):
     """Shortest action sequence reaching the game's maximum score.
 
-    Returns (actions, score).  When max_score is unattainable within the
-    budget, returns the best sequence found instead.
+    Returns (actions, score).  When max_score is unattainable, returns the
+    shortest sequence reaching the best score found instead.
     """
-    state, _, _ = engine.reset(game)
-    start_digest = engine.state_hash(state)
-    parents = {start_digest: None}  # digest -> (parent digest, action)
-    snaps = {start_digest: engine.snapshot(state)}
-    scores = {start_digest: state.score}
-    queue = deque([start_digest])
-    best_digest, best_score = start_digest, state.score
-
-    while queue:
-        digest = queue.popleft()
-        base = engine.restore(snaps[digest])
-        if not base.alive:
-            continue
-        for action in _frontier_actions(base, game, include_regressive):
-            nxt = engine.restore(snaps[digest])
-            nxt, _, _, _ = engine.step(nxt, action, game)
-            ndigest = engine.state_hash(nxt)
-            if ndigest in parents:
-                continue
-            if len(parents) >= max_states:
-                raise SearchBudgetExceeded(f"exceeded {max_states} states")
-            parents[ndigest] = (digest, action)
-            snaps[ndigest] = engine.snapshot(nxt)
-            scores[ndigest] = nxt.score
-            if nxt.score > best_score:
-                best_digest, best_score = ndigest, nxt.score
-                if best_score >= game.max_score:
-                    return _reconstruct(parents, best_digest), best_score
-            queue.append(ndigest)
+    states = _bfs(game)
+    best_digest, state, _, _ = next(states)
+    best_score = state.score
+    parents = {best_digest: None}   # digest -> (parent digest, action)
+    for digest, state, parent, action in states:
+        parents[digest] = (parent, action)
+        if state.score > best_score:
+            best_digest, best_score = digest, state.score
+            if best_score >= game.max_score:
+                break
     return _reconstruct(parents, best_digest), best_score
 
 

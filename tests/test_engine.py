@@ -258,3 +258,13 @@ def test_explore_is_deterministic(chainworld):
     b = search.explore(chainworld)
     assert a == b
     assert max(info.score for info in a) == 30
+
+
+@pytest.mark.parametrize("name", ["miniz", "chainworld", "deceive"])
+def test_walkthrough_length_is_the_shallowest_max_score_depth(name, request):
+    # explore and walkthrough share one breadth-first walk
+    game = request.getfixturevalue(name)
+    actions, score = search.walkthrough(game)
+    assert score == game.max_score
+    assert len(actions) == min(info.depth for info in search.explore(game)
+                               if info.score == game.max_score)

@@ -69,8 +69,7 @@ def test_env_horizon_truncates(miniz):
 
 
 def test_stagnation_arithmetic():
-    monitor = BottleneckMonitor(patience=10, patience_batch_factor=0.75,
-                                batch_size=4)
+    monitor = BottleneckMonitor(patience=10, batch_size=4)
     for i in range(4):
         for _ in range(10):
             monitor.step(i)
@@ -82,8 +81,8 @@ def test_stagnation_arithmetic():
     assert not detect_stagnation(monitor)
     monitor.new_highscore(5)
     assert monitor.p == [0, 0, 0, 0]
-    assert BottleneckMonitor(None, 0.75, 4).patience is None
-    assert not detect_stagnation(BottleneckMonitor(None, 0.75, 4))
+    assert BottleneckMonitor(None, 4).patience is None
+    assert not detect_stagnation(BottleneckMonitor(None, 4))
 
 
 def test_state_buffer_dedups_and_skips_death(miniz):

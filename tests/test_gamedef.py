@@ -61,18 +61,6 @@ def test_entities_are_objects_plus_directions():
     assert set(gamedef.DIRECTIONS) <= set(game.entities)
 
 
-def test_vocabulary_covers_names_and_verbs():
-    game = load_game(MINIMAL)
-    for word in ("coin", "gold", "go", "take", "north"):
-        assert word in game.vocabulary
-
-
-def test_name_to_id_maps_normalized_names():
-    game = load_game(MINIMAL)
-    assert game.name_to_id["gold coin"] == "coin"
-    assert game.name_to_id["hall"] == "hall"
-
-
 def test_template_properties():
     game = load_game(MINIMAL)
     go = game.templates[0]

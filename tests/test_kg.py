@@ -95,12 +95,9 @@ def test_shaped_reward_alpha_zero_is_raw():
         assert shaped_reward(r_game, 17, 50, 4, alpha=0.0) == r_game
 
 
-def test_shaped_reward_cumulative_and_step_modes():
-    cumulative = shaped_reward(5, 20, 50, 2, alpha=1.0, eps=1.0)
-    assert cumulative == pytest.approx(5 + 2 * (20 + 1) / 50)
-    stepwise = shaped_reward(5, 20, 50, 2, alpha=1.0, eps=1.0,
-                             score_term_mode="step")
-    assert stepwise == pytest.approx(5 + 2 * (5 + 1) / 50)
+def test_shaped_reward_scales_by_cumulative_score():
+    shaped = shaped_reward(5, 20, 50, 2, alpha=1.0, eps=1.0)
+    assert shaped == pytest.approx(5 + 2 * (20 + 1) / 50)
 
 
 def test_shaped_reward_validates_inputs():
@@ -108,8 +105,6 @@ def test_shaped_reward_validates_inputs():
         shaped_reward(0, 0, 0, 1)
     with pytest.raises(ValueError):
         shaped_reward(0, 0, 50, 1, alpha=-1)
-    with pytest.raises(ValueError):
-        shaped_reward(0, 0, 50, 1, score_term_mode="bogus")
 
 
 def test_serialize_parse_round_trip():

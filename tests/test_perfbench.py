@@ -6,10 +6,14 @@ call through a local alias silently escapes the count.  The benchmark files
 are loaded by path and are not modified.
 """
 
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
-from questkg import engine, exploration
+import pytest
+
+from questkg import engine, exploration, games
 from questkg.exploration import ExplorationConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -23,6 +27,7 @@ def load(name):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -50,3 +55,17 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
     assert 0 < tracer.child_calls(
         "engine.step_movement", "exploration.shorten_trajectory") <= \
         tracer.counts["shorten_trajectory.actions_in"]
+
+
+WORKLOADS = load("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_trains_through_its_config(name):
+    # a config field that a workload passes or reads, once removed, fails
+    # here rather than in the benchmark
+    workload = dataclasses.replace(WORKLOADS[name], total_steps=300)
+    result, archive_size = workload.train(
+        games.load_bundled(workload.game), 0)
+    assert result.steps_used <= 300
+    assert (archive_size is None) == (workload.strategy != "go")

@@ -1,14 +1,19 @@
-"""Property tests over random action sequences on the bundled games.
+"""Property tests over random action sequences on the bundled games, and
+over mutated game files.
 
 A walk mostly takes admissible actions, sometimes an arbitrary grounding
 (which usually fails but still spends a turn), and after a death keeps
 going with arbitrary groundings, which every replay must ignore.
 """
 
-from hypothesis import given, settings
+import os
+import tempfile
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from questkg import engine, extraction, games, kg, load_game, policy
+from questkg.gamedef import GameDef, GameParseError, GameValidationError
 from questkg.exploration import (AgentEnv, ExplorationConfig,
                                  game_start_launch, launch_at, replay,
                                  shorten_trajectory)
@@ -199,3 +204,76 @@ def test_self_loop_exit_reports_no_movement():
                                ["go east", "go north"], oracle)
     relations = {t.relation for t in graph.triples}
     assert "north of" in relations and "east of" not in relations
+
+
+@PROPERTY
+@given(walks())
+def test_admissible_actions_are_the_state_changing_groundings(walk):
+    game, texts = walk
+    for _, state, _ in replay(game, game_start_launch(game), texts):
+        if state.alive:
+            blob = engine.snapshot(state)
+    state = engine.restore(blob)
+    digest = engine.state_hash(state)
+    _, groundings = engine.enumerate_grounded(game, game.entities)
+    changing = {a.text for a in groundings
+                if engine.state_hash(engine.step(engine.restore(blob), a,
+                                                 game)[0]) != digest}
+    assert {a.text for a in engine.admissible_actions(state, game)} == \
+        changing
+
+
+# tokens a mutation may put in place of a word of a game file
+ODD_TOKENS = ("[", "]", "[]", "[ ]", "#", "=", "&", "!", "if", "else", "-1",
+              "x", "___", "vertex", "edge", "exit", "when", "reward", "loc")
+
+
+@st.composite
+def mutated_game_files(draw):
+    """The bytes of a bundled game file after a few line-level edits."""
+    lines = games.bundled_game_text(
+        draw(st.sampled_from(games.BUNDLED))).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "copy", "word", "text")))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "copy":
+            lines.insert(i, lines[draw(st.integers(0, len(lines) - 1))])
+        elif edit == "word" and lines[i].split():
+            words = lines[i].split()
+            j = draw(st.integers(0, len(words) - 1))
+            pool = draw(st.sampled_from(lines)).split() or ["x"]
+            words[j] = draw(st.sampled_from(ODD_TOKENS + tuple(pool)))
+            lines[i] = " ".join(words)
+        else:
+            cut = draw(st.integers(0, len(lines[i])))
+            lines[i] = (lines[i][:cut]
+                        + draw(st.text("[]#=&! \nab0-_\xe9", max_size=8))
+                        + lines[i][cut:])
+        if not lines:
+            break
+    return "\n".join(lines).encode()
+
+
+MINIZ_BYTES = games.bundled_game_text("miniz").encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_game_files())
+@example(b"# a file of comments\n\n   \n# and blank lines\n")
+@example(MINIZ_BYTES + b"\n[]\n")
+@example(MINIZ_BYTES + b"\n[ ]\nname x\n")
+@example(MINIZ_BYTES.replace(b"West of House", b"West of H\xf6use", 1))
+@example(MINIZ_BYTES + b"\nedge painting cellar\n")
+def test_malformed_game_files_raise_typed_errors(blob):
+    fd, path = tempfile.mkstemp(suffix=".game")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        game = games.load_path(path)
+    except (GameParseError, GameValidationError):
+        return
+    finally:
+        os.remove(path)
+    assert isinstance(game, GameDef)
