@@ -4,6 +4,19 @@ The engine is strictly deterministic: the same action sequence from reset
 always produces the same (state, observation, reward) sequence.  Inapplicable
 actions consume a turn and return failure feedback without touching world
 state.
+
+A state is settled when its last step ran the event and death loops; that
+step leaves its rendered look and inventory text, and later its state_hash,
+cached in `state.view`.  A step from a settled state whose action touches
+nothing (a failed action, a self-loop exit, look, inventory, wait or read)
+takes a fast path: it counts the turn, skips both loops, reuses the cached
+view and keeps the same View object, so a caller can tell the step changed
+nothing by `state.view is view_before`.  This is exact because no condition
+reads the turn counter: every event that could fire has fired and no death
+rule held.  States from reset and restore are never settled, since their
+state may satisfy a death rule or an unfired event, so their first step runs
+in full.  Only the engine writes a WorldState, and every write it makes runs
+the full step, which replaces the view.
 """
 
 from __future__ import annotations
@@ -12,8 +25,9 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .gamedef import BLANK, DIRECTIONS, INVENTORY, GameDef, GroundedActionError
+from .gamedef import BLANK, INVENTORY, GroundedActionError
 
 SNAPSHOT_VERSION = 1
 
@@ -24,11 +38,27 @@ class SnapshotError(ValueError):
     """Raised when restoring an incompatible snapshot."""
 
 
+class View:
+    """What the last full step rendered for a state, and its state_hash
+    once something asks for it."""
+
+    __slots__ = ("desc", "inv", "digest")
+
+    def __init__(self, desc, inv):
+        self.desc = desc
+        self.inv = inv
+        self.digest = None
+
+
 class WorldState:
-    """Mutable simulation state. step() mutates in place and returns it."""
+    """Mutable simulation state. step() mutates in place and returns it.
+
+    view is the View of the last full step, or None while the state is not
+    settled (see the module docstring).
+    """
 
     __slots__ = ("current_room", "object_locations", "flags", "score",
-                 "turn", "alive", "fired_events")
+                 "turn", "alive", "fired_events", "view")
 
     def __init__(self, current_room, object_locations, flags, score=0,
                  turn=0, alive=True, fired_events=None):
@@ -39,6 +69,7 @@ class WorldState:
         self.turn = turn
         self.alive = alive
         self.fired_events = fired_events if fired_events is not None else set()
+        self.view = None
 
     def __eq__(self, other):
         return isinstance(other, WorldState) and snapshot(self) == snapshot(other)
@@ -61,7 +92,7 @@ class GroundedAction:
     template: "ActionTemplate"
     fillers: tuple[str, ...]
 
-    @property
+    @cached_property
     def text(self):
         return self.template.ground_text(self.fillers)
 
@@ -132,7 +163,11 @@ def restore(snap):
 
 
 def state_hash(state):
-    """64-bit digest of the state, excluding the turn counter."""
+    """64-bit digest of the state, excluding the turn counter.  A settled
+    state computes it once and keeps it in its view."""
+    view = state.view
+    if view is not None and view.digest is not None:
+        return view.digest
     payload = (
         state.current_room,
         tuple(sorted(state.object_locations.items())),
@@ -142,7 +177,10 @@ def state_hash(state):
         tuple(sorted(state.fired_events)),
     )
     digest = hashlib.blake2b(repr(payload).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    digest = int.from_bytes(digest, "big")
+    if view is not None:
+        view.digest = digest
+    return digest
 
 
 # --- visibility and rendering --------------------------------------------
@@ -249,8 +287,9 @@ def reset(game):
 
 
 def _apply_verb(state, game, action):
-    """Apply the action's effect. Returns (feedback, movement), where
-    movement is (from, direction, to) when the room changed, else None.
+    """Apply the action's effect. Returns (feedback, movement, touched):
+    movement is (from, direction, to) when the room changed, else None, and
+    touched says whether the world state changed.
 
     World state is only touched when the action applies; otherwise the
     feedback explains the failure and the state is left unchanged.
@@ -266,24 +305,24 @@ def _apply_verb(state, game, action):
         direction = fillers[0]
         ex = room.exits.get(direction)
         if ex is None:
-            return "You can't go that way.", None
+            return "You can't go that way.", None, False
         if ex.condition is not None and not ex.condition.holds(state):
-            return ex.blocked_text, None
+            return ex.blocked_text, None, False
         origin = state.current_room
         if ex.target == origin:     # a self-loop exit moves nowhere
-            return render_look(state, game), None
+            return render_look(state, game), None, False
         state.current_room = ex.target
-        return render_look(state, game), (origin, direction, ex.target)
+        return render_look(state, game), (origin, direction, ex.target), True
 
     if verb == "look" and len(words) == 1:
-        return render_look(state, game), None
+        return render_look(state, game), None, False
     if verb == "inventory" and len(words) == 1:
-        return render_inventory(state, game), None
+        return render_inventory(state, game), None, False
     if verb == "wait" and len(words) == 1:
-        return "Time passes.", None
+        return "Time passes.", None, False
 
     if not fillers:
-        return "Nothing happens.", None
+        return "Nothing happens.", None, False
 
     obj_id = fillers[0]
     obj = game.objects.get(obj_id)
@@ -293,76 +332,77 @@ def _apply_verb(state, game, action):
 
     if verb == "open":
         if not visible or "openable" not in obj.attrs:
-            return "You can't open that.", None
+            return "You can't open that.", None, False
         if _is_open(state, obj_id):
-            return f"The {obj.name} is already open.", None
+            return f"The {obj.name} is already open.", None, False
         state.flags[f"{obj_id}-open"] = True
         if obj.open_text:
-            return obj.open_text, None
+            return obj.open_text, None, True
         if "container" in obj.attrs:
             contents = [game.objects[i].name for i in sorted(game.objects)
                         if state.object_locations[i] == ("in", obj_id)]
             if contents:
                 listing = " and ".join(f"a {c}" for c in contents)
-                return f"Opening the {obj.name} reveals {listing}.", None
-        return f"You open the {obj.name}.", None
+                return f"Opening the {obj.name} reveals {listing}.", None, True
+        return f"You open the {obj.name}.", None, True
 
     if verb == "close":
         if not visible or "openable" not in obj.attrs:
-            return "You can't close that.", None
+            return "You can't close that.", None, False
         if not _is_open(state, obj_id):
-            return f"The {obj.name} is already closed.", None
+            return f"The {obj.name} is already closed.", None, False
         state.flags[f"{obj_id}-open"] = False
-        return f"You close the {obj.name}.", None
+        return f"You close the {obj.name}.", None, True
 
     if verb == "take":
         if carried:
-            return "You already have that.", None
+            return "You already have that.", None, False
         if not visible or not obj.portable:
-            return "You can't take that.", None
+            return "You can't take that.", None, False
         state.object_locations[obj_id] = INVENTORY
-        return "Taken.", None
+        return "Taken.", None, True
 
     if verb == "drop":
         if not carried:
-            return "You aren't carrying that.", None
+            return "You aren't carrying that.", None, False
         state.object_locations[obj_id] = ("room", state.current_room)
         if _is_lit_obj(state, obj_id):
             state.flags[f"{obj_id}-lit"] = False
-        return "Dropped.", None
+        return "Dropped.", None, True
 
     if verb == "put" and template.blanks == 2:
         container_id = fillers[1]
         container = game.objects.get(container_id)
         if not carried:
-            return "You aren't carrying that.", None
+            return "You aren't carrying that.", None, False
         if (container is None or "container" not in container.attrs
                 or container_id not in visible_objects(state, game)
                 or not _is_open(state, container_id)):
-            return "You can't put it there.", None
+            return "You can't put it there.", None, False
         state.object_locations[obj_id] = ("in", container_id)
-        return f"You put the {obj.name} in the {container.name}.", None
+        return f"You put the {obj.name} in the {container.name}.", None, True
 
     if verb == "light":
         if not carried or "lightable" not in obj.attrs:
-            return "You can't light that.", None
+            return "You can't light that.", None, False
         if _is_lit_obj(state, obj_id):
-            return f"The {obj.name} is already on.", None
+            return f"The {obj.name} is already on.", None, False
         state.flags[f"{obj_id}-lit"] = True
-        return f"The {obj.name} is now on.", None
+        return f"The {obj.name} is now on.", None, True
 
     if verb == "extinguish":
         if not carried or not _is_lit_obj(state, obj_id):
-            return "It isn't lit.", None
+            return "It isn't lit.", None, False
         state.flags[f"{obj_id}-lit"] = False
-        return f"The {obj.name} is now off.", None
+        return f"The {obj.name} is now off.", None, True
 
     if verb == "read":
         if not visible or "readable" not in obj.attrs:
-            return "You can't read that.", None
-        return obj.text or f"The {obj.name} has nothing written on it.", None
+            return "You can't read that.", None, False
+        text = obj.text or f"The {obj.name} has nothing written on it."
+        return text, None, False
 
-    return "Nothing happens.", None
+    return "Nothing happens.", None, False
 
 
 def step(state, action, game):
@@ -378,13 +418,19 @@ def step_movement(state, action, game):
     """Like step() but also reports movement as (from, direction, to), or
     None when the room did not change.
 
-    Needed by agents that record directional knowledge-graph triples.
+    Needed by agents that record directional knowledge-graph triples.  The
+    one step implementation, with the fast path for untouched steps from
+    settled states (see the module docstring).
     """
     if not state.alive:
         raise RuntimeError("cannot step a dead/terminal state")
 
-    feedback, movement = _apply_verb(state, game, action)
+    feedback, movement, touched = _apply_verb(state, game, action)
     state.turn += 1
+    view = state.view
+    if view is not None and not touched:
+        return (state, Observation(view.desc, feedback, view.inv, action.text),
+                0, False, None)
 
     reward = 0
     for event in game.events:
@@ -406,6 +452,7 @@ def step_movement(state, action, game):
             break
 
     obs = observe(state, game, feedback, action.text)
+    state.view = View(obs.desc, obs.inv)
     return state, obs, reward, done, movement
 
 

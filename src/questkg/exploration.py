@@ -130,6 +130,7 @@ class AgentEnv:
         self.game = game
         self.encoder = encoder
         self.backend = backend
+        self.pure = getattr(backend, "pure", False)
         self.global_edges = global_edges
         self.config = config
         self.index = index
@@ -197,16 +198,25 @@ class AgentEnv:
         return self.entity_refs
 
     def step(self, action):
-        """Returns (r_game, r_im, r_shaped, done, truncated)."""
+        """Returns (r_game, r_im, r_shaped, done, truncated).
+
+        When the engine keeps the state's view the step changed nothing, so
+        a pure backend would give the answers the graph already holds: the
+        backend and the graph update are skipped and r_im is 0.
+        """
         cfg = self.config
         self.next_feats = None
+        view = self.state.view
         self.state, self.obs, r_game, done, movement = engine.step_movement(
             self.state, action, self.game)
-        answers = self.backend(self.state, self.obs)
-        added, removed = kg.apply_answers(self.graph, answers,
-                                          movement=movement)
-        self._absorb_diff(added, removed)
-        r_im = self.global_edges.absorb(added)
+        if self.pure and view is not None and self.state.view is view:
+            r_im = 0
+        else:
+            answers = self.backend(self.state, self.obs)
+            added, removed = kg.apply_answers(self.graph, answers,
+                                              movement=movement)
+            self._absorb_diff(added, removed)
+            r_im = self.global_edges.absorb(added)
         r_shaped = kg.shaped_reward(
             r_game, self.state.score, self.game.max_score, r_im,
             alpha=cfg.alpha, eps=cfg.eps)
@@ -984,6 +994,9 @@ class CellArchive:
     def __len__(self):
         return len(self.cells)
 
+    def __contains__(self, key):
+        return key in self.cells
+
 
 def go_train(game, config):
     """Go-Explore phase 1 with a concurrently trained policy.
@@ -1020,9 +1033,11 @@ def go_train(game, config):
                 env)
             path.append(action.text)
             if env.state.alive:
+                # the key holds the score, so a known key's cell stays as is
                 key = (engine.state_hash(env.state), kg.kg_hash(env.graph))
-                archive.insert(key, Cell(launch_at(env.state, env.graph),
-                                         env.state.score, 0, tuple(path)))
+                if key not in archive:
+                    archive.insert(key, Cell(launch_at(env.state, env.graph),
+                                             env.state.score, 0, tuple(path)))
             if env.state.score > best_score:
                 best_score = env.state.score
                 best_actions = tuple(path)

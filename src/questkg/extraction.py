@@ -201,9 +201,16 @@ def make_backend(name, game, seed=0, p_drop=0.1, p_swap=0.05):
     """Answer backend factory: (state, obs) -> AnswerSet.
 
     Names: "oracle", "rule", "noisy" (oracle wrapped in the noise model).
+    The oracle's callable has `pure = True`: its answers are a function of
+    the world state alone, so a step that changes nothing may skip it.  The
+    rule backend reads the feedback text and the noisy one draws from its
+    RNG on every call, so neither is pure.
     """
     if name == "oracle":
-        return lambda state, obs: oracle_answer(state, game)
+        def oracle(state, obs):
+            return oracle_answer(state, game)
+        oracle.pure = True
+        return oracle
     if name == "rule":
         lexicon = Lexicon.from_game(game)
         return lambda state, obs: rule_answer(

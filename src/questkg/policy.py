@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,12 +146,15 @@ class PooledGraphTracker:
         self.encoder = encoder
         self.total = np.zeros(encoder.config.d_graph)
         self.count = 0
+        self._summary = None      # summary() until the next non-empty diff
         if graph is not None:
             # a fixed order keeps the float sum independent of the string
             # hash seed that orders the set
             self.apply(sorted(graph.triples, key=lambda t: t.line()), [])
 
     def apply(self, added, removed):
+        if added or removed:
+            self._summary = None
         for t in added:
             self.total += self.encoder.message(t)
             self.count += 1
@@ -160,9 +163,12 @@ class PooledGraphTracker:
             self.count -= 1
 
     def summary(self):
-        pooled = self.total / self.count if self.count else \
-            np.zeros(self.encoder.config.d_graph)
-        return self.encoder.graph_summary_from_pool(pooled)
+        """The summary vector, shared between calls: do not write to it."""
+        if self._summary is None:
+            pooled = self.total / self.count if self.count else \
+                np.zeros(self.encoder.config.d_graph)
+            self._summary = self.encoder.graph_summary_from_pool(pooled)
+        return self._summary
 
 
 # --- parameters -------------------------------------------------------------

@@ -65,6 +65,25 @@ def test_restore_rejects_garbage(blob):
         restore(blob)
 
 
+def test_grounded_action_text_is_computed_once(miniz, monkeypatch):
+    template = type(miniz.templates[0])
+    calls = []
+    original = template.ground_text
+
+    def counting(self, fillers):
+        calls.append(fillers)
+        return original(self, fillers)
+
+    monkeypatch.setattr(template, "ground_text", counting)
+    action = ground(miniz, "put egg in sack")
+    assert [action.text, action.text, str(action)] == ["put egg in sack"] * 3
+    assert calls == [("egg", "sack")]
+    # the cached text takes no part in equality or hashing
+    twin = GroundedAction(action.template, action.fillers)
+    assert twin == action and hash(twin) == hash(action)
+    assert {twin: 1}[action] == 1 and repr(twin) == repr(action)
+
+
 def test_state_hash_ignores_turn_counter(miniz):
     a, _, _ = play(miniz, ["wait"])
     b, _, _ = play(miniz, ["wait", "wait"])

@@ -239,6 +239,37 @@ def test_archive_insert_keeps_best_score(chainworld):
     assert archive.cells["k"].score == 5
 
 
+def test_backends_mark_only_the_oracle_pure(miniz):
+    pure = {name: getattr(extraction.make_backend(name, miniz), "pure", False)
+            for name in ("oracle", "rule", "noisy")}
+    assert pure == {"oracle": True, "rule": False, "noisy": False}
+
+
+def test_untouched_steps_skip_the_backend_and_keep_the_graph(miniz):
+    calls = []
+    oracle = extraction.make_backend("oracle", miniz)
+
+    def counted(state, obs):
+        calls.append(obs.prev_action)
+        return oracle(state, obs)
+    counted.pure = True
+    env = AgentEnv(miniz, policy.StateEncoder(FAST.encoder), counted,
+                   kg.GlobalEdgeSet(), FAST, 0)
+    env.begin(game_start_launch(miniz))
+    texts = ["go up", "go south", "go up", "look", "wait", "open mailbox",
+             "go east"]
+    graphs = []
+    for text in texts:
+        env.step(engine.ground(miniz, text))
+        graphs.append(set(env.graph.triples))
+    # the first step from a restored launch runs in full; after the move
+    # the failed "go up", look, wait and the out-of-reach mailbox change
+    # nothing
+    assert calls == ["", "go up", "go south", "go east"]
+    assert graphs[1] == graphs[2] == graphs[3] == graphs[4] == graphs[5]
+    assert graphs[6] != graphs[5]
+
+
 def test_archive_sampling_is_score_weighted():
     archive = CellArchive()
     launch = None

@@ -84,6 +84,20 @@ def test_pooled_tracker_matches_reference_summary(miniz):
                           reference_summary(encoder, graph))
 
 
+def test_pooled_tracker_keeps_its_summary_until_a_diff(miniz):
+    encoder = small_encoder()
+    graph = kg.KnowledgeGraph()
+    tracker = PooledGraphTracker(encoder, graph)
+    first = tracker.summary()
+    tracker.apply([], [])
+    assert tracker.summary() is first
+    triple = kg.Triple("you", "in", "hall")
+    graph.add(triple)
+    tracker.apply([triple], [])
+    assert np.array_equal(tracker.summary(), reference_summary(encoder, graph))
+    assert not np.array_equal(tracker.summary(), first)
+
+
 def test_init_params_gives_uniform_policy(miniz):
     params = init_params(miniz, SMALL)
     encoder = small_encoder()
@@ -380,6 +394,22 @@ def test_go_trajectory_hash_is_pinned(deceive):
             **{**BENCH, "alpha": 2.0}))
     assert (result.steps_used, result.j_max, len(archive)) == (600, 90, 47)
     assert result.trajectory_hash == "a0616c10ac18f41899b418e50a4c170f"
+
+
+# Recorded before steps that change nothing skipped the answer backend.
+# Only the oracle may skip it: the rule backend reads the feedback text and
+# the noisy one draws from its RNG on every call, so a skip moves these.
+IMPURE_BACKEND_PINS = {"noisy": "9232de7770281e97b82c597fc696f1f1",
+                       "rule": "b4764c8d8579d640c4603296e927eea7"}
+
+
+@pytest.mark.parametrize("backend", sorted(IMPURE_BACKEND_PINS))
+def test_impure_backend_trajectory_hashes_are_pinned(miniz, backend):
+    result = exploration.vanilla_train(miniz, exploration.ExplorationConfig(
+        seed=0, total_steps=2000,
+        **{**BENCH, "alpha": 2.0, "backend": backend}))
+    assert result.steps_used == 2000
+    assert result.trajectory_hash == IMPURE_BACKEND_PINS[backend]
 
 
 def test_a2c_update_moves_params_and_rejects_empty(miniz):

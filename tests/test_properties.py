@@ -206,6 +206,55 @@ def test_self_loop_exit_reports_no_movement():
     assert "north of" in relations and "east of" not in relations
 
 
+PITFALL = """questgame 1
+
+[meta]
+name pitfall
+start pit
+max-score 1
+
+[room pit]
+name Pit
+desc A pit. Something breathes in the dark below.
+exit up ledge
+
+[room ledge]
+name Ledge
+desc A narrow ledge above the pit.
+exit down pit
+
+[templates]
+go ___
+wait
+
+[event reach-ledge]
+when at ledge
+reward 1
+
+[death pit]
+when at pit
+text Something in the pit eats you.
+"""
+
+
+def test_a_start_state_that_satisfies_a_death_rule_dies_on_its_first_step():
+    """reset and restore leave states unsettled: the death loop runs on
+    their first step even when the action touches nothing."""
+    game = load_game(PITFALL)
+    wait = engine.ground(game, "wait")
+    state = engine.reset(game)[0]
+    _, obs, reward, done = engine.step(state, wait, game)
+    assert done and not state.alive and reward == 0
+    assert obs.feedback.endswith("Something in the pit eats you.")
+    oracle = extraction.make_backend("oracle", game)
+    config = ExplorationConfig(alpha=0.0)
+    env = AgentEnv(game, policy.StateEncoder(config.encoder), oracle,
+                   kg.GlobalEdgeSet(), config, 0)
+    env.begin(game_start_launch(game))
+    assert env.step(wait)[3]
+    assert env.done and not env.state.alive
+
+
 @PROPERTY
 @given(walks())
 def test_admissible_actions_are_the_state_changing_groundings(walk):
@@ -215,12 +264,68 @@ def test_admissible_actions_are_the_state_changing_groundings(walk):
             blob = engine.snapshot(state)
     state = engine.restore(blob)
     digest = engine.state_hash(state)
-    _, groundings = engine.enumerate_grounded(game, game.entities)
+    groundings = list(engine.enumerate_grounded(game, game.entities)[1])
     changing = {a.text for a in groundings
                 if engine.state_hash(engine.step(engine.restore(blob), a,
                                                  game)[0]) != digest}
+    touched = {a.text for a in groundings
+               if engine._apply_verb(engine.restore(blob), game, a)[2]}
     assert {a.text for a in engine.admissible_actions(state, game)} == \
-        changing
+        changing == touched
+
+
+def fresh(state):
+    """A copy of the state with nothing cached."""
+    return engine.restore(engine.snapshot(state))
+
+
+def walk_steps(game, texts):
+    """(state, action, touched, result) for each step of the alive prefix
+    of a walk from reset: the state before the step (a fresh copy), the
+    engine's touched report, and step_movement's result."""
+    state = engine.reset(game)[0]
+    for text in alive_prefix(game, texts):
+        action = engine.ground(game, text)
+        before = fresh(state)
+        touched = engine._apply_verb(fresh(state), game, action)[2]
+        yield before, action, touched, engine.step_movement(state, action,
+                                                            game)
+
+
+@PROPERTY
+@given(walks())
+def test_an_untouched_step_keeps_the_state_hash_and_the_answers(walk):
+    game, texts = walk
+    for before, _, touched, (state, *_) in walk_steps(game, texts):
+        if not touched:
+            after = fresh(state)
+            assert engine.state_hash(after) == engine.state_hash(before)
+            assert extraction.oracle_answer(after, game) == \
+                extraction.oracle_answer(before, game)
+
+
+@PROPERTY
+@given(walks())
+def test_touched_is_membership_in_the_admissible_actions(walk):
+    game, texts = walk
+    for before, action, touched, _ in walk_steps(game, texts):
+        assert touched == (action in engine.admissible_actions(before,
+                                                               game))
+
+
+@PROPERTY
+@given(walks())
+def test_a_step_reports_what_a_fresh_copy_renders_and_hashes(walk):
+    game, texts = walk
+    for before, action, _, (state, obs, reward, done, movement) in \
+            walk_steps(game, texts):
+        copy = fresh(state)
+        assert obs.desc == engine.render_look(copy, game)
+        assert obs.inv == engine.render_inventory(copy, game)
+        assert engine.state_hash(state) == engine.state_hash(copy)
+        # the full step from an unsettled copy of the state before agrees
+        assert engine.step_movement(before, action, game)[1:] == \
+            (obs, reward, done, movement)
 
 
 # tokens a mutation may put in place of a word of a game file
