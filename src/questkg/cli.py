@@ -83,6 +83,8 @@ def validate_config(config):
                           f"got {config.strategy!r}")
     if config.alpha is None:
         config = replace(config, alpha=DEFAULT_ALPHA[config.strategy])
+    if config.alpha < 0 or config.eps < 0:
+        raise ConfigError("alpha and eps must be non-negative")
     if config.backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, "
                           f"got {config.backend!r}")
@@ -100,24 +102,16 @@ def validate_config(config):
     return config
 
 
+# RunConfig fields that ExplorationConfig takes under the same name
+SHARED_FIELDS = tuple(
+    f.name for f in fields(exploration.ExplorationConfig)
+    if f.name in {g.name for g in fields(RunConfig)})
+
+
 def _exploration_config(config, seed):
     return exploration.ExplorationConfig(
-        seed=seed,
-        total_steps=config.budget,
-        batch_size=config.batch_size,
-        horizon=config.horizon,
-        patience=None if config.strategy == "vanilla" else config.patience,
-        buffer_size=config.buffer_size,
-        alpha=0.0 if config.strategy in ("vanilla", "mc") else config.alpha,
-        eps=config.eps,
-        gamma=config.gamma,
-        learning_rate=config.learning_rate,
-        entropy_coef=config.entropy_coef,
-        backend=config.backend,
-        p_drop=config.p_drop,
-        p_swap=config.p_swap,
-        cell_step=config.cell_step,
-    )
+        seed=seed, total_steps=config.budget,
+        **{name: getattr(config, name) for name in SHARED_FIELDS})
 
 
 def _episodes_csv(log):

@@ -4,9 +4,11 @@ chaining, the vanilla A2C baseline, and the Go-Explore-style cell archive.
 Training steps a batch of independent environment instances one after
 another, round-robin; they share policy parameters and a run-level global
 edge set.  Bookkeeping (buffers, monitor, chain, archive) happens between
-steps by the coordinator, and replays of recorded action sequences all go
-through replay(); action sampling draws from a dedicated RNG stream so that
-deterministic bookkeeping never perturbs trajectories.
+steps by the coordinator.  Replays of recorded action sequences go through
+replay(), except the chain layer's, which walks one oracle AgentEnv so that
+distillation sees the features execute_chain does; action sampling draws
+from a dedicated RNG stream so that deterministic bookkeeping never perturbs
+trajectories.
 """
 
 from __future__ import annotations
@@ -238,7 +240,6 @@ class AgentEnv:
 class BottleneckMonitor:
     patience: int | None
     batch_size: int
-    j_max: float = 0.0
     p: list[int] = field(default_factory=list)
 
     def __post_init__(self):
@@ -251,8 +252,7 @@ class BottleneckMonitor:
     def reset_instance(self, instance):
         self.p[instance] = 0
 
-    def new_highscore(self, value):
-        self.j_max = value
+    def new_highscore(self):
         self.p = [0] * self.batch_size
 
 
@@ -427,83 +427,80 @@ def shorten_trajectory(game, actions_from_reset):
     return kept + actions[i:]
 
 
-def clone_segment_policy(game, encoder, config, launch, action_texts):
-    """Distill an action sequence into a policy whose greedy decode replays
-    it exactly from the launch state (oracle extraction backend)."""
-    backend = extraction.make_backend("oracle", game)
+def _replay_env(game, encoder, config):
+    """An oracle AgentEnv that never truncates, for distilling and replaying
+    chains."""
+    return AgentEnv(game, encoder, extraction.make_backend("oracle", game),
+                    kg.GlobalEdgeSet(),
+                    replace(config, alpha=0.0, horizon=10**9), 0)
+
+
+def clone_segment_policy(game, encoder, config, steps):
+    """Fit a policy whose greedy decode picks each recorded action from the
+    features it was taken at; steps holds (feats, action) pairs."""
     params = policy.init_params(game, config.encoder, gamma=config.gamma)
-    blanks = {i: t.blanks for i, t in enumerate(game.templates)}
     entity_index = {e: i for i, e in enumerate(params.entities)}
     template_index = {t.pattern: i for i, t in enumerate(game.templates)}
-
-    targets = []
-    for text in action_texts:
-        action = engine.ground(game, text)
-        targets.append((template_index[action.template.pattern],
-                        tuple(entity_index[f] for f in action.fillers),
-                        action))
-
-    replay_cfg = replace(config, alpha=0.0, horizon=10**9)
-    shared = kg.GlobalEdgeSet()
-    env = AgentEnv(game, encoder, backend, shared, replay_cfg, 0)
-    env.begin(launch)
     t_feats, t_targets = [], []
     e_feats, e_targets = [], []
-    for t_idx, fillers, action in targets:
-        feats = env.feats()
+    for feats, action in steps:
+        t_idx = template_index[action.template.pattern]
         t_feats.append(feats)
         t_targets.append(t_idx)
         prev = ""
-        for position, e_idx in enumerate(fillers):
+        for position, filler in enumerate(action.fillers):
             e_feats.append(policy._entity_context(
                 encoder, feats, position, params.templates[t_idx], prev))
-            e_targets.append(e_idx)
-            prev = params.entities[e_idx]
-        env.step(action)
+            e_targets.append(entity_index[filler])
+            prev = filler
 
     params.w_template, params.b_template = _interpolate_head(
         t_feats, t_targets, len(params.templates))
     if e_targets:
         params.w_entity, params.b_entity = _interpolate_head(
             e_feats, e_targets, len(params.entities))
-
-    # verify: greedy decode must reproduce every recorded action
-    env = AgentEnv(game, encoder, backend, shared, replay_cfg, 0)
-    env.begin(launch)
-    for t_idx, fillers, action in targets:
-        got = policy.greedy_action(params, env.feats(), env.mask(), encoder,
-                                   blanks)
-        if got != (t_idx, fillers):
-            raise ChainCloneError(
-                f"segment of length {len(action_texts)} not separable: "
-                f"wanted {(t_idx, fillers)}, decoded {got}")
-        env.step(action)
     return params
 
 
 def build_chain(game, encoder, config, actions_from_reset):
-    """Cut the best trajectory at score gains and distill one module each."""
-    oracle = extraction.make_backend("oracle", game)
-    actions = shorten_trajectory(game, actions_from_reset)
-    steps = replay(game, game_start_launch(game), actions, oracle)
-    _, state, graph = next(steps)
-    launch = launch_at(state, graph)
-    chain = PolicyChain(j_max=state.score)
+    """Cut the best trajectory at score gains and distill one module each.
 
-    segment = []
-    before = state.score
-    for i, state, graph in steps:
-        segment.append(actions[i - 1])
-        if state.score > before:
-            params = clone_segment_policy(game, encoder, config, launch,
-                                          segment)
+    One walk: every segment starts with an env begun at its launch, so its
+    features are those execute_chain sees.  The chain is accepted only if
+    execute_chain replays every recorded action.
+    """
+    actions = shorten_trajectory(game, actions_from_reset)
+    env = _replay_env(game, encoder, config)
+    env.begin(game_start_launch(game))
+    chain = PolicyChain(j_max=env.state.score)
+    segment = []        # (feats, action) since the launch
+    for text in actions:
+        if not segment:
+            launch = launch_at(env.state, env.graph)
+            env.begin(launch)
+        action = engine.ground(game, text)
+        segment.append((env.feats(), action))
+        r_game, _, _, done, _ = env.step(action)
+        if r_game > 0:
             chain.modules.append(ChainModule(
-                params=params, launch=launch, handoff_score=state.score,
-                length=len(segment), actions=tuple(segment)))
-            launch = launch_at(state, graph)
+                params=clone_segment_policy(game, encoder, config, segment),
+                launch=launch, handoff_score=env.state.score,
+                length=len(segment),
+                actions=tuple(a.text for _, a in segment)))
+            chain.j_max = env.state.score
             segment = []
-            chain.j_max = state.score
-        before = state.score
+        if done:
+            break
+
+    recorded = [text for m in chain.modules for text in m.actions]
+    try:
+        replayed = execute_chain(chain, game, config)[0]
+    except ChainExecutionError as exc:
+        raise ChainCloneError(f"distilled chain does not replay: {exc}") \
+            from None
+    if replayed != recorded:
+        raise ChainCloneError(
+            f"distilled chain decodes {replayed}, recorded {recorded}")
     return chain
 
 
@@ -517,13 +514,11 @@ def execute_chain(chain, game, config=None):
     """
     config = config or ExplorationConfig()
     encoder = policy.StateEncoder(config.encoder)
-    backend = extraction.make_backend("oracle", game)
+    env = _replay_env(game, encoder, config)
     blanks = {j: t.blanks for j, t in enumerate(game.templates)}
     hasher = TrajectoryHasher()
     trajectory = []
     score = engine.reset(game)[2]
-    shared = kg.GlobalEdgeSet()
-    replay_cfg = replace(config, alpha=0.0, horizon=10**9)
 
     vocab = (tuple(t.pattern for t in game.templates), tuple(game.entities))
     for i, module in enumerate(chain.modules):
@@ -531,7 +526,6 @@ def execute_chain(chain, game, config=None):
             raise ChainExecutionError(
                 f"module {i}: policy templates or entities differ from "
                 f"game {game.name!r}")
-        env = AgentEnv(game, encoder, backend, shared, replay_cfg, 0)
         env.begin(module.launch)
         for _ in range(module.length):
             feats = env.feats()
@@ -620,6 +614,10 @@ class _Trainer:
         self.fallbacks = 0
         self.transitions = []
 
+    def at_max(self, score):
+        """The stop rule: stop_at_max and score is the game's maximum."""
+        return self.config.stop_at_max and score >= self.game.max_score
+
     def make_envs(self, count):
         return [AgentEnv(self.game, self.encoder, self.backend,
                          self.global_edges, self.config, i)
@@ -671,8 +669,7 @@ class _Trainer:
 
 
 def _phase(trainer, envs, get_launch, budget, j_target, params=None,
-           monitor=None, on_improvement=None, stop_score=None,
-           tie_guard=None, splice=None):
+           monitor=None, on_improvement=None, tie_guard=None, splice=None):
     """Step the batch round-robin until the budget or an improvement.
 
     Returns (best_improvement or None, steps used).  An improvement is an
@@ -681,8 +678,9 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
     (None refuses ties); its payload is (score, action_texts,
     last_useful_index).  When on_improvement is None the phase returns at
     the first improvement, otherwise the callback consumes it and returns
-    the new target.  get_launch is called whenever an instance starts an
-    episode, so the caller may move the launch point mid-phase.
+    the new target; the phase then returns once trainer.at_max(target).
+    get_launch is called whenever an instance starts an episode, so the
+    caller may move the launch point mid-phase.
     """
     used = 0
     for env in envs:
@@ -716,7 +714,7 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
                     if on_improvement is None:
                         return improvement, used
                     j_target = on_improvement(improvement)
-                    if stop_score is not None and j_target >= stop_score:
+                    if trainer.at_max(j_target):
                         return improvement, used
                 else:
                     trainer.log_row(env, r_im, r_t, "")
@@ -767,7 +765,7 @@ def mc_train(game, config):
     prefix = []                    # actions from reset to launch
     j_max = start.score
     best_actions = []
-    monitor = BottleneckMonitor(cfg.patience, cfg.batch_size, j_max=j_max)
+    monitor = BottleneckMonitor(cfg.patience, cfg.batch_size)
     backtracks = 0
     gave_up = False
     # steps per backtrack snapshot: a batch of full episodes, or 2% of
@@ -798,7 +796,7 @@ def mc_train(game, config):
         nonlocal frontier_inv, frontier_flags
         best_actions = shorten_trajectory(game, candidate_actions)
         j_max = max(j_max, score)
-        monitor.new_highscore(j_max)
+        monitor.new_highscore()
         buffer_entries = build_state_buffer(game, trainer.oracle,
                                             best_actions, cfg.buffer_size)
         if cfg.alpha > 0 or force_advance:
@@ -867,18 +865,13 @@ def mc_train(game, config):
 
         return try_splice
 
-    while trainer.steps < cfg.total_steps:
-        if cfg.stop_at_max and j_max >= game.max_score:
-            break
-        remaining = cfg.total_steps - trainer.steps
-        stop = game.max_score if cfg.stop_at_max else None
-        _, used = _phase(trainer, envs, lambda: launch, remaining, j_max,
-                         monitor=monitor, on_improvement=on_improvement,
-                         stop_score=stop,
-                         tie_guard=tie_guard if cfg.alpha > 0 else None)
-        if cfg.stop_at_max and j_max >= game.max_score:
-            break
-        if trainer.steps >= cfg.total_steps:
+    while trainer.steps < cfg.total_steps and not trainer.at_max(j_max):
+        stopped, _ = _phase(trainer, envs, lambda: launch,
+                            cfg.total_steps - trainer.steps, j_max,
+                            monitor=monitor, on_improvement=on_improvement,
+                            tie_guard=tie_guard if cfg.alpha > 0 else None)
+        # the phase returns an improvement only when the stop rule holds
+        if stopped is not None or trainer.steps >= cfg.total_steps:
             break
         # stagnation: search backwards along the best trajectory.  The
         # backtrack modules mark progress through graph novelty, so the
@@ -916,8 +909,6 @@ def mc_train(game, config):
         if not advanced:
             gave_up = True      # exhausted every snapshot; give up
             break
-        for env in envs:
-            env.needs_reset = True
 
     trainer.flush_update()
     chain = build_chain(game, trainer.encoder, cfg, best_actions)
@@ -944,13 +935,9 @@ def vanilla_train(game, config):
         trainer.curve.append((trainer.steps, j_max))
         return j_max
 
-    while trainer.steps < config.total_steps:
-        if config.stop_at_max and j_max >= game.max_score:
-            break
-        remaining = config.total_steps - trainer.steps
-        stop = game.max_score if config.stop_at_max else None
-        _phase(trainer, envs, lambda: start, remaining, j_max,
-               on_improvement=on_improvement, stop_score=stop)
+    if not trainer.at_max(j_max):
+        _phase(trainer, envs, lambda: start, config.total_steps, j_max,
+               on_improvement=on_improvement)
     trainer.flush_update()
     return TrainResult(
         j_max=j_max, best_actions=tuple(best_actions), chain=None,
@@ -1020,7 +1007,7 @@ def go_train(game, config):
     best_actions = ()
 
     while trainer.steps < cfg.total_steps:
-        if cfg.stop_at_max and best_score >= game.max_score:
+        if trainer.at_max(best_score):
             break
         cell = archive.sample(rng_cells)
         cell.visits += 1

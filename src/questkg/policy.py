@@ -305,8 +305,6 @@ def _mask_indices(entities, mask):
 class ActResult:
     template_index: int
     filler_indices: tuple[int, ...]
-    log_prob: float
-    value: float
     mask_fallback: bool  # an empty mask forced full-vocabulary filling
     mask_idx: np.ndarray  # entity indices the fillers were drawn from
 
@@ -330,7 +328,6 @@ def act(params, feats, mask, rng, encoder, template_blanks):
     """
     log_pt = _log_softmax(params.w_template @ feats + params.b_template)
     t_idx = _sample(np.exp(log_pt), rng)
-    log_prob = log_pt[t_idx]
 
     mask_idx, fallback = _mask_indices(params.entities, mask)
     fillers = []
@@ -341,13 +338,9 @@ def act(params, feats, mask, rng, encoder, template_blanks):
         log_pe = _masked_log_softmax(params.w_entity @ x + params.b_entity,
                                      mask_idx)
         e_idx = _sample(np.exp(log_pe), rng)
-        log_prob += log_pe[e_idx]
         fillers.append(e_idx)
         prev = params.entities[e_idx]
-
-    value = float(params.w_value @ feats + params.b_value)
-    return ActResult(t_idx, tuple(fillers), float(log_prob), value, fallback,
-                     mask_idx)
+    return ActResult(t_idx, tuple(fillers), fallback, mask_idx)
 
 
 def greedy_action(params, feats, mask, encoder, template_blanks):

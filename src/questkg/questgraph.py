@@ -37,38 +37,6 @@ class DependencyGraph:
     edges: frozenset[tuple[str, str]]
 
 
-def _find_cycle(graph):
-    """Return a cycle witness as a vertex list, or None."""
-    adjacency = {v: [] for v in graph.vertices}
-    for u, v in sorted(graph.edges):
-        adjacency[u].append(v)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph.vertices}
-    stack_path = []
-
-    def visit(node):
-        color[node] = GREY
-        stack_path.append(node)
-        for nxt in adjacency[node]:
-            if color[nxt] == GREY:
-                i = stack_path.index(nxt)
-                return stack_path[i:] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack_path.pop()
-        color[node] = BLACK
-        return None
-
-    for v in sorted(graph.vertices):
-        if color[v] == WHITE:
-            found = visit(v)
-            if found:
-                return found
-    return None
-
-
 def topological_levels(graph):
     """Partition vertices into levels by longest path from any source.
 
@@ -76,10 +44,6 @@ def topological_levels(graph):
     longest path from a source has length k.  Raises CycleError naming a
     witness when the graph is cyclic.
     """
-    cycle = _find_cycle(graph)
-    if cycle is not None:
-        raise CycleError(cycle)
-
     indegree = {v: 0 for v in graph.vertices}
     adjacency = {v: [] for v in graph.vertices}
     for u, v in sorted(graph.edges):
@@ -97,6 +61,15 @@ def topological_levels(graph):
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 frontier.append(nxt)
+    if len(order) < len(graph.vertices):
+        # every vertex the loop left unprocessed has an unprocessed parent:
+        # walk such parents back until one repeats
+        node = min(v for v in graph.vertices if indegree[v])
+        path = []
+        while node not in path:
+            path.append(node)
+            node = min(u for u, v in graph.edges if v == node and indegree[u])
+        raise CycleError((path[path.index(node):] + [node])[::-1])
 
     if not graph.vertices:
         return []

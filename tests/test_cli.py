@@ -101,6 +101,19 @@ def test_config_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "vanilla", "--alpha", "-1"],
+    ["--strategy", "go", "--alpha", "-1"],
+    ["--eps", "-1"],
+])
+def test_negative_alpha_or_eps_is_a_config_error(flags, tmp_path):
+    outdir = tmp_path / "out"
+    code, _ = run_cli(["run", *flags, "--budget", "50", "--seeds", "0",
+                       "--outdir", str(outdir)])
+    assert code == 2
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_every_strategy_runs_with_default_flags(strategy, tmp_path,
                                                  monkeypatch):

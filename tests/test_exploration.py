@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from questkg import engine, exploration, extraction, kg, policy, search
+from questkg import (engine, exploration, extraction, games, kg, policy,
+                     search)
 from questkg.exploration import (AgentEnv, BottleneckMonitor, CellArchive,
-                                 Cell, ChainExecutionError, ExplorationConfig,
+                                 Cell, ChainCloneError, ChainExecutionError,
+                                 ExplorationConfig,
                                  Launch, build_chain, build_state_buffer,
                                  detect_stagnation, execute_chain,
                                  game_start_launch, go_train, load_chain,
@@ -79,7 +82,7 @@ def test_stagnation_arithmetic():
     assert not detect_stagnation(monitor)  # only 2/4 >= patience
     monitor.step(0)
     assert not detect_stagnation(monitor)
-    monitor.new_highscore(5)
+    monitor.new_highscore()
     assert monitor.p == [0, 0, 0, 0]
     assert BottleneckMonitor(None, 4).patience is None
     assert not detect_stagnation(BottleneckMonitor(None, 4))
@@ -147,6 +150,66 @@ def test_execute_chain_replays_exactly(miniz):
     t2, s2, h2 = execute_chain(chain, miniz)
     assert s1 == s2 == chain.j_max
     assert t1 == t2 and h1 == h2
+
+
+def chain_digest(chain):
+    """First 32 hex digits of the checkpoint's blake2b digest."""
+    return hashlib.blake2b(save_chain(chain)).hexdigest()[:32]
+
+
+# recorded before build_chain became one walk checked by execute_chain
+WALKTHROUGH_CHAIN_PINS = {
+    # game: (chain_digest, execute_chain score, execute_chain hash)
+    "miniz": ("f45d2538e46fa69b8c05ef740642c24a", 50,
+              "356d52d01bf50424b3f293c8dcca7add"),
+    "chainworld": ("afaaf88b02034a72f38b31d9b1492639", 30,
+                   "62675517e7bed6b568073f964c30bc55"),
+    "deceive": ("cfbe7f5d5009ffa7b632b6db5cad2048", 90,
+                "de512d5342ec022d82192b1ccc580076"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKTHROUGH_CHAIN_PINS))
+def test_walkthrough_chain_bytes_and_replay_are_pinned(name):
+    game = games.load_bundled(name)
+    cfg = ExplorationConfig()
+    chain = build_chain(game, policy.StateEncoder(cfg.encoder), cfg,
+                        walkthrough_texts(game))
+    digest, score, trajectory_hash = WALKTHROUGH_CHAIN_PINS[name]
+    assert chain_digest(chain) == digest
+    trajectory, got_score, got_hash = execute_chain(chain, game, cfg)
+    assert trajectory == [text for m in chain.modules for text in m.actions]
+    assert (got_score, got_hash) == (score, trajectory_hash)
+
+
+def test_build_chain_rejects_a_module_that_does_not_replay(miniz,
+                                                          monkeypatch):
+    """The distilled chain must replay its recorded actions exactly."""
+    real = exploration.clone_segment_policy
+
+    def misfit(game, encoder, config, steps):
+        # every step's features fitted to the segment's last action
+        return real(game, encoder, config,
+                    [(feats, steps[-1][1]) for feats, _ in steps])
+
+    monkeypatch.setattr(exploration, "clone_segment_policy", misfit)
+    with pytest.raises(ChainCloneError):
+        build_chain(miniz, policy.StateEncoder(FAST.encoder), FAST,
+                    walkthrough_texts(miniz))
+
+
+def test_build_chain_rejects_a_replay_by_other_actions(miniz, monkeypatch):
+    """Reaching every handoff score is not enough: the actions must match."""
+    real = exploration.execute_chain
+
+    def detour(chain, game, config=None):
+        trajectory, score, digest = real(chain, game, config)
+        return ["look"] + trajectory[1:], score, digest
+
+    monkeypatch.setattr(exploration, "execute_chain", detour)
+    with pytest.raises(ChainCloneError, match="decodes"):
+        build_chain(miniz, policy.StateEncoder(FAST.encoder), FAST,
+                    walkthrough_texts(miniz))
 
 
 def test_execute_chain_detects_corruption(miniz):
@@ -303,7 +366,9 @@ MC_PINS = {
                 "take leaflet", "go east", "open window", "go west",
                 "go east", "go east", "go west", "go west", "open sack",
                 "take sack", "go east"],
-            modules=[(0, 10, 8)]),
+            modules=[(0, 10, 8)],
+            chain=("4694a5fb05b9651ba04d164741d2638d",
+                   "1032e09fd6bbe0e5d58bb10a0ec4a112")),
     # seed 4 clears miniz and distills a 4-module chain
     4: dict(trajectory_hash="aeca3b4b729e13ddeb1f9fe4c5853ec8", j_max=50,
             steps_used=12_789, backtracks=0,
@@ -314,15 +379,18 @@ MC_PINS = {
                 "go south", "go east", "go west", "open sack", "go west",
                 "go east", "go west", "take lamp", "light lamp", "drop sack",
                 "open trapdoor", "go down", "go north", "take painting"],
-            modules=[(0, 5, 6), (5, 15, 7), (15, 40, 14), (40, 50, 2)]),
+            modules=[(0, 5, 6), (5, 15, 7), (15, 40, 14), (40, 50, 2)],
+            chain=("76814043a24f8d6e2199ff5024a50f46",
+                   "8e4f6983e18f43bd140c30aa30c203ea")),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(MC_PINS))
 def test_mc_train_outputs_are_pinned(miniz, seed):
     pin = MC_PINS[seed]
-    result = mc_train(miniz, ExplorationConfig(
-        seed=seed, total_steps=20_000, **{**BENCH, "alpha": 2.0}))
+    config = ExplorationConfig(
+        seed=seed, total_steps=20_000, **{**BENCH, "alpha": 2.0})
+    result = mc_train(miniz, config)
     assert result.trajectory_hash == pin["trajectory_hash"]
     assert (result.j_max, result.steps_used, result.backtracks) == (
         pin["j_max"], pin["steps_used"], pin["backtracks"])
@@ -335,6 +403,12 @@ def test_mc_train_outputs_are_pinned(miniz, seed):
         start += length
     assert result.chain.manifest() == {"j_max": pin["j_max"],
                                        "modules": modules}
+    # (chain_digest, execute_chain hash), recorded before build_chain
+    # became one walk
+    digest, trajectory_hash = pin["chain"]
+    assert chain_digest(result.chain) == digest
+    assert execute_chain(result.chain, miniz, config) == (
+        pin["best_actions"][:start], pin["j_max"], trajectory_hash)
 
 
 def test_vanilla_train_best_actions_are_pinned(miniz):

@@ -8,6 +8,7 @@ are loaded by path and are not modified.
 
 import dataclasses
 import importlib.util
+from dataclasses import replace
 import sys
 from pathlib import Path
 
@@ -21,6 +22,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CONFIG = ExplorationConfig(seed=0, total_steps=1500, batch_size=4, horizon=25,
                            patience=200, alpha=2.0, learning_rate=0.01,
                            entropy_coef=0.05)
+# short enough to run under the tracer, and miniz stagnates within it
+SHORT = replace(CONFIG, total_steps=600, patience=50)
 
 
 def load(name):
@@ -41,16 +44,31 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
         run.install(tracer)
         traced = exploration.mc_train(chainworld, CONFIG)
         exploration.execute_chain(traced.chain, chainworld, CONFIG)
+        # short runs that give every other hook, observers included, calls
+        tracer.run_id = 1
+        miniz = games.load_bundled("miniz")
+        backtracked = exploration.mc_train(miniz, SHORT)
+        exploration.vanilla_train(miniz, replace(SHORT, alpha=0.0))
+        exploration.go_train(games.load_bundled("deceive"), SHORT)
     finally:
         tracer.unwrap_all()
     assert engine.step_movement is original
     assert traced.trajectory_hash == untraced.trajectory_hash
+    assert backtracked.trajectory_hash == \
+        exploration.mc_train(miniz, SHORT).trajectory_hash
     stats, overfull = tracer.per_name()
     assert overfull == 0
-    assert stats["exploration.mc_train"][0] == 1
-    assert stats["engine.step_movement"][0] > 0
-    assert stats["exploration.shorten_trajectory"][0] > 0
-    assert stats["exploration.execute_chain"][0] == 1
+    assert [name for name in run.LAYERS if stats[name][0] == 0] == []
+    # the observer reads backtrack's improvement as result[2]
+    assert backtracked.backtracks > 0
+    assert tracer.counts["backtrack.successes"] == \
+        traced.backtracks + backtracked.backtracks
+    first = range(1)        # the chainworld run and its replay
+    assert tracer.calls_in_runs("exploration.mc_train", first) == 1
+    assert tracer.calls_in_runs("engine.step_movement", first) > 0
+    assert tracer.calls_in_runs("exploration.shorten_trajectory", first) > 0
+    # build_chain checks the chain it distils with execute_chain
+    assert tracer.calls_in_runs("exploration.execute_chain", first) == 2
     # one pass: each recorded action is stepped at most once
     assert 0 < tracer.child_calls(
         "engine.step_movement", "exploration.shorten_trajectory") <= \

@@ -106,8 +106,12 @@ def test_init_params_gives_uniform_policy(miniz):
     blanks = {i: t.blanks for i, t in enumerate(miniz.templates)}
     result = act(params, feats, {"mailbox", "lamp"}, rng, encoder, blanks)
     n_t = len(miniz.templates)
-    assert result.log_prob <= np.log(1.0 / n_t) + 1e-9
-    assert result.value == 0.0
+    log_pt = policy._log_softmax(params.w_template @ feats
+                                 + params.b_template)
+    assert np.allclose(log_pt, np.log(1.0 / n_t))
+    assert params.w_value @ feats + params.b_value == 0.0
+    assert {params.entities[f] for f in result.filler_indices} <= {
+        "mailbox", "lamp"}
 
 
 def test_save_load_round_trip(miniz):
@@ -329,11 +333,10 @@ def test_prepare_targets_matches_per_transition_values(miniz):
 
 
 def reference_act(params, feats, mask, rng, encoder, template_blanks):
-    """act() drawing through rng.choice: (template, fillers, log_prob)."""
+    """act() drawing through rng.choice: (template, fillers)."""
     log_pt = policy._log_softmax(params.w_template @ feats
                                  + params.b_template)
     t_idx = int(rng.choice(len(log_pt), p=np.exp(log_pt)))
-    log_prob = log_pt[t_idx]
     mask_idx = np.array([i for i, e in enumerate(params.entities)
                          if e in mask], dtype=int)
     if mask_idx.size == 0:
@@ -346,10 +349,9 @@ def reference_act(params, feats, mask, rng, encoder, template_blanks):
         log_pe = policy._masked_log_softmax(
             params.w_entity @ x + params.b_entity, mask_idx)
         e_idx = int(rng.choice(len(log_pe), p=np.exp(log_pe)))
-        log_prob += log_pe[e_idx]
         fillers.append(e_idx)
         prev = params.entities[e_idx]
-    return t_idx, tuple(fillers), float(log_prob)
+    return t_idx, tuple(fillers)
 
 
 def test_act_draws_match_rng_choice(miniz):
@@ -365,8 +367,7 @@ def test_act_draws_match_rng_choice(miniz):
         mask = masks[k % len(masks)]
         result = act(params, feats, mask, ours, encoder, blanks)
         expected = reference_act(params, feats, mask, theirs, encoder, blanks)
-        assert (result.template_index, result.filler_indices,
-                result.log_prob) == expected
+        assert (result.template_index, result.filler_indices) == expected
         assert result.mask_fallback == (not mask)
         assert set(result.mask_idx.tolist()) == (
             set(range(len(miniz.entities))) if not mask else

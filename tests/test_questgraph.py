@@ -79,11 +79,41 @@ def test_wide_level_is_never_a_bottleneck():
     assert bottlenecks(graph) == {"0"}
 
 
+def assert_closed_cycle(witness, graph):
+    assert len(witness) >= 2 and witness[0] == witness[-1]
+    assert len(set(witness)) == len(witness) - 1
+    assert all(edge in graph.edges for edge in zip(witness, witness[1:]))
+
+
 def test_cycle_raises_with_witness():
     graph = make_graph(3, [(0, 1), (1, 2), (2, 0)], {})
     with pytest.raises(CycleError) as exc:
         topological_levels(graph)
-    assert len(exc.value.witness) >= 2
+    assert exc.value.witness == ["0", "1", "2", "0"]
+    graph = make_graph(2, [(0, 1), (1, 1)], {})
+    with pytest.raises(CycleError) as exc:
+        topological_levels(graph)
+    assert exc.value.witness == ["1", "1"]
+
+
+def test_cycle_witness_is_a_closed_cycle_in_edge_order():
+    rng = np.random.default_rng(11)
+    cyclic = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        edges = {(int(rng.integers(n)), int(rng.integers(n)))
+                 for _ in range(int(rng.integers(0, 14)))}
+        graph = make_graph(n, edges, {})
+        try:
+            naive_levels(graph)
+        except CycleError:
+            cyclic += 1
+            with pytest.raises(CycleError) as exc:
+                topological_levels(graph)
+            assert_closed_cycle(exc.value.witness, graph)
+        else:
+            assert topological_levels(graph) == naive_levels(graph)
+    assert cyclic > 100
 
 
 def test_levels_match_naive_on_random_graphs():
