@@ -105,20 +105,24 @@ def replay(game, launch, action_texts, backend=None):
     texts run out or a step makes the state terminal.
 
     With a backend the graph starts as the launch graph plus the answers for
-    the launch observation and is updated after every step; without one it
-    is None.  state and graph are mutated in place, so a caller copies what
-    it keeps.
+    the launch observation and is updated after every step that changed
+    the state, or after every step if the backend is not pure (see
+    AgentEnv.step); without one it is None.  state and graph are mutated in
+    place, so a caller copies what it keeps.
     """
     state = engine.restore(launch.snapshot)
     graph = None
     if backend is not None:
         graph = launch.make_graph()
         kg.apply_answers(graph, backend(state, engine.observe(state, game)))
+    pure = getattr(backend, "pure", False)
     yield 0, state, graph
     for i, text in enumerate(action_texts, start=1):
+        view = state.view
         state, obs, _, done, movement = engine.step_movement(
             state, engine.ground(game, text), game)
-        if graph is not None:
+        if graph is not None and not (
+                pure and view is not None and state.view is view):
             kg.apply_answers(graph, backend(state, obs), movement=movement)
         yield i, state, graph
         if done:
@@ -126,7 +130,14 @@ def replay(game, launch, action_texts, backend=None):
 
 
 class AgentEnv:
-    """One environment instance with its knowledge graph and feature cache."""
+    """One environment instance with its knowledge graph and feature cache.
+
+    With a pure backend, begin() keeps what it built from its last launch
+    (one slot) and copies it when the same launch object comes again:
+    restoring a snapshot and asking a pure backend give the same graph,
+    summary and entity counts every time.  An impure backend is asked on
+    every begin.
+    """
 
     def __init__(self, game, encoder, backend, global_edges, config, index):
         self.game = game
@@ -146,22 +157,36 @@ class AgentEnv:
         self.done = False
         self._start_turn = 0
         self.next_feats = None    # feats() of the current state, if known
+        self._mask = None         # mask(), until a token enters or leaves
+        self._memo = None         # (launch, what begin built from it)
 
     def begin(self, launch):
         self.next_feats = None
         self.state = engine.restore(launch.snapshot)
         if not self.state.alive:
             raise ValueError("cannot launch an episode from a terminal state")
-        self.graph = launch.make_graph()
-        self.obs = engine.observe(self.state, self.game)
-        self.tracker = policy.PooledGraphTracker(self.encoder, self.graph)
-        self.entity_refs = {}
-        for t in self.graph.triples:
-            self._ref(t.subject, +1)
-            self._ref(t.object, +1)
-        answers = self.backend(self.state, self.obs)
-        added, removed = kg.apply_answers(self.graph, answers)
-        self._absorb_diff(added, removed)
+        if self._memo is not None and self._memo[0] is launch:
+            _, graph, tracker, refs, self._mask, self.obs, added = self._memo
+            self.graph = graph.copy()
+            self.tracker = tracker.copy()
+            self.entity_refs = dict(refs)
+        else:
+            self._mask = None
+            self.graph = launch.make_graph()
+            self.obs = engine.observe(self.state, self.game)
+            self.tracker = policy.PooledGraphTracker(self.encoder, self.graph)
+            self.entity_refs = {}
+            for t in self.graph.triples:
+                self._ref(t.subject, +1)
+                self._ref(t.object, +1)
+            answers = self.backend(self.state, self.obs)
+            added, removed = kg.apply_answers(self.graph, answers)
+            self._absorb_diff(added, removed)
+            if self.pure:
+                self.tracker.summary()    # so that every hit shares it
+                self._memo = (launch, self.graph.copy(), self.tracker.copy(),
+                              dict(self.entity_refs), self.mask(), self.obs,
+                              added)
         self.global_edges.absorb(added)
         self.episode_actions = []
         self.episode_new = 0      # globally new triples found this episode
@@ -171,11 +196,14 @@ class AgentEnv:
         self._start_turn = self.state.turn
 
     def _ref(self, token, delta):
-        count = self.entity_refs.get(token, 0) + delta
-        if count <= 0:
-            self.entity_refs.pop(token, None)
-        else:
+        old = self.entity_refs.get(token, 0)
+        count = old + delta
+        if count > 0:
             self.entity_refs[token] = count
+        elif old:
+            del self.entity_refs[token]
+        if (count > 0) != (old > 0):
+            self._mask = None
 
     def _absorb_diff(self, added, removed):
         self.tracker.apply(added, removed)
@@ -197,7 +225,12 @@ class AgentEnv:
         ])
 
     def mask(self):
-        return self.entity_refs
+        """The entity mask act and greedy_action take: _mask_indices of the
+        tokens the graph mentions, kept until one enters or leaves."""
+        if self._mask is None:
+            self._mask = policy._mask_indices(self.game.entities,
+                                              self.entity_refs)
+        return self._mask
 
     def step(self, action):
         """Returns (r_game, r_im, r_shaped, done, truncated).

@@ -11,7 +11,7 @@ The A2C learner works on a whole transition batch with matrix products:
 the N states are stacked into X and the blank-filling decisions' entity
 contexts into C, each head's loss gradient with respect to its logits is
 one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.  The actor draws
-with numpy's own choice recipe (see _sample), so its draws are those of
+with numpy's own choice recipe (see _draw), so its draws are those of
 Generator.choice.
 
 All analytic gradients are verified against central finite differences in
@@ -65,6 +65,7 @@ class StateEncoder:
         self._msg = {}          # triple -> d_graph message vector
         self._tok = {}          # token -> (bucket index, sign)
         self._text_vec = {}     # component text -> d_obs vector
+        self._tail = {}         # (first blank, template, prev) -> context tail
 
     # -- fixed seeded weights -------------------------------------------
 
@@ -136,6 +137,22 @@ class StateEncoder:
             self._text_vec[token] = vec
         return vec
 
+    def context_tail(self, first, template_pattern, prev_entity):
+        """The entity context after the state features: the blank's
+        position one-hot (first blank or later) and the decode vectors of
+        the template and of the previous filler."""
+        key = (first, template_pattern, prev_entity)
+        tail = self._tail.get(key)
+        if tail is None:
+            tail = np.concatenate([
+                np.array([1.0, 0.0]) if first else np.array([0.0, 1.0]),
+                self.decode_vector("tmpl", template_pattern),
+                self.decode_vector("ent",
+                                   prev_entity if prev_entity else "<none>"),
+            ])
+            self._tail[key] = tail
+        return tail
+
 
 class PooledGraphTracker:
     """The graph summary: the mean of the triples' messages, kept up to date
@@ -161,6 +178,14 @@ class PooledGraphTracker:
         for t in removed:
             self.total -= self.encoder.message(t)
             self.count -= 1
+
+    def copy(self):
+        """An independent tracker with the same sum, count and summary."""
+        clone = PooledGraphTracker(self.encoder)
+        clone.total = self.total.copy()
+        clone.count = self.count
+        clone._summary = self._summary
+        return clone
 
     def summary(self):
         """The summary vector, shared between calls: do not write to it."""
@@ -259,18 +284,9 @@ def load_params(blob):
 
 # --- acting -----------------------------------------------------------------
 
-def _masked_log_softmax(logits, mask_idx):
-    """Log-probabilities with exactly zero mass off the mask."""
-    masked = np.full(logits.shape, NEG_INF)
-    masked[mask_idx] = logits[mask_idx]
-    shift = masked - masked.max()
-    log_z = np.log(np.exp(shift).sum())
-    return shift - log_z
-
-
 def _log_softmax(logits):
-    shift = logits - logits.max()
-    return shift - np.log(np.exp(shift).sum())
+    shift = logits - np.maximum.reduce(logits)
+    return shift - np.log(np.add.reduce(np.exp(shift)))
 
 
 def _log_softmax_rows(logits):
@@ -279,26 +295,29 @@ def _log_softmax_rows(logits):
     return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
 
 
-def _sample(p, rng):
-    """Draw an index with probabilities p.
+def _draw(logits, rng):
+    """Draw an index with probabilities softmax(logits).
 
-    This is rng.choice(len(p), p=p) without its argument validation: the
-    same cdf, the same single rng.random() draw and the same search, so it
-    returns the same index and leaves the generator in the same state.
+    This is rng.choice(len(p), p=np.exp(_log_softmax(logits))) without its
+    argument validation: the same cdf, the same single rng.random() draw
+    and the same search, so it returns the same index and leaves the
+    generator in the same state.  The reductions are called as ufunc
+    methods, which skips the array methods' dispatch but not one operation.
     """
-    cdf = p.cumsum()
+    cdf = np.add.accumulate(np.exp(_log_softmax(logits)))
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _mask_indices(entities, mask):
-    """Indices of the permitted entities, and whether an empty mask forced
-    the full vocabulary."""
-    mask_idx = np.array([i for i, e in enumerate(entities) if e in mask],
-                        dtype=int)
-    if mask_idx.size == 0:
-        return np.arange(len(entities)), True
-    return mask_idx, False
+    """(indices of the permitted entities, whether an empty mask forced the
+    full vocabulary, boolean array of the entities off the mask).  Setting
+    the logits off the mask to NEG_INF makes softmax put exactly zero mass
+    there."""
+    off = np.array([e not in mask for e in entities], dtype=bool)
+    if off.all():
+        return np.arange(len(entities)), True, np.zeros(len(entities), bool)
+    return np.flatnonzero(~off), False, off
 
 
 @dataclass
@@ -310,53 +329,48 @@ class ActResult:
 
 
 def _entity_context(encoder, feats, position, template_pattern, prev_entity):
-    return np.concatenate([
-        feats,
-        np.array([1.0, 0.0]) if position == 0 else np.array([0.0, 1.0]),
-        encoder.decode_vector("tmpl", template_pattern),
-        encoder.decode_vector("ent", prev_entity if prev_entity else "<none>"),
-    ])
+    return np.concatenate((feats, encoder.context_tail(
+        position == 0, template_pattern, prev_entity)))
 
 
 def act(params, feats, mask, rng, encoder, template_blanks):
     """Sample a factored action.
 
-    mask is the permitted entity set (graph mask); template_blanks maps
+    mask is _mask_indices(params.entities, permitted entity set), which
+    the caller keeps while the set is unchanged; template_blanks maps
     template index -> blank count.  Masked-out entities receive exactly zero
     probability; an empty mask falls back to the full vocabulary and is
-    flagged on the result.  Draws are those of rng.choice (see _sample).
+    flagged on the result.  Draws are those of rng.choice (see _draw).
     """
-    log_pt = _log_softmax(params.w_template @ feats + params.b_template)
-    t_idx = _sample(np.exp(log_pt), rng)
-
-    mask_idx, fallback = _mask_indices(params.entities, mask)
+    t_idx = _draw(params.w_template @ feats + params.b_template, rng)
+    mask_idx, fallback, off = mask
+    template = params.templates[t_idx]
     fillers = []
     prev = ""
     for position in range(template_blanks[t_idx]):
-        x = _entity_context(encoder, feats, position,
-                            params.templates[t_idx], prev)
-        log_pe = _masked_log_softmax(params.w_entity @ x + params.b_entity,
-                                     mask_idx)
-        e_idx = _sample(np.exp(log_pe), rng)
+        x = _entity_context(encoder, feats, position, template, prev)
+        logits = params.w_entity @ x + params.b_entity
+        logits[off] = NEG_INF
+        e_idx = _draw(logits, rng)
         fillers.append(e_idx)
         prev = params.entities[e_idx]
     return ActResult(t_idx, tuple(fillers), fallback, mask_idx)
 
 
 def greedy_action(params, feats, mask, encoder, template_blanks):
-    """Deterministic argmax decode used when executing frozen chain modules."""
+    """Deterministic argmax decode used when executing frozen chain modules;
+    mask is as for act."""
     logits_t = params.w_template @ feats + params.b_template
     t_idx = int(np.argmax(logits_t))
-    mask_idx, _ = _mask_indices(params.entities, mask)
+    off = mask[2]
+    template = params.templates[t_idx]
     fillers = []
     prev = ""
     for position in range(template_blanks[t_idx]):
-        x = _entity_context(encoder, feats, position,
-                            params.templates[t_idx], prev)
+        x = _entity_context(encoder, feats, position, template, prev)
         logits = params.w_entity @ x + params.b_entity
-        masked = np.full(logits.shape, NEG_INF)
-        masked[mask_idx] = logits[mask_idx]
-        e_idx = int(np.argmax(masked))
+        logits[off] = NEG_INF
+        e_idx = int(np.argmax(logits))
         fillers.append(e_idx)
         prev = params.entities[e_idx]
     return t_idx, tuple(fillers)

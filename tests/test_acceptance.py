@@ -225,14 +225,16 @@ def test_sampled_actions_respect_graph_mask(miniz):
             mask = set(rng.choice(entities, size=size, replace=False))
             mask_idx = np.array([j for j, e in enumerate(entities)
                                  if e in mask], dtype=int)
+            act_mask = policy._mask_indices(entities, mask)
             if mask_idx.size:
                 x = policy._entity_context(encoder, feats, 0,
                                            params.templates[0], "")
-                probs = np.exp(policy._masked_log_softmax(
-                    params.w_entity @ x + params.b_entity, mask_idx))
+                logits = params.w_entity @ x + params.b_entity
+                logits[act_mask[2]] = policy.NEG_INF
+                probs = np.exp(policy._log_softmax(logits))
                 assert np.all(np.delete(probs, mask_idx) == 0.0)
                 mass_checks += 1
-        result = policy.act(params, feats, mask, rng, encoder, blanks)
+        result = policy.act(params, feats, act_mask, rng, encoder, blanks)
         if result.mask_fallback:
             fallbacks += 1
             assert not mask   # fallback is only allowed on an empty mask

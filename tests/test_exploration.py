@@ -40,7 +40,7 @@ def test_env_begin_absorbs_initial_observation(miniz):
     env.begin(game_start_launch(miniz))
     assert len(env.graph) > 0
     assert len(env.global_edges) == len(env.graph)
-    assert "mailbox" in env.mask()
+    assert "mailbox" in env.entity_refs
 
 
 def test_env_rejects_terminal_launch(miniz):

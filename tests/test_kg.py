@@ -70,6 +70,31 @@ def test_you_in_is_replaced_and_visited_accumulates():
     assert Triple("closet", "visited", "yes") in graph
 
 
+def scanned_locations(graph, here):
+    """The <you, in, *> triples to replace, found by scanning the set as
+    apply_answers did before the graph kept them apart."""
+    return [t for t in graph.triples
+            if t.subject == "you" and t.relation == "in" and t != here]
+
+
+@pytest.mark.parametrize("rooms", [(), ("hall",), ("hall", "cellar"),
+                                   ("hall", "cellar", "attic", "yard")])
+def test_location_slot_replaces_what_a_scan_finds(rooms):
+    """Several <you, in, *> triples arise only in graphs built by hand,
+    but are removed in the same order the scan gave."""
+    noise = [Triple(f"room{i}", "has", f"item{i}") for i in range(30)]
+    built = KnowledgeGraph(noise + [Triple("you", "in", r) for r in rooms])
+    built.discard(noise[3])
+    for graph in (built, built.copy()):
+        want = scanned_locations(graph, Triple("you", "in", "kitchen"))
+        added, removed = apply_answers(graph, AnswerSet(location="kitchen"))
+        assert removed == want
+        assert [t for t in graph.triples
+                if t.subject == "you" and t.relation == "in"] == [
+            Triple("you", "in", "kitchen")]
+        assert graph.locations() == [Triple("you", "in", "kitchen")]
+
+
 def test_movement_adds_directional_triple():
     graph = KnowledgeGraph()
     apply_answers(graph, AnswerSet(location="Closet"),

@@ -73,6 +73,12 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
     assert 0 < tracer.child_calls(
         "engine.step_movement", "exploration.shorten_trajectory") <= \
         tracer.counts["shorten_trajectory.actions_in"]
+    # the oracle replay asks its backend only after steps that change the
+    # state, so fewer times than there are actions (once each, plus once
+    # per launch, without the fast path)
+    assert 0 < tracer.child_calls(
+        "extraction.oracle_answer", "exploration.shorten_trajectory") < \
+        tracer.counts["shorten_trajectory.actions_in"]
 
 
 WORKLOADS = load("workloads").WORKLOADS

@@ -43,6 +43,11 @@ def random_transition(game, params, encoder, rng):
     )
 
 
+def mask_of(params, names):
+    """act's and greedy_action's mask argument for a set of entity names."""
+    return policy._mask_indices(params.entities, names)
+
+
 def reference_summary(encoder, graph):
     """The graph summary from scratch: the mean of the triples' messages,
     summed in a fixed order, through the encoder's output layer."""
@@ -104,7 +109,8 @@ def test_init_params_gives_uniform_policy(miniz):
     rng = np.random.default_rng(0)
     feats = rng.normal(0, 1, SMALL.feature_dim)
     blanks = {i: t.blanks for i, t in enumerate(miniz.templates)}
-    result = act(params, feats, {"mailbox", "lamp"}, rng, encoder, blanks)
+    result = act(params, feats, mask_of(params, {"mailbox", "lamp"}), rng,
+                 encoder, blanks)
     n_t = len(miniz.templates)
     log_pt = policy._log_softmax(params.w_template @ feats
                                  + params.b_template)
@@ -136,7 +142,8 @@ def test_masked_sampling_stays_on_mask(miniz):
     mask = {"mailbox", "egg", "north"}
     for _ in range(500):
         feats = rng.normal(0, 1, SMALL.feature_dim)
-        result = act(params, feats, mask, rng, encoder, blanks)
+        result = act(params, feats, mask_of(params, mask), rng, encoder,
+                     blanks)
         assert not result.mask_fallback
         for f in result.filler_indices:
             assert params.entities[f] in mask
@@ -150,22 +157,32 @@ def test_empty_mask_falls_back_and_flags(miniz):
     seen_fallback = False
     for _ in range(50):
         feats = rng.normal(0, 1, SMALL.feature_dim)
-        result = act(params, feats, set(), rng, encoder, blanks)
+        result = act(params, feats, mask_of(params, set()), rng, encoder,
+                     blanks)
         if blanks[result.template_index]:
             assert result.mask_fallback
             seen_fallback = True
     assert seen_fallback
 
 
-def test_masked_log_softmax_exact_zero_off_mask():
+def masked(logits, mask):
+    """The logits as act masks them: NEG_INF off the mask."""
+    logits = logits.copy()
+    logits[mask[2]] = policy.NEG_INF
+    return logits
+
+
+def test_masked_log_softmax_exact_zero_off_mask(miniz):
     rng = np.random.default_rng(8)
+    entities = miniz.entities
     for _ in range(200):
-        logits = rng.normal(0, 3, 20)
-        mask_idx = np.sort(rng.choice(20, size=int(rng.integers(1, 20)),
-                                      replace=False))
-        probs = np.exp(policy._masked_log_softmax(logits, mask_idx))
-        off = np.delete(probs, mask_idx)
-        assert np.all(off == 0.0)
+        logits = rng.normal(0, 3, len(entities))
+        names = set(rng.choice(entities, size=int(rng.integers(1, 20)),
+                               replace=False))
+        mask = policy._mask_indices(entities, names)
+        probs = np.exp(policy._log_softmax(masked(logits, mask)))
+        off = np.delete(probs, mask[0])
+        assert np.all(off == 0.0) and off.size == len(entities) - len(names)
         assert np.isclose(probs.sum(), 1.0)
 
 
@@ -175,8 +192,9 @@ def test_greedy_action_is_deterministic(miniz):
     encoder = small_encoder()
     blanks = {i: t.blanks for i, t in enumerate(miniz.templates)}
     feats = rng.normal(0, 1, SMALL.feature_dim)
-    first = greedy_action(params, feats, {"egg", "lamp"}, encoder, blanks)
-    second = greedy_action(params, feats, {"egg", "lamp"}, encoder, blanks)
+    mask = mask_of(params, {"egg", "lamp"})
+    first = greedy_action(params, feats, mask, encoder, blanks)
+    second = greedy_action(params, feats, mask, encoder, blanks)
     assert first == second
     for f in first[1]:
         assert params.entities[f] in {"egg", "lamp"}
@@ -263,7 +281,7 @@ def reference_loss_and_grads(params, transitions, encoder, value_coef,
         for position, e_idx in enumerate(tr.filler_indices):
             x = policy._entity_context(encoder, feats, position,
                                        tr.template_pattern, prev)
-            log_pe = policy._masked_log_softmax(
+            log_pe = reference_masked_log_softmax(
                 params.w_entity @ x + params.b_entity, tr.mask_idx)
             total_loss += -tr.advantage * log_pe[e_idx]
             pe = np.exp(log_pe)
@@ -332,10 +350,79 @@ def test_prepare_targets_matches_per_transition_values(miniz):
                                              rel=1e-12, abs=1e-12)
 
 
+# --- the actor as it was written before its per-call rebuilds were cut ------
+
+
+def reference_log_softmax(logits):
+    shift = logits - logits.max()
+    return shift - np.log(np.exp(shift).sum())
+
+
+def reference_masked_log_softmax(logits, mask_idx):
+    """Log-probabilities with exactly zero mass off the mask."""
+    masked = np.full(logits.shape, policy.NEG_INF)
+    masked[mask_idx] = logits[mask_idx]
+    shift = masked - masked.max()
+    log_z = np.log(np.exp(shift).sum())
+    return shift - log_z
+
+
+def reference_sample(p, rng):
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def reference_entity_context(encoder, feats, position, template_pattern,
+                             prev_entity):
+    return np.concatenate([
+        feats,
+        np.array([1.0, 0.0]) if position == 0 else np.array([0.0, 1.0]),
+        encoder.decode_vector("tmpl", template_pattern),
+        encoder.decode_vector("ent", prev_entity if prev_entity else "<none>"),
+    ])
+
+
+def test_draw_is_log_softmax_exp_and_sample_bit_for_bit(miniz):
+    rng = np.random.default_rng(17)
+    ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
+    n = len(miniz.entities)
+    for k in range(2000):
+        logits = rng.normal(0, 1 + k % 7, int(rng.integers(1, 30)))
+        assert np.array_equal(policy._log_softmax(logits),
+                              reference_log_softmax(logits))
+        assert policy._draw(logits, ours) == reference_sample(
+            np.exp(reference_log_softmax(logits)), theirs)
+        logits = rng.normal(0, 3, n)
+        mask = policy._mask_indices(miniz.entities, set(rng.choice(
+            miniz.entities, size=int(rng.integers(1, n + 1)), replace=False)))
+        assert np.array_equal(
+            policy._log_softmax(masked(logits, mask)),
+            reference_masked_log_softmax(logits, mask[0]))
+        assert policy._draw(masked(logits, mask), ours) == \
+            reference_sample(np.exp(reference_masked_log_softmax(
+                logits, mask[0])), theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_cached_context_tails_give_the_reference_entity_context(miniz):
+    rng = np.random.default_rng(18)
+    encoder = small_encoder()
+    for _ in range(300):
+        feats = rng.normal(0, 1, SMALL.feature_dim)
+        position = int(rng.integers(0, 3))
+        template = miniz.templates[int(rng.integers(len(miniz.templates)))]
+        prev = "" if rng.random() < 0.3 else \
+            miniz.entities[int(rng.integers(len(miniz.entities)))]
+        args = (encoder, feats, position, template.pattern, prev)
+        assert np.array_equal(policy._entity_context(*args),
+                              reference_entity_context(*args))
+
+
 def reference_act(params, feats, mask, rng, encoder, template_blanks):
     """act() drawing through rng.choice: (template, fillers)."""
-    log_pt = policy._log_softmax(params.w_template @ feats
-                                 + params.b_template)
+    log_pt = reference_log_softmax(params.w_template @ feats
+                                   + params.b_template)
     t_idx = int(rng.choice(len(log_pt), p=np.exp(log_pt)))
     mask_idx = np.array([i for i, e in enumerate(params.entities)
                          if e in mask], dtype=int)
@@ -344,9 +431,9 @@ def reference_act(params, feats, mask, rng, encoder, template_blanks):
     fillers = []
     prev = ""
     for position in range(template_blanks[t_idx]):
-        x = policy._entity_context(encoder, feats, position,
-                                   params.templates[t_idx], prev)
-        log_pe = policy._masked_log_softmax(
+        x = reference_entity_context(encoder, feats, position,
+                                     params.templates[t_idx], prev)
+        log_pe = reference_masked_log_softmax(
             params.w_entity @ x + params.b_entity, mask_idx)
         e_idx = int(rng.choice(len(log_pe), p=np.exp(log_pe)))
         fillers.append(e_idx)
@@ -365,7 +452,8 @@ def test_act_draws_match_rng_choice(miniz):
     for k in range(2000):
         feats = rng.normal(0, 1, SMALL.feature_dim)
         mask = masks[k % len(masks)]
-        result = act(params, feats, mask, ours, encoder, blanks)
+        result = act(params, feats, mask_of(params, mask), ours, encoder,
+                     blanks)
         expected = reference_act(params, feats, mask, theirs, encoder, blanks)
         assert (result.template_index, result.filler_indices) == expected
         assert result.mask_fallback == (not mask)

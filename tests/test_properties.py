@@ -8,15 +8,18 @@ going with arbitrary groundings, which every replay must ignore.
 
 import os
 import tempfile
+from collections import Counter
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from questkg import engine, extraction, games, kg, load_game, policy
 from questkg.gamedef import GameDef, GameParseError, GameValidationError
 from questkg.exploration import (AgentEnv, ExplorationConfig,
-                                 game_start_launch, launch_at, replay,
-                                 shorten_trajectory)
+                                 game_start_launch, launch_at, mc_train,
+                                 replay, shorten_trajectory)
+from test_exploration import BENCH, MC_PINS
 
 GAMES = {name: games.load_bundled(name) for name in games.BUNDLED}
 # walks may start with a lead-in; this one ends beside miniz's open
@@ -135,18 +138,31 @@ def test_state_hash_ignores_the_turn_counter(walk, extra):
         assert engine.snapshot(later) != engine.snapshot(state)
 
 
+def launch_on(game, texts, cut):
+    """The launch at the cut-th state of the walk's replay, if it is alive,
+    else the game start; and the texts after it."""
+    oracle = extraction.make_backend("oracle", game)
+    launch, rest = game_start_launch(game), texts
+    for i, state, graph in replay(game, launch, texts, oracle):
+        if i == min(cut, len(texts)) and state.alive:
+            launch, rest = launch_at(state, graph), texts[i:]
+    return launch, rest
+
+
+def make_env(game, backend=None):
+    config = ExplorationConfig(alpha=0.0, horizon=10**9)
+    return AgentEnv(game, policy.StateEncoder(config.encoder),
+                    backend or extraction.make_backend("oracle", game),
+                    kg.GlobalEdgeSet(), config, 0)
+
+
 @PROPERTY
 @given(walks(), st.integers(0, 40))
 def test_replay_graph_matches_an_agent_env(walk, cut):
     game, texts = walk
     oracle = extraction.make_backend("oracle", game)
-    config = ExplorationConfig(alpha=0.0, horizon=10**9)
-    encoder = policy.StateEncoder(config.encoder)
-    launch, rest = game_start_launch(game), texts
-    for i, state, graph in replay(game, launch, texts, oracle):
-        if i == min(cut, len(texts)) and state.alive:
-            launch, rest = launch_at(state, graph), texts[i:]
-    env = AgentEnv(game, encoder, oracle, kg.GlobalEdgeSet(), config, 0)
+    launch, rest = launch_on(game, texts, cut)
+    env = make_env(game, oracle)
     env.begin(launch)
     for text in rest:
         if env.step(engine.ground(game, text))[3]:
@@ -155,6 +171,117 @@ def test_replay_graph_matches_an_agent_env(walk, cut):
         pass
     assert graph.triples == env.graph.triples
     assert engine.snapshot(state) == engine.snapshot(env.state)
+
+
+def counted(backend):
+    """A pure backend that records its calls, and the list of them."""
+    calls = []
+
+    def answer(state, obs):
+        calls.append(state)
+        return backend(state, obs)
+    answer.pure = True
+    return answer, calls
+
+
+def begun(env):
+    """Everything begin builds, in a form compared bit for bit."""
+    mask_idx, fallback, off = env.mask()
+    return (env.graph.triples, kg.kg_hash(env.graph),
+            env.tracker.total.tobytes(), env.tracker.count, env.entity_refs,
+            mask_idx.tobytes(), fallback, off.tobytes(),
+            env.feats().tobytes())
+
+
+def entity_counts(graph):
+    return Counter(token for t in graph.triples
+                   for token in (t.subject, t.object))
+
+
+def assert_mask_is_fresh(env):
+    mask_idx, fallback, off = env.mask()
+    want_idx, want_fallback, want_off = policy._mask_indices(
+        env.game.entities, env.entity_refs)
+    assert np.array_equal(mask_idx, want_idx) and fallback == want_fallback
+    assert np.array_equal(off, want_off)
+    assert env.entity_refs == entity_counts(env.graph)
+
+
+@PROPERTY
+@given(walks(), st.integers(0, 40))
+def test_a_second_begin_from_a_launch_equals_a_fresh_begin(walk, cut):
+    game, texts = walk
+    launch, rest = launch_on(game, texts, cut)
+    backend, calls = counted(extraction.make_backend("oracle", game))
+    env = make_env(game, backend)
+    env.begin(launch)
+    for text in rest:
+        if env.step(engine.ground(game, text))[3]:
+            break
+    asked = len(calls)
+    env.begin(launch)
+    assert len(calls) == asked      # the second begin asks no backend
+    fresh_env = make_env(game)
+    fresh_env.begin(launch)
+    assert begun(env) == begun(fresh_env)
+
+
+@PROPERTY
+@given(walks(), st.integers(0, 40))
+def test_the_cached_mask_is_the_mask_of_the_graph(walk, cut):
+    game, texts = walk
+    launch, rest = launch_on(game, texts, cut)
+    env = make_env(game)
+    for _ in range(2):          # a fresh begin, then one from the memo
+        env.begin(launch)
+        assert_mask_is_fresh(env)
+        for text in rest:
+            done = env.step(engine.ground(game, text))[3]
+            assert_mask_is_fresh(env)
+            if done:
+                break
+
+
+def generator_of(backend):
+    """The numpy Generator a backend closes over."""
+    return next(c.cell_contents for c in backend.__closure__
+                if isinstance(c.cell_contents, np.random.Generator))
+
+
+@PROPERTY
+@given(walks(), st.integers(0, 40))
+def test_an_impure_backend_is_asked_on_every_begin(walk, cut):
+    game, texts = walk
+    launch, _ = launch_on(game, texts, cut)
+    noisy = extraction.make_backend("noisy", game, seed=5)
+    twin = extraction.make_backend("noisy", game, seed=5)
+    env = make_env(game, noisy)
+    env.begin(launch)
+    env.begin(launch)
+    state = engine.restore(launch.snapshot)
+    obs = engine.observe(state, game)
+    twin(state, obs)
+    twin(state, obs)
+    assert generator_of(noisy).bit_generator.state == \
+        generator_of(twin).bit_generator.state
+
+
+def test_a_memo_that_hits_on_any_launch_moves_a_pinned_mc_hash(monkeypatch):
+    """Mutation check: the memo's key matters.  Relabelling the memo with
+    whatever launch comes next makes every begin a hit on a stale graph."""
+    real_begin = AgentEnv.begin
+
+    def begin(self, launch):
+        if self._memo is not None:
+            self._memo = (launch, *self._memo[1:])
+        real_begin(self, launch)
+
+    monkeypatch.setattr(AgentEnv, "begin", begin)
+    pin = MC_PINS[3]
+    config = ExplorationConfig(seed=3, total_steps=20_000,
+                               **{**BENCH, "alpha": 2.0})
+    result = mc_train(GAMES["miniz"], config)
+    assert result.trajectory_hash != pin["trajectory_hash"]
 
 
 @PROPERTY
