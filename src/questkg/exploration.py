@@ -5,9 +5,11 @@ Training steps a batch of independent environment instances one after
 another, round-robin; they share policy parameters and a run-level global
 edge set.  Bookkeeping (buffers, monitor, chain, archive) happens between
 steps by the coordinator.  Replays of recorded action sequences go through
-replay(), except the chain layer's, which walks one oracle AgentEnv so that
-distillation sees the features execute_chain does; action sampling draws
-from a dedicated RNG stream so that deterministic bookkeeping never perturbs
+replay(), each with its own oracle, except the chain layer's, which walks
+one oracle AgentEnv so that distillation sees the features execute_chain
+does.  vanilla_train reads its best trajectory off the improving episode
+itself (AgentEnv.last_gain), without a replay.  Action sampling draws from
+a dedicated RNG stream so that deterministic bookkeeping never perturbs
 trajectories.
 """
 
@@ -135,7 +137,8 @@ class AgentEnv:
     With a pure backend, begin() keeps what it built from its last launch
     (one slot) and copies it when the same launch object comes again:
     restoring a snapshot and asking a pure backend give the same graph,
-    summary and entity counts every time.  An impure backend is asked on
+    summary and entity counts every time, and the global edge set already
+    holds the triples the miss absorbed.  An impure backend is asked on
     every begin.
     """
 
@@ -154,19 +157,17 @@ class AgentEnv:
         self.entity_refs = None
         self.episode_actions = None
         self.needs_reset = True
-        self.done = False
-        self._start_turn = 0
-        self.next_feats = None    # feats() of the current state, if known
+        self._feats = None        # feats(), until the next begin or step
         self._mask = None         # mask(), until a token enters or leaves
         self._memo = None         # (launch, what begin built from it)
 
     def begin(self, launch):
-        self.next_feats = None
+        self._feats = None
         self.state = engine.restore(launch.snapshot)
         if not self.state.alive:
             raise ValueError("cannot launch an episode from a terminal state")
         if self._memo is not None and self._memo[0] is launch:
-            _, graph, tracker, refs, self._mask, self.obs, added = self._memo
+            _, graph, tracker, refs, self._mask, self.obs = self._memo
             self.graph = graph.copy()
             self.tracker = tracker.copy()
             self.entity_refs = dict(refs)
@@ -182,18 +183,16 @@ class AgentEnv:
             answers = self.backend(self.state, self.obs)
             added, removed = kg.apply_answers(self.graph, answers)
             self._absorb_diff(added, removed)
+            self.global_edges.absorb(added)
             if self.pure:
                 self.tracker.summary()    # so that every hit shares it
                 self._memo = (launch, self.graph.copy(), self.tracker.copy(),
-                              dict(self.entity_refs), self.mask(), self.obs,
-                              added)
-        self.global_edges.absorb(added)
+                              dict(self.entity_refs), self.mask(), self.obs)
         self.episode_actions = []
         self.episode_new = 0      # globally new triples found this episode
         self.last_useful = 0      # actions up to the last gain or discovery
+        self.last_gain = 0        # actions up to the last score gain
         self.needs_reset = False
-        self.done = False
-        self._start_turn = self.state.turn
 
     def _ref(self, token, delta):
         old = self.entity_refs.get(token, 0)
@@ -215,14 +214,18 @@ class AgentEnv:
             self._ref(t.object, -1)
 
     def feats(self):
-        enc = self.encoder
-        return np.concatenate([
-            self.tracker.summary(),
-            enc.text_vector(self.obs.desc),
-            enc.text_vector(self.obs.feedback),
-            enc.text_vector(self.obs.inv),
-            enc.text_vector(self.obs.prev_action),
-        ])
+        """The state features, shared until the next begin or step: do not
+        write to them."""
+        if self._feats is None:
+            enc = self.encoder
+            self._feats = np.concatenate([
+                self.tracker.summary(),
+                enc.text_vector(self.obs.desc),
+                enc.text_vector(self.obs.feedback),
+                enc.text_vector(self.obs.inv),
+                enc.text_vector(self.obs.prev_action),
+            ])
+        return self._feats
 
     def mask(self):
         """The entity mask act and greedy_action take: _mask_indices of the
@@ -240,7 +243,7 @@ class AgentEnv:
         backend and the graph update are skipped and r_im is 0.
         """
         cfg = self.config
-        self.next_feats = None
+        self._feats = None
         view = self.state.view
         self.state, self.obs, r_game, done, movement = engine.step_movement(
             self.state, action, self.game)
@@ -255,12 +258,14 @@ class AgentEnv:
         r_shaped = kg.shaped_reward(
             r_game, self.state.score, self.game.max_score, r_im,
             alpha=cfg.alpha, eps=cfg.eps)
-        truncated = (not done
-                     and self.state.turn - self._start_turn >= cfg.horizon)
-        if done or truncated:
-            self.done = self.needs_reset = True
         self.episode_actions.append(action.text)
+        # every step is one turn
+        truncated = not done and len(self.episode_actions) >= cfg.horizon
+        if done or truncated:
+            self.needs_reset = True
         self.episode_new += r_im
+        if r_game > 0:
+            self.last_gain = len(self.episode_actions)
         if r_game > 0 or r_im > 0:
             self.last_useful = len(self.episode_actions)
         return r_game, r_im, r_shaped, done, truncated
@@ -273,11 +278,9 @@ class AgentEnv:
 class BottleneckMonitor:
     patience: int | None
     batch_size: int
-    p: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.p:
-            self.p = [0] * self.batch_size
+        self.new_highscore()        # p: stagnant steps per instance
 
     def step(self, instance):
         self.p[instance] += 1
@@ -307,17 +310,18 @@ class BufferEntry(Launch):
     prefix_len: int     # actions from game reset to this state
 
 
-def build_state_buffer(game, backend, actions_from_reset, capacity):
+def build_state_buffer(game, actions_from_reset, capacity):
     """Distinct (state, graph) pairs along a replayed trajectory.
 
-    Replays deterministically from reset, deduplicates on
-    (state hash, graph hash), skips terminal states, and keeps the most
-    recent `capacity` entries.
+    Replays deterministically from reset with the oracle's graph,
+    deduplicates on (state hash, graph hash), skips terminal states, and
+    keeps the most recent `capacity` entries.
     """
     entries = []
     seen = set()
     for i, state, graph in replay(game, game_start_launch(game),
-                                  actions_from_reset, backend):
+                                  actions_from_reset,
+                                  extraction.make_backend("oracle", game)):
         if not state.alive:
             continue
         key = (engine.state_hash(state), kg.kg_hash(graph))
@@ -612,18 +616,6 @@ def _end_state(game, launch, action_texts):
     return state
 
 
-def _truncate_at_peak(game, launch, action_texts):
-    """Drop the trailing actions after the last score gain.  Returns them
-    with the final score, or the launch score when nothing was gained."""
-    last_gain, score = 0, launch.score
-    for i, state, _ in replay(game, launch, action_texts):
-        if state.score > score:
-            last_gain = i
-        score = state.score
-    return list(action_texts[:last_gain]), score if last_gain else \
-        launch.score
-
-
 class _Trainer:
     """Shared machinery for the vanilla / MC / GO loops."""
 
@@ -634,7 +626,6 @@ class _Trainer:
         self.backend = extraction.make_backend(
             config.backend, game, seed=config.seed,
             p_drop=config.p_drop, p_swap=config.p_swap)
-        self.oracle = extraction.make_backend("oracle", game)
         self.global_edges = kg.GlobalEdgeSet()
         self.params = policy.init_params(game, config.encoder,
                                          gamma=config.gamma)
@@ -658,9 +649,7 @@ class _Trainer:
 
     def act_and_step(self, env, params=None):
         params = params or self.params
-        feats = env.next_feats
-        if feats is None:
-            feats = env.feats()
+        feats = env.feats()
         result = policy.act(params, feats, env.mask(), self.rng, self.encoder,
                             self.blanks)
         if result.mask_fallback:
@@ -670,8 +659,6 @@ class _Trainer:
             tuple(params.entities[f] for f in result.filler_indices))
         r_game, r_im, r_shaped, done, truncated = env.step(action)
         self.steps += 1
-        if not done:
-            env.next_feats = env.feats()
         transition = policy.Transition(
             feats=feats,
             template_index=result.template_index,
@@ -679,7 +666,7 @@ class _Trainer:
             mask_idx=result.mask_idx,
             template_pattern=params.templates[result.template_index],
             reward=r_shaped,
-            next_feats=env.next_feats,
+            next_feats=None if done else env.feats(),
         )
         self.transitions.append(transition)
         self.hasher.record(env.index, action.text, r_game, env.state.score,
@@ -700,6 +687,14 @@ class _Trainer:
         self.log.append(LogRow(self.steps, env.index, env.state.score,
                                r_im, r_t, len(self.global_edges), flags))
 
+    def result(self, j_max, best_actions, chain=None, gave_up=False,
+               backtracks=0):
+        return TrainResult(
+            j_max=j_max, best_actions=tuple(best_actions), chain=chain,
+            log=self.log, curve=self.curve,
+            trajectory_hash=self.hasher.hexdigest(), steps_used=self.steps,
+            gave_up=gave_up, backtracks=backtracks, fallbacks=self.fallbacks)
+
 
 def _phase(trainer, envs, get_launch, budget, j_target, params=None,
            monitor=None, on_improvement=None, tie_guard=None, splice=None):
@@ -708,8 +703,10 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
     Returns (best_improvement or None, steps used).  An improvement is an
     episode whose final score strictly exceeds j_target, or one that matches
     it while discovering globally new triples and passing tie_guard(env)
-    (None refuses ties); its payload is (score, action_texts,
-    last_useful_index).  When on_improvement is None the phase returns at
+    (None refuses ties); its payload is (score, action_texts, last_useful,
+    last_gain): the episode's final score and actions, and the number of
+    actions up to its last score gain or discovery and up to its last score
+    gain.  When on_improvement is None the phase returns at
     the first improvement, otherwise the callback consumes it and returns
     the new target; the phase then returns once trainer.at_max(target).
     get_launch is called whenever an instance starts an episode, so the
@@ -742,7 +739,7 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
                     and env.episode_new > 0 and tie_guard(env))
                 if improved:
                     improvement = (final, list(env.episode_actions),
-                                   env.last_useful)
+                                   env.last_useful, env.last_gain)
                     trainer.log_row(env, r_im, r_t, "highscore")
                     if on_improvement is None:
                         return improvement, used
@@ -794,8 +791,6 @@ def mc_train(game, config):
     cfg = config
     envs = trainer.make_envs(cfg.batch_size)
     start = game_start_launch(game)
-    launch = start
-    prefix = []                    # actions from reset to launch
     j_max = start.score
     best_actions = []
     monitor = BottleneckMonitor(cfg.patience, cfg.batch_size)
@@ -806,6 +801,7 @@ def mc_train(game, config):
     n_backtrack = max(cfg.horizon * cfg.batch_size, cfg.total_steps // 50)
     buffer_entries = [BufferEntry(start.snapshot, start.graph_triples,
                                   start.score, 0)]
+    launch = buffer_entries[0]     # reached by best_actions[:prefix_len]
 
     frontier_inv, frontier_flags = _state_capability(
         _end_state(game, start, []))
@@ -817,7 +813,7 @@ def mc_train(game, config):
         inv, flags = _state_capability(env.state)
         return inv >= frontier_inv and flags >= frontier_flags
 
-    def adopt(candidate_actions, score, force_advance=False):
+    def adopt(candidate_actions, score):
         """Install a new best trajectory and advance the launch frontier.
 
         The trajectory is loop-compressed, the buffer rebuilt, and (when
@@ -825,17 +821,15 @@ def mc_train(game, config):
         alive state on it.  The end state itself can be terminal when a
         gain and a death coincide, hence the buffer-tail launch.
         """
-        nonlocal j_max, best_actions, buffer_entries, launch, prefix
+        nonlocal j_max, best_actions, buffer_entries, launch
         nonlocal frontier_inv, frontier_flags
         best_actions = shorten_trajectory(game, candidate_actions)
         j_max = max(j_max, score)
         monitor.new_highscore()
-        buffer_entries = build_state_buffer(game, trainer.oracle,
-                                            best_actions, cfg.buffer_size)
-        if cfg.alpha > 0 or force_advance:
-            tail = buffer_entries[-1]
-            launch = tail
-            prefix = list(best_actions[:tail.prefix_len])
+        buffer_entries = build_state_buffer(game, best_actions,
+                                            cfg.buffer_size)
+        if cfg.alpha > 0:
+            launch = buffer_entries[-1]
             frontier_inv, frontier_flags = _state_capability(
                 _end_state(game, start, best_actions))
             # modular chaining: a fresh policy takes over at the new frontier
@@ -845,8 +839,9 @@ def mc_train(game, config):
         trainer.curve.append((trainer.steps, j_max))
 
     def on_improvement(improvement):
-        score, episode_actions, last_useful = improvement
-        adopt(prefix + episode_actions[:last_useful], score)
+        score, episode_actions, last_useful, _ = improvement
+        adopt(best_actions[:launch.prefix_len]
+              + episode_actions[:last_useful], score)
         return j_max
 
     def make_splice(entry):
@@ -871,9 +866,8 @@ def mc_train(game, config):
             if env.state.current_room != entry_room or not env.state.alive:
                 return None
             inv, flags = _state_capability(env.state)
-            gained = (env.state.score > entry.score
-                      or (inv >= entry_inv and inv != entry_inv)
-                      or (flags >= entry_flags and flags != entry_flags))
+            gained = (env.state.score > entry.score or inv > entry_inv
+                      or flags > entry_flags)
             if not gained:
                 return None
             key = (frozenset(inv), frozenset(flags), env.state.score,
@@ -889,11 +883,10 @@ def mc_train(game, config):
                 return None
             if final == j_max:
                 gained = (cinv >= frontier_inv and cflags >= frontier_flags
-                          and (cinv != frontier_inv
-                               or cflags != frontier_flags))
+                          and (cinv > frontier_inv or cflags > frontier_flags))
                 if not gained:
                     return None
-            adopt(candidate, final, force_advance=True)
+            adopt(candidate, final)
             return j_max
 
         return try_splice
@@ -916,7 +909,7 @@ def mc_train(game, config):
         advanced = False
         while trainer.steps < cfg.total_steps:
             j_before = j_max
-            entry, fresh, improvement, _ = backtrack(
+            entry, _, improvement, _ = backtrack(
                 trainer, buffer_entries, j_max, n_backtrack,
                 max_total=cfg.total_steps - trainer.steps,
                 tie_guard=tie_guard, make_splice=make_splice)
@@ -934,10 +927,9 @@ def mc_train(game, config):
                 if j_max > j_before:
                     break
                 continue
-            score, episode_actions, last_useful = improvement
-            trainer.params = fresh
-            adopt(list(best_actions[:entry.prefix_len])
-                  + episode_actions[:last_useful], score, force_advance=True)
+            score, episode_actions, last_useful, _ = improvement
+            adopt(best_actions[:entry.prefix_len]
+                  + episode_actions[:last_useful], score)
             break
         if not advanced:
             gave_up = True      # exhausted every snapshot; give up
@@ -945,17 +937,11 @@ def mc_train(game, config):
 
     trainer.flush_update()
     chain = build_chain(game, trainer.encoder, cfg, best_actions)
-    return TrainResult(
-        j_max=j_max, best_actions=tuple(best_actions), chain=chain,
-        log=trainer.log, curve=trainer.curve,
-        trajectory_hash=trainer.hasher.hexdigest(),
-        steps_used=trainer.steps, gave_up=gave_up, backtracks=backtracks,
-        fallbacks=trainer.fallbacks)
+    return trainer.result(j_max, best_actions, chain, gave_up, backtracks)
 
 
 def vanilla_train(game, config):
     """Plain batched A2C: no monitor, no buffers, no chaining."""
-    config = replace(config, patience=None)
     trainer = _Trainer(game, config)
     envs = trainer.make_envs(config.batch_size)
     start = game_start_launch(game)
@@ -963,8 +949,10 @@ def vanilla_train(game, config):
     best_actions = []
 
     def on_improvement(improvement):
+        # every episode starts at the game start, so it gained its score
         nonlocal j_max, best_actions
-        best_actions, j_max = _truncate_at_peak(game, start, improvement[1])
+        j_max, episode_actions, _, last_gain = improvement
+        best_actions = episode_actions[:last_gain]
         trainer.curve.append((trainer.steps, j_max))
         return j_max
 
@@ -972,11 +960,7 @@ def vanilla_train(game, config):
         _phase(trainer, envs, lambda: start, config.total_steps, j_max,
                on_improvement=on_improvement)
     trainer.flush_update()
-    return TrainResult(
-        j_max=j_max, best_actions=tuple(best_actions), chain=None,
-        log=trainer.log, curve=trainer.curve,
-        trajectory_hash=trainer.hasher.hexdigest(),
-        steps_used=trainer.steps, fallbacks=trainer.fallbacks)
+    return trainer.result(j_max, best_actions)
 
 
 # --- Go-Explore --------------------------------------------------------------
@@ -1067,8 +1051,4 @@ def go_train(game, config):
                 break
         trainer.flush_update()
 
-    return TrainResult(
-        j_max=best_score, best_actions=best_actions, chain=None,
-        log=trainer.log, curve=trainer.curve,
-        trajectory_hash=trainer.hasher.hexdigest(),
-        steps_used=trainer.steps, fallbacks=trainer.fallbacks), archive
+    return trainer.result(best_score, best_actions), archive

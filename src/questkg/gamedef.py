@@ -249,7 +249,7 @@ def _parse_int(text, what, line):
 
 
 def _section_lines(text):
-    """Yield (line_number, kind, payload) with kind in header/section/field."""
+    """Yield (line_number, kind, payload), kind "section" or "field"."""
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -333,6 +333,27 @@ def _entity_context(encoder, feats, position, template_pattern, prev_entity):
         position == 0, template_pattern, prev_entity)))
 
 
+def _argmax(logits, rng):
+    return int(np.argmax(logits))
+
+
+def _decode(params, feats, off, encoder, template_blanks, pick, rng):
+    """Pick a template, then a filler for each of its blanks with the
+    entities in off set to NEG_INF; pick(logits, rng) chooses an index."""
+    t_idx = pick(params.w_template @ feats + params.b_template, rng)
+    template = params.templates[t_idx]
+    fillers = []
+    prev = ""
+    for position in range(template_blanks[t_idx]):
+        x = _entity_context(encoder, feats, position, template, prev)
+        logits = params.w_entity @ x + params.b_entity
+        logits[off] = NEG_INF
+        e_idx = pick(logits, rng)
+        fillers.append(e_idx)
+        prev = params.entities[e_idx]
+    return t_idx, tuple(fillers)
+
+
 def act(params, feats, mask, rng, encoder, template_blanks):
     """Sample a factored action.
 
@@ -342,38 +363,17 @@ def act(params, feats, mask, rng, encoder, template_blanks):
     probability; an empty mask falls back to the full vocabulary and is
     flagged on the result.  Draws are those of rng.choice (see _draw).
     """
-    t_idx = _draw(params.w_template @ feats + params.b_template, rng)
     mask_idx, fallback, off = mask
-    template = params.templates[t_idx]
-    fillers = []
-    prev = ""
-    for position in range(template_blanks[t_idx]):
-        x = _entity_context(encoder, feats, position, template, prev)
-        logits = params.w_entity @ x + params.b_entity
-        logits[off] = NEG_INF
-        e_idx = _draw(logits, rng)
-        fillers.append(e_idx)
-        prev = params.entities[e_idx]
-    return ActResult(t_idx, tuple(fillers), fallback, mask_idx)
+    t_idx, fillers = _decode(params, feats, off, encoder, template_blanks,
+                             _draw, rng)
+    return ActResult(t_idx, fillers, fallback, mask_idx)
 
 
 def greedy_action(params, feats, mask, encoder, template_blanks):
     """Deterministic argmax decode used when executing frozen chain modules;
     mask is as for act."""
-    logits_t = params.w_template @ feats + params.b_template
-    t_idx = int(np.argmax(logits_t))
-    off = mask[2]
-    template = params.templates[t_idx]
-    fillers = []
-    prev = ""
-    for position in range(template_blanks[t_idx]):
-        x = _entity_context(encoder, feats, position, template, prev)
-        logits = params.w_entity @ x + params.b_entity
-        logits[off] = NEG_INF
-        e_idx = int(np.argmax(logits))
-        fillers.append(e_idx)
-        prev = params.entities[e_idx]
-    return t_idx, tuple(fillers)
+    return _decode(params, feats, mask[2], encoder, template_blanks,
+                   _argmax, None)
 
 
 # --- A2C update --------------------------------------------------------------

@@ -211,8 +211,9 @@ def test_enumerate_grounded_count_matches_iterator(miniz):
     assert len(set(a.text for a in actions)) == count
 
 
-def _brute_force_admissible(state, game):
-    """Ground truth: every grounding that changes the state digest."""
+def brute_force_admissible(state, game):
+    """Ground truth: the texts of every grounding whose step changes the
+    state digest."""
     out = set()
     _, it = enumerate_grounded(game, game.entities)
     base = snapshot(state)
@@ -254,7 +255,7 @@ def test_admissible_actions_match_brute_force(name, request):
     game = request.getfixturevalue(name)
     for state in _sample_states(game, 40):
         oracle = {a.text for a in admissible_actions(state, game)}
-        assert oracle == _brute_force_admissible(state, game)
+        assert oracle == brute_force_admissible(state, game)
 
 
 def test_walkthrough_reaches_max_score(miniz, chainworld, deceive):

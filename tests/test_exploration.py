@@ -61,6 +61,26 @@ def test_env_step_pays_im_only_for_new_triples(miniz):
     assert r_im_again == 0
 
 
+def test_feats_are_kept_until_the_next_begin_or_step(miniz):
+    env = make_env(miniz)
+    launch = game_start_launch(miniz)
+    env.begin(launch)
+    first = env.feats()
+    assert env.feats() is first
+    for text in ("wait", "go south", "go south"):
+        env.step(engine.ground(miniz, text))
+        now = env.feats()
+        assert now is not first and env.feats() is now
+        obs = env.obs
+        assert np.array_equal(now, np.concatenate(
+            [env.tracker.summary()]
+            + [env.encoder.text_vector(part) for part in (
+                obs.desc, obs.feedback, obs.inv, obs.prev_action)]))
+        first = now
+    env.begin(launch)
+    assert env.feats() is not first
+
+
 def test_env_horizon_truncates(miniz):
     env = make_env(miniz)
     env.begin(game_start_launch(miniz))
@@ -89,9 +109,8 @@ def test_stagnation_arithmetic():
 
 
 def test_state_buffer_dedups_and_skips_death(miniz):
-    backend = extraction.make_backend("oracle", miniz)
     texts = ["wait", "wait", "go south", "go west", "go south"]
-    entries = build_state_buffer(miniz, backend, texts, capacity=10)
+    entries = build_state_buffer(miniz, texts, capacity=10)
     # the waits dedup; each move is a new (state, graph) pair because the
     # movement triples keep enriching the graph
     assert len(entries) == 4
@@ -99,15 +118,14 @@ def test_state_buffer_dedups_and_skips_death(miniz):
     assert entries[0].prefix_len == 0
     death = ["go south", "go east", "open window", "go west", "go west",
              "open trapdoor", "go down"]
-    entries = build_state_buffer(miniz, backend, death, capacity=10)
+    entries = build_state_buffer(miniz, death, capacity=10)
     final = engine.restore(entries[-1].snapshot)
     assert final.alive
 
 
 def test_state_buffer_capacity_keeps_latest(miniz):
-    backend = extraction.make_backend("oracle", miniz)
     texts = walkthrough_texts(miniz)
-    entries = build_state_buffer(miniz, backend, texts, capacity=4)
+    entries = build_state_buffer(miniz, texts, capacity=4)
     assert len(entries) == 4
     assert entries[-1].prefix_len == len(texts)
 
@@ -248,6 +266,29 @@ def test_mc_matches_vanilla_with_im_and_patience_off(chainworld, miniz):
             va = vanilla_train(game, cfg)
             assert mc.trajectory_hash == va.trajectory_hash
             assert mc.j_max == va.j_max
+
+
+def test_mc_without_im_adopts_episodes_played_from_the_game_start(
+        chainworld):
+    """With alpha = 0 the launch stays at the game start, so each improving
+    episode is adopted without the best trajectory's prefix."""
+    cfg = ExplorationConfig(seed=0, total_steps=2500, batch_size=4,
+                            horizon=25, patience=None, alpha=0.0)
+    result = mc_train(chainworld, cfg)
+    assert result.curve == [(97, 2), (98, 6), (99, 12), (197, 20), (200, 30)]
+    assert list(result.best_actions) == [
+        "take pebble", "drop pebble", "go east", "go east", "go east",
+        "go east", "go west", "go east", "go east"]
+
+
+@pytest.mark.parametrize("name", ["chainworld", "deceive", "miniz"])
+def test_vanilla_best_actions_end_at_their_last_score_gain(name, request):
+    game = request.getfixturevalue(name)
+    result = vanilla_train(game, replace(FAST, total_steps=2000, alpha=0.0))
+    scores = [state.score for _, state, _ in exploration.replay(
+        game, game_start_launch(game), result.best_actions)]
+    assert len(scores) == len(result.best_actions) + 1
+    assert scores[-2] < scores[-1] == result.j_max
 
 
 def test_mc_clears_chainworld_and_reports_chain(chainworld):

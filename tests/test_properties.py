@@ -19,6 +19,7 @@ from questkg.gamedef import GameDef, GameParseError, GameValidationError
 from questkg.exploration import (AgentEnv, ExplorationConfig,
                                  game_start_launch, launch_at, mc_train,
                                  replay, shorten_trajectory)
+from test_engine import brute_force_admissible
 from test_exploration import BENCH, MC_PINS
 
 GAMES = {name: games.load_bundled(name) for name in games.BUNDLED}
@@ -284,6 +285,37 @@ def test_a_memo_that_hits_on_any_launch_moves_a_pinned_mc_hash(monkeypatch):
     assert result.trajectory_hash != pin["trajectory_hash"]
 
 
+def truncate_at_peak(game, launch, action_texts):
+    """Drop the trailing actions after the last score gain.  Returns them
+    with the final score, or the launch score when nothing was gained: the
+    replay vanilla_train once ran on every improving episode, and the
+    reference for AgentEnv.last_gain."""
+    last_gain, score = 0, launch.score
+    for i, state, _ in replay(game, launch, action_texts):
+        if state.score > score:
+            last_gain = i
+        score = state.score
+    return list(action_texts[:last_gain]), score if last_gain else \
+        launch.score
+
+
+@PROPERTY
+@given(walks(), st.integers(0, 40))
+def test_last_gain_is_where_a_replay_of_the_episode_peaks(walk, cut):
+    game, texts = walk
+    launch, rest = launch_on(game, texts, cut)
+    env = make_env(game)
+    env.begin(launch)
+    for text in rest:
+        done = env.step(engine.ground(game, text))[3]
+        gained = env.episode_actions[:env.last_gain]
+        final = env.state.score if env.last_gain else launch.score
+        assert (gained, final) == truncate_at_peak(game, launch,
+                                                   env.episode_actions)
+        if done:
+            break
+
+
 @PROPERTY
 @given(walks(max_len=60))
 def test_one_pass_shorten_matches_restart_reference(walk):
@@ -379,7 +411,7 @@ def test_a_start_state_that_satisfies_a_death_rule_dies_on_its_first_step():
                    kg.GlobalEdgeSet(), config, 0)
     env.begin(game_start_launch(game))
     assert env.step(wait)[3]
-    assert env.done and not env.state.alive
+    assert env.needs_reset and not env.state.alive
 
 
 @PROPERTY
@@ -390,15 +422,11 @@ def test_admissible_actions_are_the_state_changing_groundings(walk):
         if state.alive:
             blob = engine.snapshot(state)
     state = engine.restore(blob)
-    digest = engine.state_hash(state)
-    groundings = list(engine.enumerate_grounded(game, game.entities)[1])
-    changing = {a.text for a in groundings
-                if engine.state_hash(engine.step(engine.restore(blob), a,
-                                                 game)[0]) != digest}
+    groundings = engine.enumerate_grounded(game, game.entities)[1]
     touched = {a.text for a in groundings
                if engine._apply_verb(engine.restore(blob), game, a)[2]}
     assert {a.text for a in engine.admissible_actions(state, game)} == \
-        changing == touched
+        brute_force_admissible(state, game) == touched
 
 
 def fresh(state):
