@@ -97,6 +97,9 @@ def validate_config(config):
         raise ConfigError("strategy 'mc+im' requires alpha > 0")
     if config.budget < 0:
         raise ConfigError("budget must be non-negative")
+    for name in ("batch_size", "horizon", "cell_step", "buffer_size"):
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be at least 1")
     if not config.seeds:
         raise ConfigError("at least one seed is required")
     return config

@@ -4,13 +4,13 @@ chaining, the vanilla A2C baseline, and the Go-Explore-style cell archive.
 Training steps a batch of independent environment instances one after
 another, round-robin; they share policy parameters and a run-level global
 edge set.  Bookkeeping (buffers, monitor, chain, archive) happens between
-steps by the coordinator.  Replays of recorded action sequences go through
-replay(), each with its own oracle, except the chain layer's, which walks
-one oracle AgentEnv so that distillation sees the features execute_chain
-does.  vanilla_train reads its best trajectory off the improving episode
-itself (AgentEnv.last_gain), without a replay.  Action sampling draws from
-a dedicated RNG stream so that deterministic bookkeeping never perturbs
-trajectories.
+steps by the coordinator.  Recorded actions are replayed with a graph in
+one kind of oracle AgentEnv (_replay_env), which loop removal, the state
+buffer and the chain layer share; the splice checks replay the engine
+alone (_end_state).  vanilla_train reads its best trajectory off the
+improving episode itself (AgentEnv.last_gain), without a replay.  Action
+sampling draws from a dedicated RNG stream so that deterministic
+bookkeeping never perturbs trajectories.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,36 +99,6 @@ def game_start_launch(game):
 def launch_at(state, graph):
     return Launch(engine.snapshot(state), frozenset(graph.triples),
                   state.score)
-
-
-def replay(game, launch, action_texts, backend=None):
-    """Replay action texts from a launch, yielding (i, state, graph) after
-    each of the first i actions, from i = 0 (the launch itself) until the
-    texts run out or a step makes the state terminal.
-
-    With a backend the graph starts as the launch graph plus the answers for
-    the launch observation and is updated after every step that changed
-    the state, or after every step if the backend is not pure (see
-    AgentEnv.step); without one it is None.  state and graph are mutated in
-    place, so a caller copies what it keeps.
-    """
-    state = engine.restore(launch.snapshot)
-    graph = None
-    if backend is not None:
-        graph = launch.make_graph()
-        kg.apply_answers(graph, backend(state, engine.observe(state, game)))
-    pure = getattr(backend, "pure", False)
-    yield 0, state, graph
-    for i, text in enumerate(action_texts, start=1):
-        view = state.view
-        state, obs, _, done, movement = engine.step_movement(
-            state, engine.ground(game, text), game)
-        if graph is not None and not (
-                pure and view is not None and state.view is view):
-            kg.apply_answers(graph, backend(state, obs), movement=movement)
-        yield i, state, graph
-        if done:
-            return
 
 
 class AgentEnv:
@@ -213,6 +183,10 @@ class AgentEnv:
             self._ref(t.subject, -1)
             self._ref(t.object, -1)
 
+    def key(self):
+        """The (state hash, graph hash) pair: where the env is."""
+        return engine.state_hash(self.state), kg.kg_hash(self.graph)
+
     def feats(self):
         """The state features, shared until the next begin or step: do not
         write to them."""
@@ -271,6 +245,29 @@ class AgentEnv:
         return r_game, r_im, r_shaped, done, truncated
 
 
+_REPLAY_CONFIG = ExplorationConfig(alpha=0.0, horizon=10**9)
+
+
+def _replay_env(game, encoder):
+    """An oracle AgentEnv that never truncates and pays no intrinsic
+    reward, for walking recorded actions."""
+    return AgentEnv(game, encoder, extraction.make_backend("oracle", game),
+                    kg.GlobalEdgeSet(), _REPLAY_CONFIG, 0)
+
+
+def _walk(game, encoder, action_texts):
+    """Yield a _replay_env env begun at the game start, then after each text
+    it steps (its episode_actions) until they run out or one ends it."""
+    env = _replay_env(game, encoder)
+    env.begin(game_start_launch(game))
+    yield env
+    for text in action_texts:
+        done = env.step(engine.ground(game, text))[3]
+        yield env
+        if done:
+            return
+
+
 # --- monitor -----------------------------------------------------------------
 
 
@@ -310,26 +307,23 @@ class BufferEntry(Launch):
     prefix_len: int     # actions from game reset to this state
 
 
-def build_state_buffer(game, actions_from_reset, capacity):
+def build_state_buffer(game, actions_from_reset, capacity, encoder):
     """Distinct (state, graph) pairs along a replayed trajectory.
 
-    Replays deterministically from reset with the oracle's graph,
-    deduplicates on (state hash, graph hash), skips terminal states, and
-    keeps the most recent `capacity` entries.
+    Walks the actions from reset in an oracle env, deduplicates on its
+    key(), skips terminal states, and keeps the most recent `capacity`
+    entries.
     """
     entries = []
     seen = set()
-    for i, state, graph in replay(game, game_start_launch(game),
-                                  actions_from_reset,
-                                  extraction.make_backend("oracle", game)):
-        if not state.alive:
-            continue
-        key = (engine.state_hash(state), kg.kg_hash(graph))
-        if key not in seen:
+    for env in _walk(game, encoder, actions_from_reset):
+        key = env.key()
+        if env.state.alive and key not in seen:
             seen.add(key)
-            entries.append(BufferEntry(engine.snapshot(state),
-                                       frozenset(graph.triples),
-                                       state.score, i))
+            entries.append(BufferEntry(engine.snapshot(env.state),
+                                       frozenset(env.graph.triples),
+                                       env.state.score,
+                                       len(env.episode_actions)))
     return entries[-capacity:]
 
 
@@ -437,7 +431,7 @@ def _interpolate_head(feats, targets, n_classes, margin=10.0):
     return sol[:-1].T.copy(), sol[-1].copy()
 
 
-def shorten_trajectory(game, actions_from_reset):
+def shorten_trajectory(game, actions_from_reset, encoder):
     """Remove loops: whenever the replay revisits a (state, graph) pair the
     actions in between are spliced out.  Score-equivalent by construction
     (events depend only on world state) and leaves every visited pair unique,
@@ -447,29 +441,19 @@ def shorten_trajectory(game, actions_from_reset):
     no rule reads, so a revisited pair evolves exactly like its first visit.
     Actions after a terminal step are kept as they are.
     """
-    backend = extraction.make_backend("oracle", game)
     actions = list(actions_from_reset)
     kept = []
     seen = {}       # pair on the kept path -> len(kept) at its visit
-    for i, state, graph in replay(game, game_start_launch(game), actions,
-                                  backend):
+    for env in _walk(game, encoder, actions):
+        i = len(env.episode_actions)
         if i:
             kept.append(actions[i - 1])
-        key = (engine.state_hash(state), kg.kg_hash(graph))
-        at = seen.setdefault(key, len(kept))
+        at = seen.setdefault(env.key(), len(kept))
         if at < len(kept):
             del kept[at:]
             while len(seen) > at + 1:   # forget the pairs of the loop
                 seen.popitem()
     return kept + actions[i:]
-
-
-def _replay_env(game, encoder, config):
-    """An oracle AgentEnv that never truncates, for distilling and replaying
-    chains."""
-    return AgentEnv(game, encoder, extraction.make_backend("oracle", game),
-                    kg.GlobalEdgeSet(),
-                    replace(config, alpha=0.0, horizon=10**9), 0)
 
 
 def clone_segment_policy(game, encoder, config, steps):
@@ -502,16 +486,16 @@ def clone_segment_policy(game, encoder, config, steps):
 def build_chain(game, encoder, config, actions_from_reset):
     """Cut the best trajectory at score gains and distill one module each.
 
-    One walk: every segment starts with an env begun at its launch, so its
+    The actions must be loop-free, as shorten_trajectory leaves them.  One
+    walk: every segment starts with an env begun at its launch, so its
     features are those execute_chain sees.  The chain is accepted only if
     execute_chain replays every recorded action.
     """
-    actions = shorten_trajectory(game, actions_from_reset)
-    env = _replay_env(game, encoder, config)
+    env = _replay_env(game, encoder)
     env.begin(game_start_launch(game))
     chain = PolicyChain(j_max=env.state.score)
     segment = []        # (feats, action) since the launch
-    for text in actions:
+    for text in actions_from_reset:
         if not segment:
             launch = launch_at(env.state, env.graph)
             env.begin(launch)
@@ -551,7 +535,7 @@ def execute_chain(chain, game, config=None):
     """
     config = config or ExplorationConfig()
     encoder = policy.StateEncoder(config.encoder)
-    env = _replay_env(game, encoder, config)
+    env = _replay_env(game, encoder)
     blanks = {j: t.blanks for j, t in enumerate(game.templates)}
     hasher = TrajectoryHasher()
     trajectory = []
@@ -574,7 +558,7 @@ def execute_chain(chain, game, config=None):
             r_game, _, _, done, _ = env.step(action)
             trajectory.append(action.text)
             hasher.record(0, action.text, r_game, env.state.score,
-                          engine.state_hash(env.state), kg.kg_hash(env.graph))
+                          *env.key())
             if done:
                 break
         if env.state.score != module.handoff_score:
@@ -611,8 +595,10 @@ def _state_capability(state):
 
 def _end_state(game, launch, action_texts):
     """Engine state at the end of an engine-only replay from the launch."""
-    for _, state, _ in replay(game, launch, action_texts):
-        pass
+    state = engine.restore(launch.snapshot)
+    for text in action_texts:
+        if engine.step(state, engine.ground(game, text), game)[3]:
+            break
     return state
 
 
@@ -823,11 +809,12 @@ def mc_train(game, config):
         """
         nonlocal j_max, best_actions, buffer_entries, launch
         nonlocal frontier_inv, frontier_flags
-        best_actions = shorten_trajectory(game, candidate_actions)
+        best_actions = shorten_trajectory(game, candidate_actions,
+                                          trainer.encoder)
         j_max = max(j_max, score)
         monitor.new_highscore()
         buffer_entries = build_state_buffer(game, best_actions,
-                                            cfg.buffer_size)
+                                            cfg.buffer_size, trainer.encoder)
         if cfg.alpha > 0:
             launch = buffer_entries[-1]
             frontier_inv, frontier_flags = _state_capability(
@@ -975,18 +962,13 @@ class Cell:
 
 
 class CellArchive:
-    """Map from (state digest, graph digest) to its cell; scores dominate."""
+    """Map from (state digest, graph digest) to the first cell inserted."""
 
     def __init__(self):
         self.cells = {}           # key -> Cell, insertion-ordered
 
     def insert(self, key, cell):
-        existing = self.cells.get(key)
-        if existing is None:
-            self.cells[key] = cell
-        elif cell.score > existing.score:
-            existing.score = cell.score
-        return self.cells[key]
+        return self.cells.setdefault(key, cell)
 
     def sample(self, rng):
         """Score-weighted choice: weight = score + 1."""
@@ -1015,10 +997,8 @@ def go_train(game, config):
     archive = CellArchive()
     env = trainer.make_envs(1)[0]
 
-    start = game_start_launch(game)
-    env.begin(start)
-    start_key = (engine.state_hash(env.state), kg.kg_hash(env.graph))
-    archive.insert(start_key, Cell(launch_at(env.state, env.graph),
+    env.begin(game_start_launch(game))
+    archive.insert(env.key(), Cell(launch_at(env.state, env.graph),
                                    env.state.score, 0, ()))
     best_score = env.state.score
     best_actions = ()
@@ -1038,7 +1018,7 @@ def go_train(game, config):
             path.append(action.text)
             if env.state.alive:
                 # the key holds the score, so a known key's cell stays as is
-                key = (engine.state_hash(env.state), kg.kg_hash(env.graph))
+                key = env.key()
                 if key not in archive:
                     archive.insert(key, Cell(launch_at(env.state, env.graph),
                                              env.state.score, 0, tuple(path)))

@@ -114,6 +114,24 @@ def test_negative_alpha_or_eps_is_a_config_error(flags, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "vanilla", "--batch-size", "0"],
+    ["--strategy", "mc+im", "--batch-size", "0"],
+    ["--strategy", "go", "--cell-step", "0"],
+    ["--buffer-size", "0"],
+    ["--horizon", "0"],
+    ["--horizon", "-3"],
+])
+def test_sizes_below_one_are_config_errors(flags):
+    # through the parser rather than main: run with a batch or cell step of
+    # 0, some strategies never return
+    args = cli.build_parser().parse_args(["run", *flags, "--budget", "200"])
+    with pytest.raises(ConfigError, match="at least 1"):
+        cli._build_run_config(args)
+    validate_config(RunConfig(batch_size=1, horizon=1, cell_step=1,
+                              buffer_size=1))
+
+
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_every_strategy_runs_with_default_flags(strategy, tmp_path,
                                                  monkeypatch):

@@ -22,6 +22,7 @@ from questkg.exploration import (AgentEnv, BottleneckMonitor, CellArchive,
 FAST = ExplorationConfig(seed=0, total_steps=4000, batch_size=4, horizon=25,
                          patience=200, alpha=2.0, learning_rate=0.01,
                          entropy_coef=0.05)
+ENCODER = policy.StateEncoder(FAST.encoder)
 
 
 def make_env(game, config=FAST):
@@ -110,7 +111,7 @@ def test_stagnation_arithmetic():
 
 def test_state_buffer_dedups_and_skips_death(miniz):
     texts = ["wait", "wait", "go south", "go west", "go south"]
-    entries = build_state_buffer(miniz, texts, capacity=10)
+    entries = build_state_buffer(miniz, texts, 10, ENCODER)
     # the waits dedup; each move is a new (state, graph) pair because the
     # movement triples keep enriching the graph
     assert len(entries) == 4
@@ -118,30 +119,30 @@ def test_state_buffer_dedups_and_skips_death(miniz):
     assert entries[0].prefix_len == 0
     death = ["go south", "go east", "open window", "go west", "go west",
              "open trapdoor", "go down"]
-    entries = build_state_buffer(miniz, death, capacity=10)
+    entries = build_state_buffer(miniz, death, 10, ENCODER)
     final = engine.restore(entries[-1].snapshot)
     assert final.alive
 
 
 def test_state_buffer_capacity_keeps_latest(miniz):
     texts = walkthrough_texts(miniz)
-    entries = build_state_buffer(miniz, texts, capacity=4)
+    entries = build_state_buffer(miniz, texts, 4, ENCODER)
     assert len(entries) == 4
     assert entries[-1].prefix_len == len(texts)
 
 
 def test_shorten_trajectory_removes_loops(miniz):
     texts = ["go south", "go north", "go south", "go east"]
-    shortened = shorten_trajectory(miniz, texts)
+    shortened = shorten_trajectory(miniz, texts, ENCODER)
     assert shortened == ["go south", "go east"]
     # a loop that changes the graph only through revisits still collapses
-    assert shorten_trajectory(miniz, ["wait", "wait"]) == []
+    assert shorten_trajectory(miniz, ["wait", "wait"], ENCODER) == []
 
 
 def test_shorten_preserves_outcome(miniz):
     texts = ["open mailbox", "go south", "go north", "go south", "go east",
              "open window", "go west"]
-    shortened = shorten_trajectory(miniz, texts)
+    shortened = shorten_trajectory(miniz, texts, ENCODER)
     state, _, _ = engine.reset(miniz)
     for text in shortened:
         state, _, _, _ = engine.step(state, engine.ground(miniz, text), miniz)
@@ -285,9 +286,12 @@ def test_mc_without_im_adopts_episodes_played_from_the_game_start(
 def test_vanilla_best_actions_end_at_their_last_score_gain(name, request):
     game = request.getfixturevalue(name)
     result = vanilla_train(game, replace(FAST, total_steps=2000, alpha=0.0))
-    scores = [state.score for _, state, _ in exploration.replay(
-        game, game_start_launch(game), result.best_actions)]
-    assert len(scores) == len(result.best_actions) + 1
+    state, _, score = engine.reset(game)
+    scores, done = [score], False
+    for text in result.best_actions:
+        assert not done
+        state, _, _, done = engine.step(state, engine.ground(game, text), game)
+        scores.append(state.score)
     assert scores[-2] < scores[-1] == result.j_max
 
 
@@ -332,15 +336,13 @@ def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
     assert stale and not any(stale)
 
 
-def test_archive_insert_keeps_best_score(chainworld):
+def test_archive_insert_keeps_the_first_cell(chainworld):
     archive = CellArchive()
     launch = game_start_launch(chainworld)
     cell = Cell(launch, 0, 0, ())
-    archive.insert("k", cell)
-    archive.insert("k", Cell(launch, 5, 0, ("x",)))
-    assert archive.cells["k"].score == 5
-    archive.insert("k", Cell(launch, 3, 0, ()))
-    assert archive.cells["k"].score == 5
+    assert archive.insert("k", cell) is cell
+    assert archive.insert("k", Cell(launch, 5, 0, ("x",))) is cell
+    assert archive.cells == {"k": cell} and cell.score == 0
 
 
 def test_backends_mark_only_the_oracle_pure(miniz):

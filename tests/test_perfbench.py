@@ -69,16 +69,16 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
     assert tracer.calls_in_runs("exploration.shorten_trajectory", first) > 0
     # build_chain checks the chain it distils with execute_chain
     assert tracer.calls_in_runs("exploration.execute_chain", first) == 2
-    # one pass: each recorded action is stepped at most once
+    # one pass: shorten_trajectory steps its env once per recorded action
+    # at most
     assert 0 < tracer.child_calls(
-        "engine.step_movement", "exploration.shorten_trajectory") <= \
+        "exploration.AgentEnv.step", "exploration.shorten_trajectory") <= \
         tracer.counts["shorten_trajectory.actions_in"]
-    # the oracle replay asks its backend only after steps that change the
-    # state, so fewer times than there are actions (once each, plus once
-    # per launch, without the fast path)
+    # an oracle env asks its backend only after steps that change the
+    # state, so fewer times than it steps the engine
     assert 0 < tracer.child_calls(
-        "extraction.oracle_answer", "exploration.shorten_trajectory") < \
-        tracer.counts["shorten_trajectory.actions_in"]
+        "extraction.oracle_answer", "exploration.AgentEnv.step") < \
+        tracer.child_calls("engine.step_movement", "exploration.AgentEnv.step")
 
 
 WORKLOADS = load("workloads").WORKLOADS

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from questkg import engine, extraction, games, kg, load_game, policy
 from questkg.gamedef import GameDef, GameParseError, GameValidationError
 from questkg.exploration import (AgentEnv, ExplorationConfig,
-                                 game_start_launch, launch_at, mc_train,
-                                 replay, shorten_trajectory)
+                                 build_state_buffer, game_start_launch,
+                                 launch_at, mc_train, shorten_trajectory)
 from test_engine import brute_force_admissible
 from test_exploration import BENCH, MC_PINS
 
@@ -29,6 +29,7 @@ LEADS = {"miniz": ((), ("go south", "go east", "open window", "go west",
                         "go west", "open trapdoor"))}
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+ENCODER = policy.StateEncoder(ExplorationConfig().encoder)
 
 
 @st.composite
@@ -90,6 +91,48 @@ def restart_shorten(game, actions_from_reset):
             if done:
                 break
     return actions
+
+
+def replay(game, launch, action_texts, backend=None):
+    """Replay action texts from a launch, yielding (i, state, graph) after
+    each of the first i actions, from i = 0 (the launch itself) until the
+    texts run out or a step ends the game.
+
+    With a backend the graph starts as the launch graph plus the answers
+    for the launch observation and takes the answers after every step;
+    without one it is None.  state and graph are mutated in place.  The
+    reference for the oracle env that exploration walks recorded actions
+    in, which skips the backend after a step that changed nothing.
+    """
+    state = engine.restore(launch.snapshot)
+    graph = None
+    if backend is not None:
+        graph = launch.make_graph()
+        kg.apply_answers(graph, backend(state, engine.observe(state, game)))
+    yield 0, state, graph
+    for i, text in enumerate(action_texts, start=1):
+        state, obs, _, done, movement = engine.step_movement(
+            state, engine.ground(game, text), game)
+        if graph is not None:
+            kg.apply_answers(graph, backend(state, obs), movement=movement)
+        yield i, state, graph
+        if done:
+            return
+
+
+def replay_buffer(game, actions_from_reset, capacity):
+    """The state buffer as (snapshot, triples, score, prefix_len) rows,
+    built on the reference replay."""
+    oracle = extraction.make_backend("oracle", game)
+    rows, seen = [], set()
+    for i, state, graph in replay(game, game_start_launch(game),
+                                  actions_from_reset, oracle):
+        key = (engine.state_hash(state), kg.kg_hash(graph))
+        if state.alive and key not in seen:
+            seen.add(key)
+            rows.append((engine.snapshot(state), frozenset(graph.triples),
+                         state.score, i))
+    return rows[-capacity:]
 
 
 @PROPERTY
@@ -320,7 +363,18 @@ def test_last_gain_is_where_a_replay_of_the_episode_peaks(walk, cut):
 @given(walks(max_len=60))
 def test_one_pass_shorten_matches_restart_reference(walk):
     game, texts = walk
-    assert shorten_trajectory(game, texts) == restart_shorten(game, texts)
+    assert shorten_trajectory(game, texts, ENCODER) == \
+        restart_shorten(game, texts)
+
+
+@PROPERTY
+@given(walks(), st.sampled_from((1, 4, 40)))
+@example((GAMES["miniz"], [*LEADS["miniz"][1], "go down", "wait"]), 40)
+def test_state_buffer_matches_the_replay_reference(walk, capacity):
+    game, texts = walk
+    rows = [(e.snapshot, e.graph_triples, e.score, e.prefix_len)
+            for e in build_state_buffer(game, texts, capacity, ENCODER)]
+    assert rows == replay_buffer(game, texts, capacity)
 
 
 LOOPWORLD = """questgame 1
