@@ -16,8 +16,7 @@ from .engine import (GroundedAction, Observation, WorldState,
                      admissible_actions, enumerate_grounded, ground, reset,
                      restore, snapshot, step)
 from .games import load_bundled
-from .kg import (GlobalEdgeSet, KnowledgeGraph, Triple, im_reward, kg_hash,
-                 shaped_reward)
+from .kg import GlobalEdgeSet, KnowledgeGraph, Triple, kg_hash, shaped_reward
 from .questgraph import (DependencyGraph, DepVertex, bottlenecks,
                          topological_levels, validate_against_game)
 
@@ -26,8 +25,7 @@ __all__ = [
     "GroundedAction", "Observation", "WorldState", "admissible_actions",
     "enumerate_grounded", "ground", "reset", "restore", "snapshot", "step",
     "load_bundled",
-    "GlobalEdgeSet", "KnowledgeGraph", "Triple", "im_reward", "kg_hash",
-    "shaped_reward",
+    "GlobalEdgeSet", "KnowledgeGraph", "Triple", "kg_hash", "shaped_reward",
     "DependencyGraph", "DepVertex", "bottlenecks", "topological_levels",
     "validate_against_game",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -83,8 +84,14 @@ def validate_config(config):
                           f"got {config.strategy!r}")
     if config.alpha is None:
         config = replace(config, alpha=DEFAULT_ALPHA[config.strategy])
+    for name in ("alpha", "eps", "gamma", "learning_rate", "entropy_coef",
+                 "p_drop", "p_swap"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite")
     if config.alpha < 0 or config.eps < 0:
         raise ConfigError("alpha and eps must be non-negative")
+    if not (0 <= config.p_drop <= 1 and 0 <= config.p_swap <= 1):
+        raise ConfigError("p_drop and p_swap must lie in [0, 1]")
     if config.backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, "
                           f"got {config.backend!r}")
@@ -206,7 +213,7 @@ def analyze_game(path, out=sys.stdout):
     print(f"walkthrough: {len(actions)} actions to score {score}", file=out)
 
 
-def collect_qa_states(game, budget, seed, horizon=50):
+def collect_qa_states(game, budget, seed):
     """(QAContext, AnswerSet) pairs from the walkthrough plus random play."""
     if budget <= 0:
         return []
@@ -228,7 +235,7 @@ def collect_qa_states(game, budget, seed, horizon=50):
             break
     while len(records) < budget:
         state, obs, _ = engine.reset(game)
-        for _ in range(horizon):
+        for _ in range(50):        # turns per random episode
             if len(records) >= budget:
                 break
             actions = sorted(engine.admissible_actions(state, game),

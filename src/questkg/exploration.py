@@ -417,16 +417,16 @@ def load_chain(blob):
         raise ValueError(f"malformed chain checkpoint: {exc!r}") from None
 
 
-def _interpolate_head(feats, targets, n_classes, margin=10.0):
+def _interpolate_head(feats, targets, n_classes):
     """Least-squares fit of a linear head so each target is the argmax.
 
-    With fewer samples than feature dimensions the fit is exact and the
-    target logit beats every other class by 2 * margin.
+    With fewer samples than feature dimensions the fit is exact: the target
+    logit is 10 and every other class's is -10.
     """
     F = np.asarray(feats)
     A = np.hstack([F, np.ones((len(F), 1))])
-    D = np.full((len(F), n_classes), -margin)
-    D[np.arange(len(F)), targets] = margin
+    D = np.full((len(F), n_classes), -10.0)
+    D[np.arange(len(F)), targets] = 10.0
     sol, *_ = np.linalg.lstsq(A, D, rcond=None)
     return sol[:-1].T.copy(), sol[-1].copy()
 
@@ -529,9 +529,9 @@ def execute_chain(chain, game, config=None):
     """Greedy, deterministic replay of a chain. Returns (actions, score, hash).
 
     Raises ChainExecutionError if a module's policy was trained on other
-    templates or entities than the game's, or if any module fails to
-    reproduce its recorded handoff score (which would indicate
-    nondeterminism).
+    templates or entities than the game's, if its arrays do not have the
+    shapes the config's encoder gives, or if any module fails to reproduce
+    its recorded handoff score (which would indicate nondeterminism).
     """
     config = config or ExplorationConfig()
     encoder = policy.StateEncoder(config.encoder)
@@ -541,20 +541,27 @@ def execute_chain(chain, game, config=None):
     trajectory = []
     score = engine.reset(game)[2]
 
-    vocab = (tuple(t.pattern for t in game.templates), tuple(game.entities))
+    want = policy.init_params(game, config.encoder)
     for i, module in enumerate(chain.modules):
-        if (module.params.templates, module.params.entities) != vocab:
+        params = module.params
+        if (params.templates, params.entities) != (want.templates,
+                                                   want.entities):
             raise ChainExecutionError(
                 f"module {i}: policy templates or entities differ from "
                 f"game {game.name!r}")
+        for name in want.ARRAYS:
+            have, need = getattr(params, name).shape, getattr(want, name).shape
+            if have != need:
+                raise ChainExecutionError(f"module {i}: {name} has shape "
+                                          f"{have}, the encoder needs {need}")
         env.begin(module.launch)
         for _ in range(module.length):
             feats = env.feats()
-            t_idx, fillers = policy.greedy_action(module.params, feats,
-                                                  env.mask(), encoder, blanks)
+            t_idx, fillers = policy.greedy_action(params, feats, env.mask(),
+                                                  encoder, blanks)
             action = engine.GroundedAction(
                 game.templates[t_idx],
-                tuple(module.params.entities[f] for f in fillers))
+                tuple(params.entities[f] for f in fillers))
             r_game, _, _, done, _ = env.step(action)
             trajectory.append(action.text)
             hasher.record(0, action.text, r_game, env.state.score,

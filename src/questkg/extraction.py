@@ -3,7 +3,8 @@
 Answer backends are pluggable: a ground-truth oracle reading the simulator
 state, a rule-based extractor over rendered text, and a seeded noise wrapper
 simulating QA-model error.  Downstream code consumes AnswerSet values and
-never inspects which backend produced them.
+never inspects which backend produced them.  A QAContext is written and
+read as text only in the QA dataset layout (qa_record, parse_qa_dataset).
 """
 
 from __future__ import annotations
@@ -41,31 +42,19 @@ class QAContext:
     obs: str
     atr: str
 
-    def serialize(self):
-        return f"[loc] {self.loc} [inv] {self.inv} [obs] {self.obs} [atr] {self.atr}"
-
 
 def _flatten(text):
     return " ".join(text.split())
 
 
 def build_context(obs, attr_vocab):
-    """Serialize an engine observation into the QA context layout."""
+    """Flatten an engine observation into a QAContext."""
     return QAContext(
         loc=_flatten(obs.desc),
         inv=_flatten(obs.inv),
         obs=_flatten(obs.feedback),
         atr=", ".join(attr_vocab),
     )
-
-
-def parse_context(text):
-    """Inverse of QAContext.serialize()."""
-    pattern = r"\[loc\] (.*) \[inv\] (.*) \[obs\] (.*) \[atr\] (.*)"
-    m = re.fullmatch(pattern, text, flags=re.DOTALL)
-    if m is None:
-        raise ValueError("text is not a serialized QA context")
-    return QAContext(*m.groups())
 
 
 def oracle_answer(state, game):
@@ -133,7 +122,7 @@ def _match_entities(text, lexicon, with_directions):
 
 
 def rule_answer(ctx, lexicon):
-    """Pattern rules over the serialized context; no simulator access."""
+    """Pattern rules over the context's text; no simulator access."""
     location = ""
     loc_norm = normalize(ctx.loc)
     for name in sorted(lexicon.room_names, key=len, reverse=True):
@@ -163,13 +152,10 @@ def rule_answer(ctx, lexicon):
 def noisy_answer(answers, p_drop, p_swap, rng, vocabulary):
     """Corrupt an AnswerSet: items dropped with p_drop, swapped with p_swap.
 
-    rng is a numpy Generator (or an int seed); corruption is reproducible
-    for a given seed.
+    rng is a numpy Generator; corruption is reproducible for a given seed.
     """
     if not 0 <= p_drop <= 1 or not 0 <= p_swap <= 1:
         raise ValueError("p_drop and p_swap must be probabilities")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     vocab = sorted(vocabulary)
 
     def corrupt_items(items):

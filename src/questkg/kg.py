@@ -3,8 +3,8 @@
 The knowledge graph is a set of <subject, relation, object> triples with an
 order-independent 64-bit digest maintained incrementally.  A GlobalEdgeSet
 accumulates every triple ever held across a run; the intrinsic reward for a
-step is the count of triples never seen before, so each unique triple pays
-out exactly once per run.
+step is GlobalEdgeSet.absorb's count of triples never seen before, so each
+unique triple pays out exactly once per run.
 """
 
 from __future__ import annotations
@@ -165,16 +165,6 @@ def apply_answers(graph, answers, movement=None):
     return added, removed
 
 
-def im_reward(graph, global_edges):
-    """Intrinsic reward: count of triples never before seen in the run.
-
-    Returns (r_im, global_edges); the global set is updated in place and
-    returned for chaining.
-    """
-    r_im = global_edges.absorb(graph.triples)
-    return r_im, global_edges
-
-
 def shaped_reward(r_game, episode_score, r_max, r_im, alpha=1.0, eps=1.0):
     """Game reward plus score-scaled intrinsic bonus.
 
@@ -186,20 +176,3 @@ def shaped_reward(r_game, episode_score, r_max, r_im, alpha=1.0, eps=1.0):
     if alpha < 0 or eps < 0:
         raise ValueError("alpha and eps must be non-negative")
     return r_game + alpha * r_im * (episode_score + eps) / r_max
-
-
-def serialize_triples(graph):
-    """One normalized triple per line, tab-separated, sorted."""
-    return "\n".join(sorted(t.line() for t in graph.triples))
-
-
-def parse_triples(text):
-    graph = KnowledgeGraph()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"bad triple line {line!r}")
-        graph.add(Triple.make(*parts))
-    return graph

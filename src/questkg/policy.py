@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NEG_INF = -1e30  # soft -inf keeps exp() at exactly 0.0 without nan traps
+VALUE_COEF = 0.5  # weight of the critic's squared error in the A2C loss
 
 CHECKPOINT_VERSION = 1
 
@@ -213,15 +214,6 @@ class PolicyParams:
     ARRAYS = ("w_template", "b_template", "w_entity", "b_entity",
               "w_value", "b_value")
 
-    def copy(self):
-        return PolicyParams(
-            templates=self.templates, entities=self.entities,
-            w_template=self.w_template.copy(),
-            b_template=self.b_template.copy(),
-            w_entity=self.w_entity.copy(), b_entity=self.b_entity.copy(),
-            w_value=self.w_value.copy(), b_value=self.b_value.copy(),
-            gamma=self.gamma)
-
     def to_vector(self):
         return np.concatenate([getattr(self, n).ravel() for n in self.ARRAYS])
 
@@ -279,6 +271,10 @@ def load_params(blob):
         gamma=meta["gamma"],
         **{n: np.zeros(tuple(meta["shapes"][n])) for n in PolicyParams.ARRAYS})
     vec = np.frombuffer(blob[4 + head_len:], dtype="<f8").copy()
+    size = sum(getattr(params, n).size for n in params.ARRAYS)
+    if vec.size != size:
+        raise ValueError(f"checkpoint holds {vec.size} values, its shapes "
+                         f"need {size}")
     return params.from_vector(vec)
 
 
@@ -431,12 +427,11 @@ def _head_loss_and_dlogits(log_p, chosen, advantage, entropy_coef):
     return loss, d_logits
 
 
-def a2c_loss_and_grads(params, transitions, encoder,
-                       value_coef=0.5, entropy_coef=0.01):
+def a2c_loss_and_grads(params, transitions, encoder, entropy_coef=0.01):
     """Total loss and analytic gradients for a batch of prepared transitions.
 
     Loss per transition: -(log pi_T + sum log pi_O) * A
-                         + value_coef * 0.5 * (Q - V)^2
+                         + VALUE_COEF * 0.5 * (Q - V)^2
                          + entropy_coef * sum(P log P) over each decision.
     Advantages and targets are treated as constants.  The batch is computed
     as matrix products: with the N states stacked in X and the M blank
@@ -478,7 +473,7 @@ def a2c_loss_and_grads(params, transitions, encoder,
 
     # critic
     delta = target_q - (X @ params.w_value + params.b_value)
-    d_v = -value_coef * delta
+    d_v = -VALUE_COEF * delta
 
     grads = {
         "w_template": d_t.T @ X,
@@ -488,12 +483,12 @@ def a2c_loss_and_grads(params, transitions, encoder,
         "w_value": d_v @ X,
         "b_value": np.array(d_v.sum()),
     }
-    total_loss = loss_t + loss_e + value_coef * 0.5 * float(delta @ delta)
+    total_loss = loss_t + loss_e + VALUE_COEF * 0.5 * float(delta @ delta)
     return float(total_loss), grads
 
 
 def a2c_update(params, transitions, encoder, learning_rate=0.01,
-               value_coef=0.5, entropy_coef=0.01):
+               entropy_coef=0.01):
     """One semi-gradient A2C step over a trajectory batch (in place).
 
     Raises on non-finite gradients, leaving params untouched.
@@ -502,7 +497,7 @@ def a2c_update(params, transitions, encoder, learning_rate=0.01,
         raise ValueError("empty trajectory")
     prepare_targets(params, transitions)
     loss, grads = a2c_loss_and_grads(params, transitions, encoder,
-                                     value_coef, entropy_coef)
+                                     entropy_coef)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name}")

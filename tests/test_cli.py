@@ -132,6 +132,27 @@ def test_sizes_below_one_are_config_errors(flags):
                               buffer_size=1))
 
 
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "mc+im", "--backend", "noisy", "--p-drop", "1.5"],
+    ["--strategy", "vanilla", "--p-swap", "-0.5"],
+    ["--strategy", "go", "--p-drop", "nan"],
+    ["--strategy", "mc+im", "--alpha", "nan"],
+    ["--strategy", "mc+im", "--alpha", "inf"],
+    ["--eps", "nan"],
+    ["--strategy", "vanilla", "--learning-rate", "inf"],
+    ["--gamma", "nan"],
+    ["--entropy-coef=-inf"],
+])
+def test_non_finite_or_out_of_range_floats_are_config_errors(flags):
+    # each of these used to fail mid-run, after config.json was written,
+    # or to run and record the bad value
+    args = cli.build_parser().parse_args(["run", *flags, "--budget", "200"])
+    with pytest.raises(ConfigError, match="finite|in \\[0, 1\\]"):
+        cli._build_run_config(args)
+    validate_config(RunConfig(p_drop=0.0, p_swap=1.0))
+    validate_config(RunConfig(backend="noisy", p_drop=1.0, p_swap=0.0))
+
+
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_every_strategy_runs_with_default_flags(strategy, tmp_path,
                                                  monkeypatch):

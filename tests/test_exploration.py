@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from questkg import (engine, exploration, extraction, games, kg, policy,
+from questkg import (cli, engine, exploration, extraction, games, kg, policy,
                      search)
 from questkg.exploration import (AgentEnv, BottleneckMonitor, CellArchive,
                                  Cell, ChainCloneError, ChainExecutionError,
@@ -503,6 +503,28 @@ def test_execute_chain_rejects_a_chain_of_another_game(chainworld, miniz):
                         walkthrough_texts(chainworld))
     with pytest.raises(ChainExecutionError, match="module 0"):
         execute_chain(chain, miniz)
+
+
+def test_execute_chain_rejects_params_that_do_not_fit_the_encoder(
+        chainworld, tmp_path, capsys):
+    chain = build_chain(chainworld, policy.StateEncoder(FAST.encoder), FAST,
+                        walkthrough_texts(chainworld))
+    fitted = chain.modules[0].params
+    narrow = policy.EncoderConfig(d_graph=8)
+    for module in chain.modules:
+        module.params = policy.init_params(chainworld, narrow)
+    with pytest.raises(ChainExecutionError,
+                       match=r"module 0: w_template has shape \(\d+, 104\), "
+                             r"the encoder needs \(\d+, 128\)"):
+        execute_chain(chain, chainworld)
+    path = tmp_path / "chain.json"
+    path.write_bytes(save_chain(chain))
+    assert cli.main(["replay-chain", str(path), "--game", "chainworld"]) == 1
+    assert "module 0: w_template has shape" in capsys.readouterr().err
+    # each module is checked when its turn comes
+    chain.modules[0].params = fitted
+    with pytest.raises(ChainExecutionError, match="module 1: w_template"):
+        execute_chain(chain, chainworld)
 
 
 @pytest.mark.parametrize("blob", [b"\xff\x00", b'{"v":1}', b"[1]",

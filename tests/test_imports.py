@@ -46,3 +46,69 @@ def test_unused_imports_are_found():
                          ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+# --- every module-level name is used by a program ---------------------------
+
+ROOT = PACKAGE.parents[1]
+# The package's own modules (its __init__ only re-exports), the demos and
+# the benchmark.
+MODULES = [path for path in sorted(PACKAGE.glob("*.py"))
+           if path.name != "__init__.py"]
+PROGRAMS = (MODULES + sorted((ROOT / "demos").glob("*.py"))
+            + sorted((ROOT / "perfbench").glob("*.py")))
+# validate_against_game is the only reachability check of a game's [dag]
+# section: no program runs it, but the tests run it on the bundled games.
+TEST_ONLY = ["validate_against_game"]
+
+
+def referenced_names(tree, skip=None):
+    """Names read as a Name, an Attribute or an import in the tree, leaving
+    out the subtree skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.name.split(".")[-1] for a in node.names}
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def names_no_program_uses(modules, programs):
+    """Module-level functions and classes of the modules that no program
+    (the modules among them) references outside their own definition."""
+    trees = {path: ast.parse(path.read_text()) for path in programs}
+    unused = []
+    for path in modules:
+        tree = trees[path]
+        elsewhere = set().union(*(referenced_names(t) for p, t in trees.items()
+                                  if p != path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in elsewhere
+                    and node.name not in referenced_names(tree, skip=node)):
+                unused.append(node.name)
+    return unused
+
+
+def test_names_no_program_uses_are_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def used():\n    return 1\n\n"
+                      "def recursive(n):\n    return recursive(n - 1)\n\n"
+                      "class Unused:\n    pass\n\n"
+                      "def caller():\n    return used()\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text("import mod\nmod.caller()\n")
+    assert names_no_program_uses([module], [module, demo]) == [
+        "recursive", "Unused"]
+
+
+def test_every_module_level_name_is_used_by_a_program():
+    assert names_no_program_uses(MODULES, PROGRAMS) == TEST_ONLY

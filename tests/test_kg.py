@@ -3,8 +3,7 @@ import pytest
 from questkg import kg
 from questkg.extraction import AnswerSet
 from questkg.kg import (EMPTY_DIGEST, GlobalEdgeSet, KnowledgeGraph, Triple,
-                        apply_answers, im_reward, kg_hash, parse_triples,
-                        serialize_triples, shaped_reward)
+                        apply_answers, kg_hash, shaped_reward)
 
 
 def test_triple_make_normalizes():
@@ -102,16 +101,13 @@ def test_movement_adds_directional_triple():
     assert Triple("hall", "north of", "closet") in graph
 
 
-def test_im_reward_pays_each_triple_exactly_once():
+def test_absorb_pays_each_triple_exactly_once():
     graph = KnowledgeGraph([Triple("x", "is", "y"), Triple("p", "has", "q")])
     shared = GlobalEdgeSet()
-    r1, shared = im_reward(graph, shared)
-    assert r1 == 2
-    r2, shared = im_reward(graph, shared)
-    assert r2 == 0
+    assert shared.absorb(graph.triples) == 2
+    assert shared.absorb(graph.triples) == 0
     graph.add(Triple("new", "is", "thing"))
-    r3, _ = im_reward(graph, shared)
-    assert r3 == 1
+    assert shared.absorb(graph.triples) == 1
     assert len(shared) == 3
 
 
@@ -130,16 +126,3 @@ def test_shaped_reward_validates_inputs():
         shaped_reward(0, 0, 0, 1)
     with pytest.raises(ValueError):
         shaped_reward(0, 0, 50, 1, alpha=-1)
-
-
-def test_serialize_parse_round_trip():
-    graph = KnowledgeGraph([Triple("x", "is", "y"), Triple("p", "has", "q"),
-                            Triple("hall", "north of", "closet")])
-    text = serialize_triples(graph)
-    assert parse_triples(text) == graph
-    assert serialize_triples(parse_triples(text)) == text
-
-
-def test_parse_triples_rejects_bad_lines():
-    with pytest.raises(ValueError):
-        parse_triples("only two\tfields")

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,13 @@ def test_save_load_round_trip(miniz):
         load_params(blob.replace(b'"v":1', b'"v":9', 1))
 
 
+def test_load_params_rejects_a_body_that_does_not_fit_its_shapes(miniz):
+    blob = save_params(init_params(miniz))
+    for bad in (blob + b"\0" * 16, blob + b"\0" * 3, blob[:-8]):
+        with pytest.raises(ValueError):
+            load_params(bad)
+
+
 def test_masked_sampling_stays_on_mask(miniz):
     rng = np.random.default_rng(5)
     params = random_params(miniz, rng)
@@ -223,20 +232,20 @@ def test_analytic_gradients_match_finite_differences(miniz):
                        for _ in range(int(rng.integers(1, 4)))]
         prepare_targets(params, transitions)
         _, grads = a2c_loss_and_grads(params, transitions, encoder,
-                                      value_coef=0.5, entropy_coef=0.01)
+                                      entropy_coef=0.01)
         vec = params.to_vector()
         flat = np.concatenate([grads[n].ravel() for n in params.ARRAYS])
         for k in rng.choice(vec.size, size=20, replace=False):
-            probe = params.copy()
+            probe = copy.deepcopy(params)
             bumped = vec.copy()
             bumped[k] += h
             probe.from_vector(bumped)
             up, _ = a2c_loss_and_grads(probe, transitions, encoder,
-                                       value_coef=0.5, entropy_coef=0.01)
+                                       entropy_coef=0.01)
             bumped[k] -= 2 * h
             probe.from_vector(bumped)
             down, _ = a2c_loss_and_grads(probe, transitions, encoder,
-                                         value_coef=0.5, entropy_coef=0.01)
+                                         entropy_coef=0.01)
             fd = (up - down) / (2 * h)
             an = flat[k]
             # below the FD noise floor (~eps * |loss| / h) only an
@@ -323,7 +332,7 @@ def test_batched_loss_and_grads_match_reference_loop(miniz):
         transitions[0].next_feats = None
         prepare_targets(params, transitions)
         loss, grads = a2c_loss_and_grads(params, transitions, encoder,
-                                         value_coef=0.5, entropy_coef=0.05)
+                                         entropy_coef=0.05)
         ref_loss, ref_grads = reference_loss_and_grads(
             params, transitions, encoder, value_coef=0.5, entropy_coef=0.05)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
