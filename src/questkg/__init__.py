@@ -10,24 +10,3 @@ Subsystems:
   exploration        structured exploration, policy chaining, Go-Explore
   cli                experiment runner
 """
-
-from .gamedef import GameDef, GameParseError, GameValidationError, load_game
-from .engine import (GroundedAction, Observation, WorldState,
-                     admissible_actions, enumerate_grounded, ground, reset,
-                     restore, snapshot, step)
-from .games import load_bundled
-from .kg import GlobalEdgeSet, KnowledgeGraph, Triple, kg_hash, shaped_reward
-from .questgraph import (DependencyGraph, DepVertex, bottlenecks,
-                         topological_levels, validate_against_game)
-
-__all__ = [
-    "GameDef", "GameParseError", "GameValidationError", "load_game",
-    "GroundedAction", "Observation", "WorldState", "admissible_actions",
-    "enumerate_grounded", "ground", "reset", "restore", "snapshot", "step",
-    "load_bundled",
-    "GlobalEdgeSet", "KnowledgeGraph", "Triple", "kg_hash", "shaped_reward",
-    "DependencyGraph", "DepVertex", "bottlenecks", "topological_levels",
-    "validate_against_game",
-]
-
-__version__ = "0.1.0"

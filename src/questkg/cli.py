@@ -88,8 +88,12 @@ def validate_config(config):
                  "p_drop", "p_swap"):
         if not math.isfinite(getattr(config, name)):
             raise ConfigError(f"{name} must be finite")
-    if config.alpha < 0 or config.eps < 0:
-        raise ConfigError("alpha and eps must be non-negative")
+    if min(config.alpha, config.eps, config.learning_rate,
+           config.entropy_coef) < 0:
+        raise ConfigError("alpha, eps, learning_rate and entropy_coef must "
+                          "be non-negative")
+    if not 0 <= config.gamma <= 1:
+        raise ConfigError("gamma must lie in [0, 1]")
     if not (0 <= config.p_drop <= 1 and 0 <= config.p_swap <= 1):
         raise ConfigError("p_drop and p_swap must lie in [0, 1]")
     if config.backend not in BACKENDS:
@@ -181,7 +185,8 @@ def run_experiment(config, out=sys.stdout):
             _write(os.path.join(seed_dir, "chain.json"),
                    exploration.save_chain(result.chain))
         if config.strategy == "go":
-            cells = sorted((c.score, c.visits) for c in archive.cells.values())
+            cells = sorted((c.launch.score, c.visits)
+                           for c in archive.cells.values())
             _write(os.path.join(seed_dir, "archive.csv"),
                    "score,visits\n"
                    + "".join(f"{s},{v}\n" for s, v in cells))

@@ -3,14 +3,15 @@ chaining, the vanilla A2C baseline, and the Go-Explore-style cell archive.
 
 Training steps a batch of independent environment instances one after
 another, round-robin; they share policy parameters and a run-level global
-edge set.  Bookkeeping (buffers, monitor, chain, archive) happens between
-steps by the coordinator.  Recorded actions are replayed with a graph in
-one kind of oracle AgentEnv (_replay_env), which loop removal, the state
-buffer and the chain layer share; the splice checks replay the engine
-alone (_end_state).  vanilla_train reads its best trajectory off the
-improving episode itself (AgentEnv.last_gain), without a replay.  Action
-sampling draws from a dedicated RNG stream so that deterministic
-bookkeeping never perturbs trajectories.
+edge set.  Bookkeeping (buffers, chain, archive) happens between steps by
+the coordinator; each AgentEnv counts its own stagnant steps.  Recorded
+actions are replayed with a graph in one kind of oracle AgentEnv
+(_replay_env), which loop removal, the state buffer and the chain layer
+share; the splice checks replay the engine alone (_end_state).
+vanilla_train reads its best trajectory off the improving episode itself
+(AgentEnv.last_gain), without a replay.  Action sampling draws from a
+dedicated RNG stream so that deterministic bookkeeping never perturbs
+trajectories.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class Launch:
     graph_triples: frozenset
     score: int
 
-    def make_graph(self):
-        return kg.KnowledgeGraph(self.graph_triples)
-
 
 def game_start_launch(game):
     state, _, initial = engine.reset(game)
@@ -127,6 +125,7 @@ class AgentEnv:
         self.entity_refs = None
         self.episode_actions = None
         self.needs_reset = True
+        self.stagnant = 0         # steps since the last globally new triple
         self._feats = None        # feats(), until the next begin or step
         self._mask = None         # mask(), until a token enters or leaves
         self._memo = None         # (launch, what begin built from it)
@@ -143,7 +142,7 @@ class AgentEnv:
             self.entity_refs = dict(refs)
         else:
             self._mask = None
-            self.graph = launch.make_graph()
+            self.graph = kg.KnowledgeGraph(launch.graph_triples)
             self.obs = engine.observe(self.state, self.game)
             self.tracker = policy.PooledGraphTracker(self.encoder, self.graph)
             self.entity_refs = {}
@@ -238,6 +237,7 @@ class AgentEnv:
         if done or truncated:
             self.needs_reset = True
         self.episode_new += r_im
+        self.stagnant = 0 if r_im > 0 else self.stagnant + 1
         if r_game > 0:
             self.last_gain = len(self.episode_actions)
         if r_game > 0 or r_im > 0:
@@ -266,36 +266,6 @@ def _walk(game, encoder, action_texts):
         yield env
         if done:
             return
-
-
-# --- monitor -----------------------------------------------------------------
-
-
-@dataclass
-class BottleneckMonitor:
-    patience: int | None
-    batch_size: int
-
-    def __post_init__(self):
-        self.new_highscore()        # p: stagnant steps per instance
-
-    def step(self, instance):
-        self.p[instance] += 1
-
-    def reset_instance(self, instance):
-        self.p[instance] = 0
-
-    def new_highscore(self):
-        self.p = [0] * self.batch_size
-
-
-def detect_stagnation(monitor):
-    """True when at least STUCK_FRACTION of the batch has been stagnant for
-    `patience` steps."""
-    if monitor.patience is None:
-        return False
-    stuck = sum(1 for v in monitor.p if v >= monitor.patience)
-    return stuck / len(monitor.p) >= STUCK_FRACTION
 
 
 # --- state buffer ------------------------------------------------------------
@@ -640,8 +610,8 @@ class _Trainer:
                          self.global_edges, self.config, i)
                 for i in range(count)]
 
-    def act_and_step(self, env, params=None):
-        params = params or self.params
+    def act_and_step(self, env):
+        params = self.params
         feats = env.feats()
         result = policy.act(params, feats, env.mask(), self.rng, self.encoder,
                             self.blanks)
@@ -667,10 +637,10 @@ class _Trainer:
                            kg.kg_hash(env.graph))
         return action, r_game, r_im, r_shaped, done, truncated
 
-    def flush_update(self, params=None):
+    def flush_update(self):
         if not self.transitions:
             return
-        policy.a2c_update(params or self.params, self.transitions,
+        policy.a2c_update(self.params, self.transitions,
                           self.encoder,
                           learning_rate=self.config.learning_rate,
                           entropy_coef=self.config.entropy_coef)
@@ -689,8 +659,8 @@ class _Trainer:
             gave_up=gave_up, backtracks=backtracks, fallbacks=self.fallbacks)
 
 
-def _phase(trainer, envs, get_launch, budget, j_target, params=None,
-           monitor=None, on_improvement=None, tie_guard=None, splice=None):
+def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
+           on_improvement=None, tie_guard=None, splice=None):
     """Step the batch round-robin until the budget or an improvement.
 
     Returns (best_improvement or None, steps used).  An improvement is an
@@ -703,7 +673,10 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
     the first improvement, otherwise the callback consumes it and returns
     the new target; the phase then returns once trainer.at_max(target).
     get_launch is called whenever an instance starts an episode, so the
-    caller may move the launch point mid-phase.
+    caller may move the launch point mid-phase.  With a patience the phase
+    also returns (None, used) at the end of a sweep in which at least
+    STUCK_FRACTION of the envs have gone patience steps without a globally
+    new triple (AgentEnv.stagnant).
     """
     used = 0
     for env in envs:
@@ -714,13 +687,8 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
                 break
             if env.needs_reset:
                 env.begin(get_launch())
-            _, r_game, r_im, r_t, done, truncated = trainer.act_and_step(
-                env, params)
+            _, r_game, r_im, r_t, done, truncated = trainer.act_and_step(env)
             used += 1
-            if monitor is not None:
-                monitor.step(env.index)
-                if r_im > 0:
-                    monitor.reset_instance(env.index)
             if splice is not None and not env.needs_reset:
                 new_target = splice(env)
                 if new_target is not None:
@@ -742,9 +710,11 @@ def _phase(trainer, envs, get_launch, budget, j_target, params=None,
                 else:
                     trainer.log_row(env, r_im, r_t, "")
             if used % (ROLLOUT * len(envs)) == 0:
-                trainer.flush_update(params)
-        if monitor is not None and detect_stagnation(monitor):
-            return None, used
+                trainer.flush_update()
+        if patience is not None:
+            stuck = sum(env.stagnant >= patience for env in envs)
+            if stuck / len(envs) >= STUCK_FRACTION:
+                return None, used
     return None, used
 
 
@@ -754,25 +724,28 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
     policy.  A fresh policy is trained from every snapshot, latest first,
     for at most per_snapshot_budget steps and max_total steps in all.
 
-    Returns (entry, params, improvement, steps used); the first three are
-    None on exhaustion.
+    Trains in trainer.params.  Returns (entry, params, improvement, steps
+    used); on exhaustion the first three are None and trainer.params is
+    put back as it was.
     """
+    main = trainer.params
     total = 0
     for entry in reversed(buffer_entries):
         if total >= max_total:
             break
-        fresh = policy.init_params(trainer.game, trainer.config.encoder,
-                                   gamma=trainer.config.gamma)
+        fresh = trainer.params = policy.init_params(
+            trainer.game, trainer.config.encoder, gamma=trainer.config.gamma)
         envs = trainer.make_envs(trainer.config.batch_size)
         trainer.transitions = []
         improvement, used = _phase(
             trainer, envs, lambda: entry,
             min(per_snapshot_budget, max_total - total), j_target,
-            params=fresh, tie_guard=tie_guard, splice=make_splice(entry))
+            tie_guard=tie_guard, splice=make_splice(entry))
         total += used
         trainer.transitions = []
         if improvement is not None:
             return entry, fresh, improvement, total
+    trainer.params = main
     return None, None, None, total
 
 
@@ -786,7 +759,6 @@ def mc_train(game, config):
     start = game_start_launch(game)
     j_max = start.score
     best_actions = []
-    monitor = BottleneckMonitor(cfg.patience, cfg.batch_size)
     backtracks = 0
     gave_up = False
     # steps per backtrack snapshot: a batch of full episodes, or 2% of
@@ -797,7 +769,7 @@ def mc_train(game, config):
     launch = buffer_entries[0]     # reached by best_actions[:prefix_len]
 
     frontier_inv, frontier_flags = _state_capability(
-        _end_state(game, start, []))
+        engine.restore(start.snapshot))
 
     def tie_guard(env):
         """Ties must keep every carried item and every set flag, so a
@@ -819,7 +791,8 @@ def mc_train(game, config):
         best_actions = shorten_trajectory(game, candidate_actions,
                                           trainer.encoder)
         j_max = max(j_max, score)
-        monitor.new_highscore()
+        for env in envs:
+            env.stagnant = 0
         buffer_entries = build_state_buffer(game, best_actions,
                                             cfg.buffer_size, trainer.encoder)
         if cfg.alpha > 0:
@@ -888,7 +861,8 @@ def mc_train(game, config):
     while trainer.steps < cfg.total_steps and not trainer.at_max(j_max):
         stopped, _ = _phase(trainer, envs, lambda: launch,
                             cfg.total_steps - trainer.steps, j_max,
-                            monitor=monitor, on_improvement=on_improvement,
+                            patience=cfg.patience,
+                            on_improvement=on_improvement,
                             tie_guard=tie_guard if cfg.alpha > 0 else None)
         # the phase returns an improvement only when the stop rule holds
         if stopped is not None or trainer.steps >= cfg.total_steps:
@@ -935,7 +909,7 @@ def mc_train(game, config):
 
 
 def vanilla_train(game, config):
-    """Plain batched A2C: no monitor, no buffers, no chaining."""
+    """Plain batched A2C: no stagnation check, no buffers, no chaining."""
     trainer = _Trainer(game, config)
     envs = trainer.make_envs(config.batch_size)
     start = game_start_launch(game)
@@ -963,7 +937,6 @@ def vanilla_train(game, config):
 @dataclass
 class Cell:
     launch: Launch
-    score: int
     visits: int
     actions: tuple[str, ...]      # from game reset to this cell
 
@@ -980,7 +953,7 @@ class CellArchive:
     def sample(self, rng):
         """Score-weighted choice: weight = score + 1."""
         cells = list(self.cells.values())
-        weights = np.array([c.score + 1.0 for c in cells])
+        weights = np.array([c.launch.score + 1.0 for c in cells])
         probs = weights / weights.sum()
         return cells[int(rng.choice(len(cells), p=probs))]
 
@@ -1005,8 +978,7 @@ def go_train(game, config):
     env = trainer.make_envs(1)[0]
 
     env.begin(game_start_launch(game))
-    archive.insert(env.key(), Cell(launch_at(env.state, env.graph),
-                                   env.state.score, 0, ()))
+    archive.insert(env.key(), Cell(launch_at(env.state, env.graph), 0, ()))
     best_score = env.state.score
     best_actions = ()
 
@@ -1028,7 +1000,7 @@ def go_train(game, config):
                 key = env.key()
                 if key not in archive:
                     archive.insert(key, Cell(launch_at(env.state, env.graph),
-                                             env.state.score, 0, tuple(path)))
+                                             0, tuple(path)))
             if env.state.score > best_score:
                 best_score = env.state.score
                 best_actions = tuple(path)

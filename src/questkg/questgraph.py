@@ -9,7 +9,7 @@ some positively-rewarded vertex in a strictly higher level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gamedef import GameValidationError
 
@@ -94,58 +94,42 @@ def bottlenecks(graph):
     return result
 
 
-@dataclass
-class ValidationReport:
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.problems
-
-    def lines(self):
-        if self.ok:
-            return ["OK dependency graph is consistent with the game"]
-        return [f"PROBLEM {p}" for p in self.problems]
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
 def validate_against_game(graph, game):
     """Check every vertex is attainable in the engine and rewards are mapped.
 
     A vertex is attainable when the search oracle reaches a state located in
     one of its location dependencies while carrying all its inventory
     dependencies.  Each non-zero vertex reward must match some authored
-    reward event's points.
+    reward event's points.  Returns the list of problems found, empty when
+    the graph is consistent with the game.
     """
     from .search import explore
 
-    report = ValidationReport()
+    problems = []
     for v in graph.vertices.values():
         for room in sorted(v.locations):
             if room not in game.rooms:
-                report.problems.append(
+                problems.append(
                     f"vertex {v.id!r} depends on undefined room {room!r}")
         for item in sorted(v.items):
             if item not in game.objects:
-                report.problems.append(
+                problems.append(
                     f"vertex {v.id!r} depends on undefined object {item!r}")
-    if report.problems:
-        return report
+    if problems:
+        return problems
 
     event_points = {e.points for e in game.events}
     for v in graph.vertices.values():
         if v.reward and v.reward not in event_points:
-            report.problems.append(
+            problems.append(
                 f"vertex {v.id!r} reward {v.reward} matches no reward event")
 
     reached = explore(game)
     for v in sorted(graph.vertices.values(), key=lambda x: x.id):
         if _attainable(v, reached):
             continue
-        report.problems.append(f"vertex {v.id!r} is unreachable in the engine")
-    return report
+        problems.append(f"vertex {v.id!r} is unreachable in the engine")
+    return problems
 
 
 def _attainable(vertex, reached):

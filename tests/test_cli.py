@@ -153,6 +153,29 @@ def test_non_finite_or_out_of_range_floats_are_config_errors(flags):
     validate_config(RunConfig(backend="noisy", p_drop=1.0, p_swap=0.0))
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(strategy="vanilla", gamma=5.0),
+    dict(gamma=-0.5),
+    dict(strategy="vanilla", learning_rate=-1.0),
+    dict(strategy="go", entropy_coef=-5.0),
+], ids=["gamma-above-1", "gamma-below-0", "negative-lr", "negative-entropy"])
+def test_out_of_range_learner_settings_are_config_errors(overrides,
+                                                          tmp_path):
+    # each of these used to train and exit 0; a negative learning rate
+    # climbs the loss
+    with pytest.raises(ConfigError, match="in \\[0, 1\\]|non-negative"):
+        validate_config(RunConfig(**overrides))
+    outdir = tmp_path / "out"
+    flags = [f"--{name.replace('_', '-')}={value}"
+             for name, value in overrides.items()]
+    code, _ = run_cli(["run", *flags, "--budget", "50", "--seeds", "0",
+                       "--outdir", str(outdir)])
+    assert code == 2
+    assert not outdir.exists()
+    validate_config(RunConfig(gamma=0.0, learning_rate=0.0, entropy_coef=0.0))
+    validate_config(RunConfig(gamma=1.0))
+
+
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_every_strategy_runs_with_default_flags(strategy, tmp_path,
                                                  monkeypatch):

@@ -10,11 +10,11 @@ import pytest
 
 from questkg import (cli, engine, exploration, extraction, games, kg, policy,
                      search)
-from questkg.exploration import (AgentEnv, BottleneckMonitor, CellArchive,
+from questkg.exploration import (AgentEnv, CellArchive,
                                  Cell, ChainCloneError, ChainExecutionError,
                                  ExplorationConfig,
                                  Launch, build_chain, build_state_buffer,
-                                 detect_stagnation, execute_chain,
+                                 execute_chain,
                                  game_start_launch, go_train, load_chain,
                                  mc_train, save_chain, shorten_trajectory,
                                  vanilla_train)
@@ -92,21 +92,63 @@ def test_env_horizon_truncates(miniz):
     assert truncated and env.needs_reset
 
 
-def test_stagnation_arithmetic():
-    monitor = BottleneckMonitor(patience=10, batch_size=4)
-    for i in range(4):
-        for _ in range(10):
-            monitor.step(i)
-    assert detect_stagnation(monitor)
-    monitor.reset_instance(0)
-    monitor.reset_instance(1)
-    assert not detect_stagnation(monitor)  # only 2/4 >= patience
-    monitor.step(0)
-    assert not detect_stagnation(monitor)
-    monitor.new_highscore()
-    assert monitor.p == [0, 0, 0, 0]
-    assert BottleneckMonitor(None, 4).patience is None
-    assert not detect_stagnation(BottleneckMonitor(None, 4))
+def test_env_counts_stagnant_steps_across_begins(miniz):
+    env = make_env(miniz)
+    launch = game_start_launch(miniz)
+    env.begin(launch)
+    assert env.stagnant == 0
+    for count in (1, 2, 3):
+        assert env.step(engine.ground(miniz, "wait"))[1] == 0
+        assert env.stagnant == count
+    env.begin(launch)
+    assert env.stagnant == 3
+    assert env.step(engine.ground(miniz, "go south"))[1] > 0
+    assert env.stagnant == 0
+    env.step(engine.ground(miniz, "wait"))
+    assert env.stagnant == 1
+
+
+def test_phase_stops_at_the_first_sweep_end_with_enough_stagnant_envs(
+        miniz):
+    config = replace(FAST, patience=6)
+    start = game_start_launch(miniz)
+
+    def run(budget, patience):
+        """(stopped, used, share of stagnant envs) of a phase no episode
+        can improve in."""
+        trainer = exploration._Trainer(miniz, config)
+        envs = trainer.make_envs(config.batch_size)
+        stopped, used = exploration._phase(trainer, envs, lambda: start,
+                                           budget, miniz.max_score,
+                                           patience=patience)
+        stuck = sum(env.stagnant >= config.patience for env in envs)
+        return stopped, used, stuck / len(envs)
+
+    stopped, used, share = run(2000, config.patience)
+    assert stopped is None and 0 < used < 2000
+    assert used % config.batch_size == 0
+    assert share >= exploration.STUCK_FRACTION
+    # the same run one sweep earlier, and without a patience to the end of
+    # its budget
+    before = run(used - config.batch_size, None)
+    assert before[1] == used - config.batch_size
+    assert before[2] < exploration.STUCK_FRACTION
+
+
+def test_exhausted_backtrack_puts_the_policy_back(miniz):
+    trainer = exploration._Trainer(miniz, replace(FAST, batch_size=2))
+    main = trainer.params
+    weights = main.w_template.copy()
+    entries = build_state_buffer(miniz, walkthrough_texts(miniz)[:6], 3,
+                                 trainer.encoder)
+    entry, params, improvement, used = exploration.backtrack(
+        trainer, entries, miniz.max_score, per_snapshot_budget=40,
+        max_total=100, tie_guard=lambda env: False,
+        make_splice=lambda entry: None)
+    assert (entry, params, improvement) == (None, None, None)
+    assert used == 100
+    assert trainer.params is main
+    assert np.array_equal(main.w_template, weights)
 
 
 def test_state_buffer_dedups_and_skips_death(miniz):
@@ -322,9 +364,9 @@ def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
     real_act_and_step = exploration._Trainer.act_and_step
     real_act = policy.act
 
-    def act_and_step(self, env, params=None):
+    def act_and_step(self, env):
         acting.append(env)
-        return real_act_and_step(self, env, params)
+        return real_act_and_step(self, env)
 
     def act(params, feats, *args):
         stale.append(not np.array_equal(feats, acting[-1].feats()))
@@ -339,10 +381,11 @@ def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
 def test_archive_insert_keeps_the_first_cell(chainworld):
     archive = CellArchive()
     launch = game_start_launch(chainworld)
-    cell = Cell(launch, 0, 0, ())
+    cell = Cell(launch, 0, ())
     assert archive.insert("k", cell) is cell
-    assert archive.insert("k", Cell(launch, 5, 0, ("x",))) is cell
-    assert archive.cells == {"k": cell} and cell.score == 0
+    higher = Launch(launch.snapshot, launch.graph_triples, 5)
+    assert archive.insert("k", Cell(higher, 0, ("x",))) is cell
+    assert archive.cells == {"k": cell} and cell.launch.score == 0
 
 
 def test_backends_mark_only_the_oracle_pure(miniz):
@@ -378,11 +421,10 @@ def test_untouched_steps_skip_the_backend_and_keep_the_graph(miniz):
 
 def test_archive_sampling_is_score_weighted():
     archive = CellArchive()
-    launch = None
-    archive.insert("low", Cell(launch, 0, 0, ()))
-    archive.insert("high", Cell(launch, 9, 0, ()))
+    archive.insert("low", Cell(Launch(b"", frozenset(), 0), 0, ()))
+    archive.insert("high", Cell(Launch(b"", frozenset(), 9), 0, ()))
     rng = np.random.default_rng(0)
-    picks = [archive.sample(rng).score for _ in range(2000)]
+    picks = [archive.sample(rng).launch.score for _ in range(2000)]
     high = sum(1 for s in picks if s == 9)
     assert high / len(picks) == pytest.approx(0.9, abs=0.03)
 

@@ -14,8 +14,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from questkg import engine, extraction, games, kg, load_game, policy
-from questkg.gamedef import GameDef, GameParseError, GameValidationError
+from questkg import engine, extraction, games, kg, policy
+from questkg.gamedef import (GameDef, GameParseError, GameValidationError,
+                             load_game)
 from questkg.exploration import (AgentEnv, ExplorationConfig,
                                  build_state_buffer, game_start_launch,
                                  launch_at, mc_train, shorten_trajectory)
@@ -107,7 +108,7 @@ def replay(game, launch, action_texts, backend=None):
     state = engine.restore(launch.snapshot)
     graph = None
     if backend is not None:
-        graph = launch.make_graph()
+        graph = kg.KnowledgeGraph(launch.graph_triples)
         kg.apply_answers(graph, backend(state, engine.observe(state, game)))
     yield 0, state, graph
     for i, text in enumerate(action_texts, start=1):
