@@ -314,8 +314,7 @@ class ChainModule:
     params: policy.PolicyParams
     launch: Launch
     handoff_score: int
-    length: int
-    actions: tuple[str, ...]   # recorded segment, kept for the manifest
+    actions: tuple[str, ...]   # recorded segment: one step per action
 
 
 @dataclass
@@ -330,7 +329,7 @@ class PolicyChain:
                 {"index": i,
                  "launch_score": m.launch.score,
                  "handoff_score": m.handoff_score,
-                 "length": m.length,
+                 "length": len(m.actions),
                  "actions": list(m.actions)}
                 for i, m in enumerate(self.modules)
             ],
@@ -353,7 +352,7 @@ def save_chain(chain):
                              for t in m.launch.graph_triples),
              "launch_score": m.launch.score,
              "handoff_score": m.handoff_score,
-             "length": m.length,
+             "length": len(m.actions),
              "actions": list(m.actions)}
             for m in chain.modules
         ],
@@ -371,17 +370,19 @@ def load_chain(blob):
     if version != CHAIN_VERSION:
         raise ValueError(f"chain checkpoint version {version!r}")
     try:
-        modules = [
-            ChainModule(
+        modules = []
+        for i, m in enumerate(doc["modules"]):
+            actions = tuple(m["actions"])
+            if m["length"] != len(actions):
+                raise ValueError(f"module {i} length {m['length']!r} is not "
+                                 f"its {len(actions)} actions")
+            modules.append(ChainModule(
                 params=policy.load_params(base64.b64decode(m["params"])),
                 launch=Launch(base64.b64decode(m["snapshot"]),
                               frozenset(kg.Triple(*t) for t in m["graph"]),
                               m["launch_score"]),
                 handoff_score=m["handoff_score"],
-                length=m["length"],
-                actions=tuple(m["actions"]))
-            for m in doc["modules"]
-        ]
+                actions=actions))
         return PolicyChain(modules=modules, j_max=doc["j_max"])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed chain checkpoint: {exc!r}") from None
@@ -476,7 +477,6 @@ def build_chain(game, encoder, config, actions_from_reset):
             chain.modules.append(ChainModule(
                 params=clone_segment_policy(game, encoder, config, segment),
                 launch=launch, handoff_score=env.state.score,
-                length=len(segment),
                 actions=tuple(a.text for _, a in segment)))
             chain.j_max = env.state.score
             segment = []
@@ -500,8 +500,10 @@ def execute_chain(chain, game, config=None):
 
     Raises ChainExecutionError if a module's policy was trained on other
     templates or entities than the game's, if its arrays do not have the
-    shapes the config's encoder gives, or if any module fails to reproduce
-    its recorded handoff score (which would indicate nondeterminism).
+    shapes the config's encoder gives, if its launch is in a room the game
+    lacks or holds other objects than the game's, or if any module fails to
+    reproduce its recorded handoff score (which would indicate
+    nondeterminism).  Each module steps once per recorded action at most.
     """
     config = config or ExplorationConfig()
     encoder = policy.StateEncoder(config.encoder)
@@ -524,8 +526,14 @@ def execute_chain(chain, game, config=None):
             if have != need:
                 raise ChainExecutionError(f"module {i}: {name} has shape "
                                           f"{have}, the encoder needs {need}")
+        state = engine.restore(module.launch.snapshot)
+        if state.current_room not in game.rooms or \
+                state.object_locations.keys() != game.objects.keys():
+            raise ChainExecutionError(
+                f"module {i}: launch in room {state.current_room!r} does not "
+                f"fit the rooms and objects of game {game.name!r}")
         env.begin(module.launch)
-        for _ in range(module.length):
+        for _ in module.actions:
             feats = env.feats()
             t_idx, fillers = policy.greedy_action(params, feats, env.mask(),
                                                   encoder, blanks)
@@ -590,8 +598,7 @@ class _Trainer:
             config.backend, game, seed=config.seed,
             p_drop=config.p_drop, p_swap=config.p_swap)
         self.global_edges = kg.GlobalEdgeSet()
-        self.params = policy.init_params(game, config.encoder,
-                                         gamma=config.gamma)
+        self.fresh_policy()
         self.blanks = {i: t.blanks for i, t in enumerate(game.templates)}
         self.rng = np.random.default_rng(config.seed)
         self.hasher = TrajectoryHasher()
@@ -599,7 +606,14 @@ class _Trainer:
         self.curve = []
         self.steps = 0
         self.fallbacks = 0
+
+    def fresh_policy(self):
+        """Install a new zero-initialized acting policy, drop the
+        transitions the old one gathered, and return the new params."""
+        self.params = policy.init_params(self.game, self.config.encoder,
+                                         gamma=self.config.gamma)
         self.transitions = []
+        return self.params
 
     def at_max(self, score):
         """The stop rule: stop_at_max and score is the game's maximum."""
@@ -613,7 +627,8 @@ class _Trainer:
     def act_and_step(self, env):
         params = self.params
         feats = env.feats()
-        result = policy.act(params, feats, env.mask(), self.rng, self.encoder,
+        mask = env.mask()
+        result = policy.act(params, feats, mask, self.rng, self.encoder,
                             self.blanks)
         if result.mask_fallback:
             self.fallbacks += 1
@@ -626,8 +641,8 @@ class _Trainer:
             feats=feats,
             template_index=result.template_index,
             filler_indices=result.filler_indices,
-            mask_idx=result.mask_idx,
-            template_pattern=params.templates[result.template_index],
+            contexts=result.contexts,
+            off=mask[1],
             reward=r_shaped,
             next_feats=None if done else env.feats(),
         )
@@ -641,7 +656,6 @@ class _Trainer:
         if not self.transitions:
             return
         policy.a2c_update(self.params, self.transitions,
-                          self.encoder,
                           learning_rate=self.config.learning_rate,
                           entropy_coef=self.config.entropy_coef)
         self.transitions = []
@@ -733,10 +747,8 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
     for entry in reversed(buffer_entries):
         if total >= max_total:
             break
-        fresh = trainer.params = policy.init_params(
-            trainer.game, trainer.config.encoder, gamma=trainer.config.gamma)
+        fresh = trainer.fresh_policy()
         envs = trainer.make_envs(trainer.config.batch_size)
-        trainer.transitions = []
         improvement, used = _phase(
             trainer, envs, lambda: entry,
             min(per_snapshot_budget, max_total - total), j_target,
@@ -800,9 +812,7 @@ def mc_train(game, config):
             frontier_inv, frontier_flags = _state_capability(
                 _end_state(game, start, best_actions))
             # modular chaining: a fresh policy takes over at the new frontier
-            trainer.params = policy.init_params(game, cfg.encoder,
-                                                gamma=cfg.gamma)
-            trainer.transitions = []
+            trainer.fresh_policy()
         trainer.curve.append((trainer.steps, j_max))
 
     def on_improvement(improvement):

@@ -8,8 +8,9 @@ template logits, entity logits (shared across blank positions with a
 position indicator and partial-decode context), and a scalar critic.
 
 The A2C learner works on a whole transition batch with matrix products:
-the N states are stacked into X and the blank-filling decisions' entity
-contexts into C, each head's loss gradient with respect to its logits is
+the N states are stacked into X and the entity contexts the actor built
+for its blanks into C, with each blank's recorded off-mask row pinning its
+logits to NEG_INF; each head's loss gradient with respect to its logits is
 one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.  The actor draws
 with numpy's own choice recipe (see _draw), so its draws are those of
 Generator.choice.
@@ -66,6 +67,7 @@ class StateEncoder:
         self._msg = {}          # triple -> d_graph message vector
         self._tok = {}          # token -> (bucket index, sign)
         self._text_vec = {}     # component text -> d_obs vector
+        self._decode_vec = {}   # (kind, key) -> d_decode vector
         self._tail = {}         # (first blank, template, prev) -> context tail
 
     # -- fixed seeded weights -------------------------------------------
@@ -130,12 +132,11 @@ class StateEncoder:
 
     def decode_vector(self, kind, key):
         """Fixed context embedding for partial-decode conditioning."""
-        token = f"{kind}:{key}"
-        vec = self._text_vec.get(token)
+        vec = self._decode_vec.get((kind, key))
         if vec is None:
-            vec = _seeded_rng("dec", self.config.seed, token).normal(
+            vec = _seeded_rng("dec", self.config.seed, f"{kind}:{key}").normal(
                 0, 1, self.config.d_decode)
-            self._text_vec[token] = vec
+            self._decode_vec[kind, key] = vec
         return vec
 
     def context_tail(self, first, template_pattern, prev_entity):
@@ -306,14 +307,13 @@ def _draw(logits, rng):
 
 
 def _mask_indices(entities, mask):
-    """(indices of the permitted entities, whether an empty mask forced the
-    full vocabulary, boolean array of the entities off the mask).  Setting
-    the logits off the mask to NEG_INF makes softmax put exactly zero mass
-    there."""
+    """(whether an empty mask forced the full vocabulary, boolean array of
+    the entities off the mask).  Setting the logits off the mask to NEG_INF
+    makes softmax put exactly zero mass there."""
     off = np.array([e not in mask for e in entities], dtype=bool)
     if off.all():
-        return np.arange(len(entities)), True, np.zeros(len(entities), bool)
-    return np.flatnonzero(~off), False, off
+        return True, np.zeros(len(entities), bool)
+    return False, off
 
 
 @dataclass
@@ -321,7 +321,7 @@ class ActResult:
     template_index: int
     filler_indices: tuple[int, ...]
     mask_fallback: bool  # an empty mask forced full-vocabulary filling
-    mask_idx: np.ndarray  # entity indices the fillers were drawn from
+    contexts: tuple[np.ndarray, ...]  # entity context of each blank
 
 
 def _entity_context(encoder, feats, position, template_pattern, prev_entity):
@@ -335,10 +335,11 @@ def _argmax(logits, rng):
 
 def _decode(params, feats, off, encoder, template_blanks, pick, rng):
     """Pick a template, then a filler for each of its blanks with the
-    entities in off set to NEG_INF; pick(logits, rng) chooses an index."""
+    entities in off set to NEG_INF; pick(logits, rng) chooses an index.
+    Returns (template index, fillers, each blank's entity context)."""
     t_idx = pick(params.w_template @ feats + params.b_template, rng)
     template = params.templates[t_idx]
-    fillers = []
+    fillers, contexts = [], []
     prev = ""
     for position in range(template_blanks[t_idx]):
         x = _entity_context(encoder, feats, position, template, prev)
@@ -346,8 +347,9 @@ def _decode(params, feats, off, encoder, template_blanks, pick, rng):
         logits[off] = NEG_INF
         e_idx = pick(logits, rng)
         fillers.append(e_idx)
+        contexts.append(x)
         prev = params.entities[e_idx]
-    return t_idx, tuple(fillers)
+    return t_idx, tuple(fillers), tuple(contexts)
 
 
 def act(params, feats, mask, rng, encoder, template_blanks):
@@ -359,17 +361,17 @@ def act(params, feats, mask, rng, encoder, template_blanks):
     probability; an empty mask falls back to the full vocabulary and is
     flagged on the result.  Draws are those of rng.choice (see _draw).
     """
-    mask_idx, fallback, off = mask
-    t_idx, fillers = _decode(params, feats, off, encoder, template_blanks,
-                             _draw, rng)
-    return ActResult(t_idx, fillers, fallback, mask_idx)
+    fallback, off = mask
+    t_idx, fillers, contexts = _decode(params, feats, off, encoder,
+                                       template_blanks, _draw, rng)
+    return ActResult(t_idx, fillers, fallback, contexts)
 
 
 def greedy_action(params, feats, mask, encoder, template_blanks):
     """Deterministic argmax decode used when executing frozen chain modules;
     mask is as for act."""
-    return _decode(params, feats, mask[2], encoder, template_blanks,
-                   _argmax, None)
+    return _decode(params, feats, mask[1], encoder, template_blanks,
+                   _argmax, None)[:2]
 
 
 # --- A2C update --------------------------------------------------------------
@@ -379,12 +381,10 @@ class Transition:
     feats: np.ndarray
     template_index: int
     filler_indices: tuple[int, ...]
-    mask_idx: np.ndarray          # permitted entity indices at act time
-    template_pattern: str
+    contexts: tuple[np.ndarray, ...]  # ActResult.contexts
+    off: np.ndarray               # entities off the mask at act time
     reward: float
     next_feats: np.ndarray | None  # None at terminal (V(s') = 0)
-    advantage: float = 0.0         # filled by prepare_targets
-    target_q: float = 0.0
 
 
 def _stack(rows, width):
@@ -393,7 +393,8 @@ def _stack(rows, width):
 
 
 def prepare_targets(params, transitions):
-    """Compute Q = r + gamma*V(s') and A = Q - V(s) as detached constants."""
+    """(Q, A) arrays: Q = r + gamma*V(s') and A = Q - V(s), as detached
+    constants."""
     width = params.w_value.size
     v = _stack([tr.feats for tr in transitions], width) @ params.w_value \
         + params.b_value
@@ -401,10 +402,9 @@ def prepare_targets(params, transitions):
     v_next = np.zeros(len(transitions))
     v_next[live] = _stack([transitions[i].next_feats for i in live],
                           width) @ params.w_value + params.b_value
-    for tr, v_s, v_s_next in zip(transitions, v.tolist(), v_next.tolist()):
-        tr.target_q = tr.reward + params.gamma * v_s_next
-        tr.advantage = tr.target_q - v_s
-    return transitions
+    rewards = np.array([tr.reward for tr in transitions], dtype=float)
+    target_q = rewards + params.gamma * v_next
+    return target_q, target_q - v
 
 
 def _head_loss_and_dlogits(log_p, chosen, advantage, entropy_coef):
@@ -427,22 +427,22 @@ def _head_loss_and_dlogits(log_p, chosen, advantage, entropy_coef):
     return loss, d_logits
 
 
-def a2c_loss_and_grads(params, transitions, encoder, entropy_coef=0.01):
-    """Total loss and analytic gradients for a batch of prepared transitions.
+def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01):
+    """Total loss and analytic gradients for a batch of transitions, with
+    targets = prepare_targets(params, transitions).
 
     Loss per transition: -(log pi_T + sum log pi_O) * A
                          + VALUE_COEF * 0.5 * (Q - V)^2
                          + entropy_coef * sum(P log P) over each decision.
     Advantages and targets are treated as constants.  The batch is computed
     as matrix products: with the N states stacked in X and the M blank
-    decisions' entity contexts stacked in C, the weight gradients are
-    D_templateᵀ X and D_entityᵀ C, where D holds the loss gradient with
-    respect to each row's logits.
+    decisions' entity contexts, as act recorded them, stacked in C, the
+    weight gradients are D_templateᵀ X and D_entityᵀ C, where D holds the
+    loss gradient with respect to each row's logits.
     """
+    target_q, advantage = targets
     width = params.w_value.size
     X = _stack([tr.feats for tr in transitions], width)
-    advantage = np.array([tr.advantage for tr in transitions], dtype=float)
-    target_q = np.array([tr.target_q for tr in transitions], dtype=float)
     chosen_t = np.array([tr.template_index for tr in transitions], dtype=int)
 
     # template head
@@ -451,25 +451,16 @@ def a2c_loss_and_grads(params, transitions, encoder, entropy_coef=0.01):
                                          entropy_coef)
 
     # entity head: one row per blank, off-mask logits pinned to NEG_INF
-    contexts, chosen_e, advantage_e, mask_rows = [], [], [], []
-    for tr in transitions:
-        prev = ""
-        for position, e_idx in enumerate(tr.filler_indices):
-            contexts.append(_entity_context(encoder, tr.feats, position,
-                                            tr.template_pattern, prev))
-            chosen_e.append(e_idx)
-            advantage_e.append(tr.advantage)
-            mask_rows.append(tr.mask_idx)
-            prev = params.entities[e_idx]
-    C = _stack(contexts, params.w_entity.shape[1])
-    on_mask = np.zeros((len(contexts), len(params.entities)), dtype=bool)
-    for row, mask_idx in enumerate(mask_rows):
-        on_mask[row, mask_idx] = True
-    logits_e = np.where(on_mask, C @ params.w_entity.T + params.b_entity,
-                        NEG_INF)
+    blanks = [len(tr.filler_indices) for tr in transitions]
+    C = _stack([x for tr in transitions for x in tr.contexts],
+               params.w_entity.shape[1])
+    off = np.repeat([tr.off for tr in transitions], blanks, axis=0)
+    logits_e = np.where(off, NEG_INF, C @ params.w_entity.T + params.b_entity)
+    chosen_e = np.array([e for tr in transitions for e in tr.filler_indices],
+                        dtype=int)
     loss_e, d_e = _head_loss_and_dlogits(
-        _log_softmax_rows(logits_e), np.array(chosen_e, dtype=int),
-        np.array(advantage_e, dtype=float), entropy_coef)
+        _log_softmax_rows(logits_e), chosen_e, np.repeat(advantage, blanks),
+        entropy_coef)
 
     # critic
     delta = target_q - (X @ params.w_value + params.b_value)
@@ -487,17 +478,16 @@ def a2c_loss_and_grads(params, transitions, encoder, entropy_coef=0.01):
     return float(total_loss), grads
 
 
-def a2c_update(params, transitions, encoder, learning_rate=0.01,
-               entropy_coef=0.01):
+def a2c_update(params, transitions, learning_rate=0.01, entropy_coef=0.01):
     """One semi-gradient A2C step over a trajectory batch (in place).
 
     Raises on non-finite gradients, leaving params untouched.
     """
     if not transitions:
         raise ValueError("empty trajectory")
-    prepare_targets(params, transitions)
-    loss, grads = a2c_loss_and_grads(params, transitions, encoder,
-                                     entropy_coef)
+    loss, grads = a2c_loss_and_grads(
+        params, transitions, prepare_targets(params, transitions),
+        entropy_coef)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name}")

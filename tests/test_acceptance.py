@@ -176,8 +176,8 @@ def test_gradients_match_finite_differences_within_time_budget(miniz):
         params = random_params(miniz, rng)
         transitions = [random_transition(miniz, params, encoder, rng)
                        for _ in range(int(rng.integers(1, 4)))]
-        policy.prepare_targets(params, transitions)
-        _, grads = policy.a2c_loss_and_grads(params, transitions, encoder,
+        targets = policy.prepare_targets(params, transitions)
+        _, grads = policy.a2c_loss_and_grads(params, transitions, targets,
                                              entropy_coef=0.01)
         vec = params.to_vector()
         flat = np.concatenate([grads[n].ravel() for n in params.ARRAYS])
@@ -186,11 +186,11 @@ def test_gradients_match_finite_differences_within_time_budget(miniz):
             bumped = vec.copy()
             bumped[k] += h
             probe.from_vector(bumped)
-            up, _ = policy.a2c_loss_and_grads(probe, transitions, encoder,
+            up, _ = policy.a2c_loss_and_grads(probe, transitions, targets,
                                               entropy_coef=0.01)
             bumped[k] -= 2 * h
             probe.from_vector(bumped)
-            down, _ = policy.a2c_loss_and_grads(probe, transitions, encoder,
+            down, _ = policy.a2c_loss_and_grads(probe, transitions, targets,
                                                 entropy_coef=0.01)
             fd = (up - down) / (2 * h)
             an = flat[k]
@@ -229,7 +229,7 @@ def test_sampled_actions_respect_graph_mask(miniz):
                 x = policy._entity_context(encoder, feats, 0,
                                            params.templates[0], "")
                 logits = params.w_entity @ x + params.b_entity
-                logits[act_mask[2]] = policy.NEG_INF
+                logits[act_mask[1]] = policy.NEG_INF
                 probs = np.exp(policy._log_softmax(logits))
                 assert np.all(np.delete(probs, mask_idx) == 0.0)
                 mass_checks += 1

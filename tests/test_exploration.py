@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from questkg import (cli, engine, exploration, extraction, games, kg, policy,
                      search)
+from questkg.gamedef import load_game
 from questkg.exploration import (AgentEnv, CellArchive,
                                  Cell, ChainCloneError, ChainExecutionError,
                                  ExplorationConfig,
@@ -574,3 +576,77 @@ def test_execute_chain_rejects_params_that_do_not_fit_the_encoder(
 def test_load_chain_rejects_malformed_checkpoints(blob):
     with pytest.raises(ValueError, match="chain checkpoint"):
         load_chain(blob)
+
+
+# chainworld with a pebble whose text is the key of a decode vector
+READER_TEXT = games.bundled_game_text("chainworld").replace(
+    "attrs portable\n", "attrs portable readable\ntext ent:<none>\n").replace(
+    "take ___\n", "take ___\nread ___\n")
+
+
+def test_read_text_that_spells_a_decode_key_keeps_the_features_whole():
+    game = load_game(READER_TEXT)
+    blanks = {i: t.blanks for i, t in enumerate(game.templates)}
+    params = policy.init_params(game, FAST.encoder)
+    # a first-blank decode embeds "<none>" as the previous filler
+    assert game.templates[0].blanks
+    for read_first in (False, True):
+        env = make_env(game)
+        env.begin(game_start_launch(game))
+        if read_first:
+            env.step(engine.ground(game, "read pebble"))
+        policy.greedy_action(params, env.feats(), env.mask(), env.encoder,
+                             blanks)
+        env.step(engine.ground(game, "read pebble"))
+        assert env.obs.feedback == "ent:<none>"
+        assert env.feats().shape == (FAST.encoder.feature_dim,)
+        policy.greedy_action(params, env.feats(), env.mask(), env.encoder,
+                             blanks)
+    result = vanilla_train(game, replace(FAST, total_steps=1000,
+                                         stop_at_max=False))
+    assert result.steps_used == 1000
+
+
+def walkthrough_chain(game):
+    return build_chain(game, policy.StateEncoder(FAST.encoder), FAST,
+                       walkthrough_texts(game))
+
+
+def test_execute_chain_names_a_launch_room_the_game_lacks(chainworld,
+                                                          tmp_path, capsys):
+    chain = walkthrough_chain(chainworld)
+    text = games.bundled_game_text("chainworld").replace("gate-two", "gate-2")
+    message = "module 1: launch in room 'gate-two'"
+    with pytest.raises(ChainExecutionError, match=message):
+        execute_chain(chain, load_game(text))
+    (tmp_path / "chain.json").write_bytes(save_chain(chain))
+    (tmp_path / "renamed.game").write_text(text)
+    assert cli.main(["replay-chain", str(tmp_path / "chain.json"), "--game",
+                     str(tmp_path / "renamed.game")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_execute_chain_names_a_launch_with_other_objects(chainworld):
+    chain = walkthrough_chain(chainworld)
+    extra = load_game(games.bundled_game_text("chainworld").replace(
+        "[templates]", "[object stone]\nloc gate-three\n\n[templates]"))
+    for module in chain.modules:    # policies that fit the extra entity
+        module.params = policy.init_params(extra, FAST.encoder)
+    with pytest.raises(ChainExecutionError,
+                       match="module 0: launch in room 'gate-one'"):
+        execute_chain(chain, extra)
+
+
+@pytest.mark.parametrize("length", ["1", 2, 0, None])
+def test_load_chain_rejects_a_length_other_than_the_action_count(
+        chainworld, tmp_path, capsys, length):
+    doc = json.loads(save_chain(walkthrough_chain(chainworld)))
+    assert doc["modules"][0]["length"] == len(doc["modules"][0]["actions"])
+    doc["modules"][0]["length"] = length
+    blob = json.dumps(doc).encode()
+    with pytest.raises(ValueError, match="module 0 length"):
+        load_chain(blob)
+    (tmp_path / "chain.json").write_bytes(blob)
+    assert cli.main(["replay-chain", str(tmp_path / "chain.json"), "--game",
+                     "chainworld"]) == 1
+    assert "module 0 length" in capsys.readouterr().err

@@ -48,8 +48,8 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
         tracer.run_id = 1
         miniz = games.load_bundled("miniz")
         backtracked = exploration.mc_train(miniz, SHORT)
-        exploration.vanilla_train(miniz, replace(SHORT, alpha=0.0))
-        exploration.go_train(games.load_bundled("deceive"), SHORT)
+        vanilla = exploration.vanilla_train(miniz, replace(SHORT, alpha=0.0))
+        go, _ = exploration.go_train(games.load_bundled("deceive"), SHORT)
     finally:
         tracer.unwrap_all()
     assert engine.step_movement is original
@@ -63,6 +63,11 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
     assert backtracked.backtracks > 0
     assert tracer.counts["backtrack.successes"] == \
         traced.backtracks + backtracked.backtracks
+    # the observers read a2c_update's batch as args[1] and act's result;
+    # every trained transition is a step, and a fallback is an act call
+    steps = sum(r.steps_used for r in (traced, backtracked, vanilla, go))
+    assert 0 < tracer.counts["a2c_update.transitions"] <= steps
+    assert tracer.counts["act.fallbacks"] <= stats["policy.act"][0]
     first = range(1)        # the chainworld run and its replay
     assert tracer.calls_in_runs("exploration.mc_train", first) == 1
     assert tracer.calls_in_runs("engine.step_movement", first) > 0

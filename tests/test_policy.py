@@ -24,25 +24,39 @@ def random_params(game, rng, scale=0.5):
     return params
 
 
+def decode_contexts(params, encoder, tr):
+    """The entity contexts act builds along the transition's picks."""
+    contexts, prev = [], ""
+    for position, e_idx in enumerate(tr.filler_indices):
+        contexts.append(policy._entity_context(
+            encoder, tr.feats, position, params.templates[tr.template_index],
+            prev))
+        prev = params.entities[e_idx]
+    return tuple(contexts)
+
+
 def random_transition(game, params, encoder, rng):
     feat = SMALL.feature_dim
     n_entities = len(params.entities)
     t_idx = int(rng.integers(len(params.templates)))
     blanks = game.templates[t_idx].blanks
     size = int(rng.integers(1, n_entities + 1))
-    mask_idx = np.sort(rng.choice(n_entities, size=size, replace=False))
-    fillers = tuple(int(mask_idx[rng.integers(len(mask_idx))])
-                    for _ in range(blanks))
+    on = np.sort(rng.choice(n_entities, size=size, replace=False))
+    fillers = tuple(int(on[rng.integers(len(on))]) for _ in range(blanks))
     terminal = rng.random() < 0.3
-    return Transition(
+    off = np.ones(n_entities, dtype=bool)
+    off[on] = False
+    tr = Transition(
         feats=rng.normal(0, 1, feat),
         template_index=t_idx,
         filler_indices=fillers,
-        mask_idx=mask_idx,
-        template_pattern=params.templates[t_idx],
+        contexts=(),
+        off=off,
         reward=float(rng.normal(0, 2)),
         next_feats=None if terminal else rng.normal(0, 1, feat),
     )
+    tr.contexts = decode_contexts(params, encoder, tr)
+    return tr
 
 
 def mask_of(params, names):
@@ -177,8 +191,13 @@ def test_empty_mask_falls_back_and_flags(miniz):
 def masked(logits, mask):
     """The logits as act masks them: NEG_INF off the mask."""
     logits = logits.copy()
-    logits[mask[2]] = policy.NEG_INF
+    logits[mask[1]] = policy.NEG_INF
     return logits
+
+
+def on_mask(mask):
+    """The entity indices act may draw from under mask."""
+    return np.flatnonzero(~mask[1])
 
 
 def test_masked_log_softmax_exact_zero_off_mask(miniz):
@@ -190,7 +209,7 @@ def test_masked_log_softmax_exact_zero_off_mask(miniz):
                                replace=False))
         mask = policy._mask_indices(entities, names)
         probs = np.exp(policy._log_softmax(masked(logits, mask)))
-        off = np.delete(probs, mask[0])
+        off = probs[mask[1]]
         assert np.all(off == 0.0) and off.size == len(entities) - len(names)
         assert np.isclose(probs.sum(), 1.0)
 
@@ -214,10 +233,10 @@ def test_prepare_targets_semantics(miniz):
     params = random_params(miniz, rng)
     tr = random_transition(miniz, params, small_encoder(), rng)
     tr.next_feats = None
-    prepare_targets(params, [tr])
+    (target_q,), (advantage,) = prepare_targets(params, [tr])
     v = float(params.w_value @ tr.feats + params.b_value)
-    assert tr.target_q == tr.reward
-    assert tr.advantage == pytest.approx(tr.reward - v)
+    assert target_q == tr.reward
+    assert advantage == pytest.approx(tr.reward - v)
 
 
 def test_analytic_gradients_match_finite_differences(miniz):
@@ -230,8 +249,8 @@ def test_analytic_gradients_match_finite_differences(miniz):
         params = random_params(miniz, rng)
         transitions = [random_transition(miniz, params, encoder, rng)
                        for _ in range(int(rng.integers(1, 4)))]
-        prepare_targets(params, transitions)
-        _, grads = a2c_loss_and_grads(params, transitions, encoder,
+        targets = prepare_targets(params, transitions)
+        _, grads = a2c_loss_and_grads(params, transitions, targets,
                                       entropy_coef=0.01)
         vec = params.to_vector()
         flat = np.concatenate([grads[n].ravel() for n in params.ARRAYS])
@@ -240,11 +259,11 @@ def test_analytic_gradients_match_finite_differences(miniz):
             bumped = vec.copy()
             bumped[k] += h
             probe.from_vector(bumped)
-            up, _ = a2c_loss_and_grads(probe, transitions, encoder,
+            up, _ = a2c_loss_and_grads(probe, transitions, targets,
                                        entropy_coef=0.01)
             bumped[k] -= 2 * h
             probe.from_vector(bumped)
-            down, _ = a2c_loss_and_grads(probe, transitions, encoder,
+            down, _ = a2c_loss_and_grads(probe, transitions, targets,
                                          entropy_coef=0.01)
             fd = (up - down) / (2 * h)
             an = flat[k]
@@ -257,9 +276,10 @@ def test_analytic_gradients_match_finite_differences(miniz):
     assert worst <= 1e-4
 
 
-def reference_loss_and_grads(params, transitions, encoder, value_coef,
-                             entropy_coef):
-    """a2c_loss_and_grads written as one loop over transitions and blanks."""
+def reference_loss_and_grads(params, transitions, targets, encoder,
+                             value_coef, entropy_coef):
+    """a2c_loss_and_grads written as one loop over transitions and blanks,
+    rebuilding each blank's entity context from the picks before it."""
     def entropy_terms(log_p, active_idx):
         p = np.exp(log_p[active_idx])
         plogp = p * log_p[active_idx]
@@ -271,15 +291,16 @@ def reference_loss_and_grads(params, transitions, encoder, value_coef,
     grads = {n: np.zeros_like(getattr(params, n)) for n in params.ARRAYS}
     total_loss = 0.0
     n_templates = len(params.templates)
-    for tr in transitions:
+    for tr, target_q, advantage in zip(transitions, *targets):
         feats = tr.feats
+        mask_idx = np.flatnonzero(~tr.off)
         log_pt = policy._log_softmax(params.w_template @ feats
                                      + params.b_template)
         pt = np.exp(log_pt)
         one_hot = np.zeros(n_templates)
         one_hot[tr.template_index] = 1.0
-        total_loss += -tr.advantage * log_pt[tr.template_index]
-        d_logits = -tr.advantage * (one_hot - pt)
+        total_loss += -advantage * log_pt[tr.template_index]
+        d_logits = -advantage * (one_hot - pt)
         ent_loss, ent_grad = entropy_terms(log_pt, np.arange(n_templates))
         total_loss += entropy_coef * ent_loss
         d_logits += entropy_coef * ent_grad
@@ -289,15 +310,16 @@ def reference_loss_and_grads(params, transitions, encoder, value_coef,
         prev = ""
         for position, e_idx in enumerate(tr.filler_indices):
             x = policy._entity_context(encoder, feats, position,
-                                       tr.template_pattern, prev)
+                                       params.templates[tr.template_index],
+                                       prev)
             log_pe = reference_masked_log_softmax(
-                params.w_entity @ x + params.b_entity, tr.mask_idx)
-            total_loss += -tr.advantage * log_pe[e_idx]
+                params.w_entity @ x + params.b_entity, mask_idx)
+            total_loss += -advantage * log_pe[e_idx]
             pe = np.exp(log_pe)
             d_e = np.zeros(len(params.entities))
-            d_e[tr.mask_idx] = -tr.advantage * (-pe[tr.mask_idx])
-            d_e[e_idx] += -tr.advantage
-            ent_loss, ent_grad = entropy_terms(log_pe, tr.mask_idx)
+            d_e[mask_idx] = -advantage * (-pe[mask_idx])
+            d_e[e_idx] += -advantage
+            ent_loss, ent_grad = entropy_terms(log_pe, mask_idx)
             total_loss += entropy_coef * ent_loss
             d_e += entropy_coef * ent_grad
             grads["w_entity"] += np.outer(d_e, x)
@@ -305,7 +327,7 @@ def reference_loss_and_grads(params, transitions, encoder, value_coef,
             prev = params.entities[e_idx]
 
         v = float(params.w_value @ feats + params.b_value)
-        delta = tr.target_q - v
+        delta = target_q - v
         total_loss += value_coef * 0.5 * delta * delta
         grads["w_value"] += value_coef * (-delta) * feats
         grads["b_value"] += value_coef * (-delta)
@@ -325,16 +347,17 @@ def test_batched_loss_and_grads_match_reference_loop(miniz):
         for tr, t_idx in zip(transitions, (blanks.index(0), blanks.index(1),
                                            blanks.index(2))):
             tr.template_index = t_idx
-            tr.template_pattern = params.templates[t_idx]
-            tr.filler_indices = tuple(int(tr.mask_idx[-1])
+            tr.filler_indices = tuple(int(np.flatnonzero(~tr.off)[-1])
                                       for _ in range(blanks[t_idx]))
-        transitions[-1].mask_idx = np.arange(n_entities)
+            tr.contexts = decode_contexts(params, encoder, tr)
+        transitions[-1].off = np.zeros(n_entities, dtype=bool)
         transitions[0].next_feats = None
-        prepare_targets(params, transitions)
-        loss, grads = a2c_loss_and_grads(params, transitions, encoder,
+        targets = prepare_targets(params, transitions)
+        loss, grads = a2c_loss_and_grads(params, transitions, targets,
                                          entropy_coef=0.05)
         ref_loss, ref_grads = reference_loss_and_grads(
-            params, transitions, encoder, value_coef=0.5, entropy_coef=0.05)
+            params, transitions, targets, encoder, value_coef=0.5,
+            entropy_coef=0.05)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
         for name in params.ARRAYS:
             assert grads[name].shape == getattr(params, name).shape
@@ -348,15 +371,14 @@ def test_prepare_targets_matches_per_transition_values(miniz):
     encoder = small_encoder()
     transitions = [random_transition(miniz, params, encoder, rng)
                    for _ in range(25)]
-    prepare_targets(params, transitions)
-    for tr in transitions:
+    for tr, target_q, advantage in zip(transitions,
+                                       *prepare_targets(params, transitions)):
         v_next = 0.0 if tr.next_feats is None else \
             float(params.w_value @ tr.next_feats + params.b_value)
         v = float(params.w_value @ tr.feats + params.b_value)
-        assert tr.target_q == pytest.approx(tr.reward + params.gamma * v_next,
-                                            rel=1e-12, abs=1e-12)
-        assert tr.advantage == pytest.approx(tr.target_q - v,
-                                             rel=1e-12, abs=1e-12)
+        assert target_q == pytest.approx(tr.reward + params.gamma * v_next,
+                                         rel=1e-12, abs=1e-12)
+        assert advantage == pytest.approx(target_q - v, rel=1e-12, abs=1e-12)
 
 
 # --- the actor as it was written before its per-call rebuilds were cut ------
@@ -407,10 +429,10 @@ def test_draw_is_log_softmax_exp_and_sample_bit_for_bit(miniz):
             miniz.entities, size=int(rng.integers(1, n + 1)), replace=False)))
         assert np.array_equal(
             policy._log_softmax(masked(logits, mask)),
-            reference_masked_log_softmax(logits, mask[0]))
+            reference_masked_log_softmax(logits, on_mask(mask)))
         assert policy._draw(masked(logits, mask), ours) == \
             reference_sample(np.exp(reference_masked_log_softmax(
-                logits, mask[0])), theirs)
+                logits, on_mask(mask))), theirs)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -429,7 +451,7 @@ def test_cached_context_tails_give_the_reference_entity_context(miniz):
 
 
 def reference_act(params, feats, mask, rng, encoder, template_blanks):
-    """act() drawing through rng.choice: (template, fillers)."""
+    """act() drawing through rng.choice: (template, fillers, contexts)."""
     log_pt = reference_log_softmax(params.w_template @ feats
                                    + params.b_template)
     t_idx = int(rng.choice(len(log_pt), p=np.exp(log_pt)))
@@ -437,7 +459,7 @@ def reference_act(params, feats, mask, rng, encoder, template_blanks):
                          if e in mask], dtype=int)
     if mask_idx.size == 0:
         mask_idx = np.arange(len(params.entities))
-    fillers = []
+    fillers, contexts = [], []
     prev = ""
     for position in range(template_blanks[t_idx]):
         x = reference_entity_context(encoder, feats, position,
@@ -446,8 +468,9 @@ def reference_act(params, feats, mask, rng, encoder, template_blanks):
             params.w_entity @ x + params.b_entity, mask_idx)
         e_idx = int(rng.choice(len(log_pe), p=np.exp(log_pe)))
         fillers.append(e_idx)
+        contexts.append(x)
         prev = params.entities[e_idx]
-    return t_idx, tuple(fillers)
+    return t_idx, tuple(fillers), contexts
 
 
 def test_act_draws_match_rng_choice(miniz):
@@ -463,12 +486,14 @@ def test_act_draws_match_rng_choice(miniz):
         mask = masks[k % len(masks)]
         result = act(params, feats, mask_of(params, mask), ours, encoder,
                      blanks)
-        expected = reference_act(params, feats, mask, theirs, encoder, blanks)
-        assert (result.template_index, result.filler_indices) == expected
+        t_idx, fillers, contexts = reference_act(params, feats, mask, theirs,
+                                                 encoder, blanks)
+        assert (result.template_index, result.filler_indices) == (t_idx,
+                                                                  fillers)
         assert result.mask_fallback == (not mask)
-        assert set(result.mask_idx.tolist()) == (
-            set(range(len(miniz.entities))) if not mask else
-            {i for i, e in enumerate(miniz.entities) if e in mask})
+        assert len(result.contexts) == len(contexts)
+        for got, want in zip(result.contexts, contexts):
+            assert np.array_equal(got, want)
     assert ours.random() == theirs.random()
 
 
@@ -517,11 +542,11 @@ def test_a2c_update_moves_params_and_rejects_empty(miniz):
     transitions = [random_transition(miniz, params, encoder, rng)
                    for _ in range(8)]
     before = params.to_vector()
-    a2c_update(params, transitions, encoder, learning_rate=0.05)
+    a2c_update(params, transitions, learning_rate=0.05)
     assert not np.array_equal(params.to_vector(), before)
     assert np.isfinite(params.to_vector()).all()
     with pytest.raises(ValueError):
-        a2c_update(params, [], encoder)
+        a2c_update(params, [])
 
 
 def test_a2c_update_leaves_params_untouched_on_non_finite_gradient(
@@ -541,5 +566,5 @@ def test_a2c_update_leaves_params_untouched_on_non_finite_gradient(
     monkeypatch.setattr(policy, "a2c_loss_and_grads", last_gradient_nan)
     before = params.to_vector()
     with pytest.raises(FloatingPointError):
-        a2c_update(params, transitions, encoder)
+        a2c_update(params, transitions)
     assert np.array_equal(params.to_vector(), before)

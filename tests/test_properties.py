@@ -231,10 +231,10 @@ def counted(backend):
 
 def begun(env):
     """Everything begin builds, in a form compared bit for bit."""
-    mask_idx, fallback, off = env.mask()
+    fallback, off = env.mask()
     return (env.graph.triples, kg.kg_hash(env.graph),
             env.tracker.total.tobytes(), env.tracker.count, env.entity_refs,
-            mask_idx.tobytes(), fallback, off.tobytes(),
+            fallback, off.tobytes(),
             env.feats().tobytes())
 
 
@@ -244,11 +244,10 @@ def entity_counts(graph):
 
 
 def assert_mask_is_fresh(env):
-    mask_idx, fallback, off = env.mask()
-    want_idx, want_fallback, want_off = policy._mask_indices(
-        env.game.entities, env.entity_refs)
-    assert np.array_equal(mask_idx, want_idx) and fallback == want_fallback
-    assert np.array_equal(off, want_off)
+    fallback, off = env.mask()
+    want_fallback, want_off = policy._mask_indices(env.game.entities,
+                                                   env.entity_refs)
+    assert fallback == want_fallback and np.array_equal(off, want_off)
     assert env.entity_refs == entity_counts(env.graph)
 
 
@@ -285,6 +284,41 @@ def test_the_cached_mask_is_the_mask_of_the_graph(walk, cut):
             assert_mask_is_fresh(env)
             if done:
                 break
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(GAMES)), st.integers(0, 2**32 - 1), st.data())
+@example("miniz", 0, None)
+def test_act_records_the_entity_contexts_of_its_picks(name, seed, data):
+    """The learner trains on act's recorded contexts and mask, so they must
+    be the decode walk rebuilt along the picks, bit for bit, and the mask's
+    complement (all of the vocabulary for an empty mask)."""
+    game = GAMES[name]
+    names = set() if data is None else data.draw(
+        st.sets(st.sampled_from(game.entities)))
+    rng = np.random.default_rng(seed)
+    params = policy.init_params(game, ENCODER.config)
+    for array in params.ARRAYS:
+        getattr(params, array)[...] = rng.normal(
+            0, 1, getattr(params, array).shape)
+    blanks = {i: t.blanks for i, t in enumerate(game.templates)}
+    fallback, off = mask = policy._mask_indices(params.entities, names)
+    assert fallback == (not names)
+    assert off.tolist() == [bool(names) and e not in names
+                            for e in params.entities]
+    for _ in range(20):
+        feats = rng.normal(0, 1, ENCODER.config.feature_dim)
+        result = policy.act(params, feats, mask, rng, ENCODER, blanks)
+        template = params.templates[result.template_index]
+        assert len(result.contexts) == len(result.filler_indices) == \
+            blanks[result.template_index]
+        prev = ""
+        for position, (x, e_idx) in enumerate(zip(result.contexts,
+                                                  result.filler_indices)):
+            assert not off[e_idx]
+            assert x.tobytes() == policy._entity_context(
+                ENCODER, feats, position, template, prev).tobytes()
+            prev = params.entities[e_idx]
 
 
 def generator_of(backend):
