@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, extraction, kg, policy
+from .gamedef import normalize
 
 ROLLOUT = 8             # outer iterations between A2C updates
 STUCK_FRACTION = 0.75   # share of the batch that must stagnate to backtrack
@@ -376,6 +377,12 @@ def load_chain(blob):
             if m["length"] != len(actions):
                 raise ValueError(f"module {i} length {m['length']!r} is not "
                                  f"its {len(actions)} actions")
+            for t in m["graph"]:    # as Triple.make leaves them
+                if not (isinstance(t, list) and len(t) == 3 and all(
+                        isinstance(x, str) and x and normalize(x) == x
+                        for x in t)):
+                    raise ValueError(f"module {i} graph entry {t!r} is not "
+                                     f"three non-empty normalized strings")
             modules.append(ChainModule(
                 params=policy.load_params(base64.b64decode(m["params"])),
                 launch=Launch(base64.b64decode(m["snapshot"]),
@@ -506,7 +513,7 @@ def execute_chain(chain, game, config=None):
     nondeterminism).  Each module steps once per recorded action at most.
     """
     config = config or ExplorationConfig()
-    encoder = policy.StateEncoder(config.encoder)
+    encoder = policy.shared_encoder(config.encoder)
     env = _replay_env(game, encoder)
     blanks = {j: t.blanks for j, t in enumerate(game.templates)}
     hasher = TrajectoryHasher()
@@ -593,13 +600,17 @@ class _Trainer:
     def __init__(self, game, config):
         self.game = game
         self.config = config
-        self.encoder = policy.StateEncoder(config.encoder)
+        self.encoder = policy.shared_encoder(config.encoder)
         self.backend = extraction.make_backend(
             config.backend, game, seed=config.seed,
             p_drop=config.p_drop, p_swap=config.p_swap)
         self.global_edges = kg.GlobalEdgeSet()
         self.fresh_policy()
         self.blanks = {i: t.blanks for i, t in enumerate(game.templates)}
+        # (template index, filler indices) -> GroundedAction, so that an
+        # action's text is computed once; every policy the trainer installs
+        # has the game's entities in init_params order
+        self.actions = {}
         self.rng = np.random.default_rng(config.seed)
         self.hasher = TrajectoryHasher()
         self.log = []
@@ -632,9 +643,12 @@ class _Trainer:
                             self.blanks)
         if result.mask_fallback:
             self.fallbacks += 1
-        action = engine.GroundedAction(
-            self.game.templates[result.template_index],
-            tuple(params.entities[f] for f in result.filler_indices))
+        key = (result.template_index, result.filler_indices)
+        action = self.actions.get(key)
+        if action is None:
+            action = self.actions[key] = engine.GroundedAction(
+                self.game.templates[result.template_index],
+                tuple(params.entities[f] for f in result.filler_indices))
         r_game, r_im, r_shaped, done, truncated = env.step(action)
         self.steps += 1
         transition = policy.Transition(

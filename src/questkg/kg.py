@@ -10,7 +10,8 @@ unique triple pays out exactly once per run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .gamedef import normalize
 
@@ -23,15 +24,20 @@ REL_VISITED = "visited"
 EMPTY_DIGEST = 0  # documented fixed digest of the empty graph
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """A triple hashes as the tuple of its fields, in C.  make and
+    triple_digest are memoised, so normalize and blake2b run once per
+    distinct triple in a process."""
+
     subject: str
     relation: str
     object: str
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def make(subject, relation, object):
-        """Normalized construction: lowercase, trimmed, article-stripped."""
+        """Normalized construction: lowercase, trimmed, article-stripped.
+        Repeated raw arguments return the same object."""
         s, r, o = normalize(subject), normalize(relation), normalize(object)
         if not (s and r and o):
             raise ValueError(f"triple fields must be non-empty: {(s, r, o)!r}")
@@ -41,6 +47,7 @@ class Triple:
         return f"{self.subject}\t{self.relation}\t{self.object}"
 
 
+@lru_cache(maxsize=None)
 def triple_digest(triple):
     raw = hashlib.blake2b(triple.line().encode(), digest_size=8).digest()
     return int.from_bytes(raw, "big")

@@ -21,6 +21,7 @@ the test suite; everything is float64.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -31,6 +32,13 @@ NEG_INF = -1e30  # soft -inf keeps exp() at exactly 0.0 without nan traps
 VALUE_COEF = 0.5  # weight of the critic's squared error in the A2C loss
 
 CHECKPOINT_VERSION = 1
+
+
+def _frozen(array):
+    """The array, made read-only: the encoder's caches are shared by every
+    caller in the process, so a stray in-place write must raise."""
+    array.flags.writeable = False
+    return array
 
 
 def _seeded_rng(*parts):
@@ -53,15 +61,20 @@ class EncoderConfig:
 
 
 class StateEncoder:
-    """Deterministic featurizer; owns the fixed seeded weights and caches."""
+    """Deterministic featurizer; owns the fixed seeded weights and caches.
+
+    Every weight and cached vector is seeded from its own key alone, so an
+    encoder returns the same bits whatever it has computed before; the
+    training loops and execute_chain share one per config (shared_encoder).
+    Cached arrays are read-only."""
 
     def __init__(self, config=EncoderConfig()):
         self.config = config
         c = config
         rng = _seeded_rng("encoder", c.seed)
-        self._w_out = rng.normal(0, 1.0 / np.sqrt(c.d_graph),
-                                 (c.d_graph, c.d_graph))
-        self._b_out = rng.normal(0, 0.1, c.d_graph)
+        self._w_out = _frozen(rng.normal(0, 1.0 / np.sqrt(c.d_graph),
+                                         (c.d_graph, c.d_graph)))
+        self._b_out = _frozen(rng.normal(0, 0.1, c.d_graph))
         self._w_rel = {}        # relation -> (d_graph, d_node) filter
         self._node_vec = {}     # token -> d_node embedding
         self._msg = {}          # triple -> d_graph message vector
@@ -77,7 +90,8 @@ class StateEncoder:
         if w is None:
             c = self.config
             rng = _seeded_rng("rel", c.seed, relation)
-            w = rng.normal(0, 1.0 / np.sqrt(c.d_node), (c.d_graph, c.d_node))
+            w = _frozen(rng.normal(0, 1.0 / np.sqrt(c.d_node),
+                                   (c.d_graph, c.d_node)))
             self._w_rel[relation] = w
         return w
 
@@ -85,7 +99,8 @@ class StateEncoder:
         h = self._node_vec.get(token)
         if h is None:
             c = self.config
-            h = _seeded_rng("node", c.seed, token).normal(0, 1, c.d_node)
+            h = _frozen(_seeded_rng("node", c.seed, token).normal(
+                0, 1, c.d_node))
             self._node_vec[token] = h
         return h
 
@@ -95,8 +110,8 @@ class StateEncoder:
         if m is None:
             w_r = self._relation_filter(triple.relation)
             w_self = self._relation_filter("self")
-            m = w_r @ self.node_vector(triple.object) \
-                + w_self @ self.node_vector(triple.subject)
+            m = _frozen(w_r @ self.node_vector(triple.object)
+                        + w_self @ self.node_vector(triple.subject))
             self._msg[triple] = m
         return m
 
@@ -127,15 +142,16 @@ class StateEncoder:
                 vec[idx] += sign
             if tokens:
                 vec /= np.sqrt(len(tokens))
-            self._text_vec[text] = vec
+            self._text_vec[text] = _frozen(vec)
         return vec
 
     def decode_vector(self, kind, key):
         """Fixed context embedding for partial-decode conditioning."""
         vec = self._decode_vec.get((kind, key))
         if vec is None:
-            vec = _seeded_rng("dec", self.config.seed, f"{kind}:{key}").normal(
-                0, 1, self.config.d_decode)
+            vec = _frozen(_seeded_rng(
+                "dec", self.config.seed, f"{kind}:{key}").normal(
+                    0, 1, self.config.d_decode))
             self._decode_vec[kind, key] = vec
         return vec
 
@@ -146,14 +162,20 @@ class StateEncoder:
         key = (first, template_pattern, prev_entity)
         tail = self._tail.get(key)
         if tail is None:
-            tail = np.concatenate([
+            tail = _frozen(np.concatenate([
                 np.array([1.0, 0.0]) if first else np.array([0.0, 1.0]),
                 self.decode_vector("tmpl", template_pattern),
                 self.decode_vector("ent",
                                    prev_entity if prev_entity else "<none>"),
-            ])
+            ]))
             self._tail[key] = tail
         return tail
+
+
+@functools.cache
+def shared_encoder(config):
+    """The one StateEncoder of this config in the process."""
+    return StateEncoder(config)
 
 
 class PooledGraphTracker:

@@ -571,6 +571,80 @@ def test_execute_chain_rejects_params_that_do_not_fit_the_encoder(
         execute_chain(chain, chainworld)
 
 
+MC_COLD_WARM = """\
+import hashlib
+from questkg import exploration, games
+game = games.load_bundled("miniz")
+config = exploration.ExplorationConfig(
+    seed=4, total_steps=20_000, batch_size=16, horizon=40, patience=1000,
+    learning_rate=0.01, entropy_coef=0.05, backend="oracle", alpha=2.0)
+result = exploration.mc_train(game, config)
+print(result.trajectory_hash,
+      hashlib.blake2b(exploration.save_chain(result.chain)).hexdigest())
+"""
+
+
+def test_mc_train_gives_the_same_bits_cold_warm_and_in_a_fresh_process(
+        capsys):
+    """The encoder, Triple.make and triple_digest keep their values for the
+    whole process; a run on cold caches, a run on the caches it left and a
+    run in a fresh interpreter must agree on the trajectory and the chain
+    bytes."""
+    policy.shared_encoder.cache_clear()
+    kg.Triple.make.cache_clear()
+    kg.triple_digest.cache_clear()
+    runs = []
+    for _ in range(2):          # cold, then warm
+        exec(MC_COLD_WARM, {})
+        runs.append(capsys.readouterr().out)
+    src = Path(exploration.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", MC_COLD_WARM], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    assert runs[0] == runs[1] == done.stdout
+    assert runs[0].split()[0] == MC_PINS[4]["trajectory_hash"]
+
+
+def test_a_second_replay_builds_no_encoder_and_seeds_nothing(deceive,
+                                                             monkeypatch):
+    """Every replay of a chain shares one encoder per config, so once a
+    replay has run, the next derives no seeded weight or vector again."""
+    chain = walkthrough_chain(deceive)
+    first = execute_chain(chain, deceive, FAST)
+    counts = {"encoders": 0, "seeded_rngs": 0}
+    real_init, real_rng = policy.StateEncoder.__init__, policy._seeded_rng
+
+    def init(self, *args, **kwargs):
+        counts["encoders"] += 1
+        real_init(self, *args, **kwargs)
+
+    def seeded_rng(*parts):
+        counts["seeded_rngs"] += 1
+        return real_rng(*parts)
+
+    monkeypatch.setattr(policy.StateEncoder, "__init__", init)
+    monkeypatch.setattr(policy, "_seeded_rng", seeded_rng)
+    assert execute_chain(chain, deceive, FAST) == first
+    assert counts == {"encoders": 0, "seeded_rngs": 0}
+
+
+@pytest.mark.parametrize("entry", [[1, 2, 3], ["", "x", "y"],
+                                   [None, "x", "y"], "abc",
+                                   ["x", "y"], ["x", "y", "z", "w"],
+                                   ["Cellar", "has", "lamp"],
+                                   ["cellar", "has", "the lamp"],
+                                   ["cellar", "has", "lamp "]])
+def test_load_chain_rejects_a_malformed_graph_entry(
+        deceive, entry):
+    doc = json.loads(save_chain(walkthrough_chain(deceive)))
+    assert len(doc["modules"]) > 1
+    doc["modules"][1]["graph"].append(entry)
+    with pytest.raises(ValueError, match="module 1 graph entry"):
+        load_chain(json.dumps(doc).encode())
+
+
 @pytest.mark.parametrize("blob", [b"\xff\x00", b'{"v":1}', b"[1]",
                                   b'{"v":1,"j_max":0,"modules":[{}]}'])
 def test_load_chain_rejects_malformed_checkpoints(blob):

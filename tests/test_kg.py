@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 
 from questkg import kg
@@ -12,8 +14,37 @@ def test_triple_make_normalizes():
 
 
 def test_triple_make_rejects_empty_fields():
-    with pytest.raises(ValueError):
-        Triple.make("the", "is", "lit")
+    for _ in range(3):      # lru_cache keeps no exception: raised every time
+        with pytest.raises(ValueError):
+            Triple.make("the", "is", "lit")
+
+
+def test_triple_make_returns_one_object_per_raw_arguments():
+    t = Triple.make("The Brass Lamp", "IS", " lit ")
+    assert Triple.make("The Brass Lamp", "IS", " lit ") is t
+    assert kg.triple_digest(t) == kg.triple_digest(
+        Triple("brass lamp", "is", "lit"))
+
+
+@dataclass(frozen=True)
+class DataclassTriple:
+    """Triple as it once was: a frozen dataclass, whose hash is that of
+    the tuple of its fields."""
+    subject: str
+    relation: str
+    object: str
+
+
+def test_triple_hashes_and_iterates_in_sets_like_the_frozen_dataclass():
+    fields = [(f"room {i}", rel, f"item {i * 7 % 13}")
+              for i in range(100) for rel in ("has", "north of")]
+    for f in fields:
+        assert hash(Triple(*f)) == hash(f) == hash(DataclassTriple(*f))
+    # equal hashes and insertion order give equal set iteration order, so
+    # graph iteration (and everything that follows it) is unchanged
+    assert [tuple(t) for t in set(Triple(*f) for f in fields)] == [
+        (t.subject, t.relation, t.object)
+        for t in set(DataclassTriple(*f) for f in fields)]
 
 
 def test_kg_hash_is_order_independent():

@@ -85,6 +85,28 @@ def test_encoder_is_deterministic(miniz):
     assert np.array_equal(a.text_vector(obs.desc), b.text_vector(obs.desc))
 
 
+def test_shared_encoder_is_one_per_config():
+    assert policy.shared_encoder(SMALL) is policy.shared_encoder(
+        EncoderConfig(d_graph=8, d_node=6, d_obs=6, d_decode=4))
+    assert policy.shared_encoder(SMALL) is not policy.shared_encoder(
+        EncoderConfig())
+
+
+def test_cached_encoder_arrays_are_read_only():
+    """The shared encoder's caches serve every later call in the process,
+    so writing into one of them raises instead of corrupting them."""
+    enc = small_encoder()
+    triple = kg.Triple("you", "in", "hall")
+    reference = enc.message(triple).copy()
+    for array in (enc.message(triple), enc.text_vector("a dark hall"),
+                  enc.node_vector("hall"), enc._relation_filter("in"),
+                  enc.decode_vector("tmpl", "take ___"),
+                  enc.context_tail(True, "take ___", "")):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1.0
+    assert enc.message(triple).tobytes() == reference.tobytes()
+
+
 def test_pooled_tracker_matches_reference_summary(miniz):
     encoder = small_encoder()
     graph = kg.KnowledgeGraph()

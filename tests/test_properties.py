@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from questkg import engine, extraction, games, kg, policy
+from questkg import engine, exploration, extraction, games, kg, policy
 from questkg.gamedef import (GameDef, GameParseError, GameValidationError,
                              load_game)
 from questkg.exploration import (AgentEnv, ExplorationConfig,
@@ -34,9 +34,9 @@ ENCODER = policy.StateEncoder(ExplorationConfig().encoder)
 
 
 @st.composite
-def walks(draw, max_len=40):
-    """(game, action texts) from reset."""
-    name = draw(st.sampled_from(sorted(GAMES)))
+def walks(draw, max_len=40, names=tuple(sorted(GAMES))):
+    """(game, action texts) from reset, on one of the named games."""
+    name = draw(st.sampled_from(names))
     game = GAMES[name]
     state = engine.reset(game)[0]
     texts = list(draw(st.sampled_from(LEADS.get(name, ((),)))))
@@ -319,6 +319,50 @@ def test_act_records_the_entity_contexts_of_its_picks(name, seed, data):
             assert x.tobytes() == policy._entity_context(
                 ENCODER, feats, position, template, prev).tobytes()
             prev = params.entities[e_idx]
+
+
+def encoder_calls(game, texts, data):
+    """(method, arguments) of the encoder calls a walk makes: the messages
+    of the triples and the vectors of the observation texts it holds, and
+    some drawn context tails of the game's templates and entities."""
+    calls = {}
+    for env in exploration._walk(game, ENCODER, texts):
+        for t in env.graph.triples:
+            calls["message", (t,)] = None
+        obs = env.obs
+        for text in (obs.desc, obs.feedback, obs.inv, obs.prev_action):
+            calls["text_vector", (text,)] = None
+    tails = data.draw(st.lists(st.tuples(
+        st.booleans(), st.sampled_from([t.pattern for t in game.templates]),
+        st.sampled_from(("", *game.entities))), max_size=10))
+    for key in tails:
+        calls["context_tail", key] = None
+    return list(calls)
+
+
+@PROPERTY
+@given(walks(), st.data())
+def test_a_warm_encoder_returns_the_bits_of_a_fresh_one(walk, data):
+    """Every cached vector is seeded from its own key alone, so an encoder
+    that computed other keys first, in any order and on any game, returns
+    what a fresh encoder computes: the one shared encoder per config gives
+    every caller the bits it would get from its own."""
+    game, texts = walk
+    others = tuple(name for name in sorted(GAMES) if name != game.name)
+    other_game, other_texts = data.draw(walks(names=others))
+    calls = encoder_calls(game, texts, data)
+    warm = policy.StateEncoder(ENCODER.config)
+    for name, args in data.draw(st.permutations(
+            calls + encoder_calls(other_game, other_texts, data))):
+        getattr(warm, name)(*args)
+    for name, args in calls:
+        fresh = policy.StateEncoder(ENCODER.config)
+        assert getattr(warm, name)(*args).tobytes() == \
+            getattr(fresh, name)(*args).tobytes()
+    fresh = policy.StateEncoder(ENCODER.config)
+    for a, b in zip(exploration._walk(game, warm, texts),
+                    exploration._walk(game, fresh, texts)):
+        assert a.feats().tobytes() == b.feats().tobytes()
 
 
 def generator_of(backend):
