@@ -134,10 +134,23 @@ def snapshot(state):
     return json.dumps(payload, separators=(",", ":")).encode()
 
 
+# snapshot field -> (its JSON type, as an error names it); the check is
+# exact, so JSON true is no integer
+_FIELDS = {"room": (str, "a string"), "objects": (dict, "an object"),
+           "flags": (dict, "an object"), "score": (int, "an integer"),
+           "turn": (int, "an integer"), "alive": (bool, "a bool"),
+           "fired": (list, "a list")}
+
+
+def _wrong(field, value, what):
+    return SnapshotError(f"snapshot field {field}: {value!r} is not {what}")
+
+
 def restore(snap):
     """Rebuild a WorldState from snapshot bytes. Round-trip is bit-exact.
 
-    Raises SnapshotError for bytes that are not a snapshot of this version.
+    Raises SnapshotError for bytes that are not a snapshot of this version,
+    naming the field when one is missing or of the wrong type.
     """
     try:
         payload = json.loads(snap.decode())
@@ -147,19 +160,28 @@ def restore(snap):
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"snapshot version {version!r}, "
                             f"expected {SNAPSHOT_VERSION}")
-    try:
-        return WorldState(
-            current_room=payload["room"],
-            object_locations={k: tuple(v)
-                              for k, v in payload["objects"].items()},
-            flags=dict(payload["flags"]),
-            score=payload["score"],
-            turn=payload["turn"],
-            alive=payload["alive"],
-            fired_events=set(payload["fired"]),
-        )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise SnapshotError(f"malformed snapshot field: {exc!r}") from None
+    for name, (kind, what) in _FIELDS.items():
+        if name not in payload:
+            raise SnapshotError(f"snapshot lacks field {name!r}")
+        if type(payload[name]) is not kind:
+            raise _wrong(name, payload[name], what)
+    locations = {}
+    for obj, where in payload["objects"].items():
+        loc = tuple(where) if type(where) is list else ()
+        if loc != INVENTORY and not (len(loc) == 2 and loc[0] in ("room", "in")
+                                     and type(loc[1]) is str):
+            raise _wrong(f"objects.{obj}", where,
+                         '["inv"], ["room", str] or ["in", str]')
+        locations[obj] = loc
+    for name, value in payload["flags"].items():
+        if type(value) is not bool:
+            raise _wrong(f"flags.{name}", value, "a bool")
+    for event in payload["fired"]:
+        if type(event) is not str:
+            raise _wrong("fired", event, "an event id string")
+    return WorldState(payload["room"], locations, payload["flags"],
+                      payload["score"], payload["turn"], payload["alive"],
+                      set(payload["fired"]))
 
 
 def state_hash(state):

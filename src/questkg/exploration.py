@@ -508,9 +508,11 @@ def execute_chain(chain, game, config=None):
     Raises ChainExecutionError if a module's policy was trained on other
     templates or entities than the game's, if its arrays do not have the
     shapes the config's encoder gives, if its launch is in a room the game
-    lacks or holds other objects than the game's, or if any module fails to
-    reproduce its recorded handoff score (which would indicate
-    nondeterminism).  Each module steps once per recorded action at most.
+    lacks, holds other objects than the game's or is terminal, or if any
+    module fails to reproduce its recorded handoff score (which would
+    indicate nondeterminism).  A launch snapshot that does not restore
+    raises engine.SnapshotError.  Each module steps once per recorded action
+    at most.
     """
     config = config or ExplorationConfig()
     encoder = policy.shared_encoder(config.encoder)
@@ -539,6 +541,9 @@ def execute_chain(chain, game, config=None):
             raise ChainExecutionError(
                 f"module {i}: launch in room {state.current_room!r} does not "
                 f"fit the rooms and objects of game {game.name!r}")
+        if not state.alive:
+            raise ChainExecutionError(
+                f"module {i}: launch is a terminal state")
         env.begin(module.launch)
         for _ in module.actions:
             feats = env.feats()
@@ -691,17 +696,17 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
            on_improvement=None, tie_guard=None, splice=None):
     """Step the batch round-robin until the budget or an improvement.
 
-    Returns (best_improvement or None, steps used).  An improvement is an
+    Returns (improving env or None, steps used).  An improvement is an
     episode whose final score strictly exceeds j_target, or one that matches
     it while discovering globally new triples and passing tie_guard(env)
-    (None refuses ties); its payload is (score, action_texts, last_useful,
-    last_gain): the episode's final score and actions, and the number of
-    actions up to its last score gain or discovery and up to its last score
-    gain.  When on_improvement is None the phase returns at
-    the first improvement, otherwise the callback consumes it and returns
-    the new target; the phase then returns once trainer.at_max(target).
+    (None refuses ties); the env that played it comes back unstepped, its
+    state, episode_actions, last_useful and last_gain those of the episode.
+    When on_improvement is None the phase returns at the first improvement,
+    otherwise on_improvement(env) consumes it, the episode's final score
+    becomes the target, and the phase returns once trainer.at_max(target).
     get_launch is called whenever an instance starts an episode, so the
-    caller may move the launch point mid-phase.  With a patience the phase
+    caller may move the launch point mid-phase.  When splice(env) returns
+    True the phase returns ("splice", used).  With a patience the phase
     also returns (None, used) at the end of a sweep in which at least
     STUCK_FRACTION of the envs have gone patience steps without a globally
     new triple (AgentEnv.stagnant).
@@ -717,24 +722,21 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
                 env.begin(get_launch())
             _, r_game, r_im, r_t, done, truncated = trainer.act_and_step(env)
             used += 1
-            if splice is not None and not env.needs_reset:
-                new_target = splice(env)
-                if new_target is not None:
-                    return ("splice", new_target), used
+            if splice is not None and not env.needs_reset and splice(env):
+                return "splice", used
             if done or truncated:
                 final = env.state.score
                 improved = final > j_target or (
                     tie_guard is not None and final >= j_target
                     and env.episode_new > 0 and tie_guard(env))
                 if improved:
-                    improvement = (final, list(env.episode_actions),
-                                   env.last_useful, env.last_gain)
                     trainer.log_row(env, r_im, r_t, "highscore")
                     if on_improvement is None:
-                        return improvement, used
-                    j_target = on_improvement(improvement)
+                        return env, used
+                    on_improvement(env)
+                    j_target = final
                     if trainer.at_max(j_target):
-                        return improvement, used
+                        return env, used
                 else:
                     trainer.log_row(env, r_im, r_t, "")
             if used % (ROLLOUT * len(envs)) == 0:
@@ -753,8 +755,9 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
     for at most per_snapshot_budget steps and max_total steps in all.
 
     Trains in trainer.params.  Returns (entry, params, improvement, steps
-    used); on exhaustion the first three are None and trainer.params is
-    put back as it was.
+    used), where improvement is the improving env of _phase or "splice";
+    on exhaustion the first three are None and trainer.params is put back
+    as it was.
     """
     main = trainer.params
     total = 0
@@ -790,9 +793,9 @@ def mc_train(game, config):
     # steps per backtrack snapshot: a batch of full episodes, or 2% of
     # the run's budget when that is larger
     n_backtrack = max(cfg.horizon * cfg.batch_size, cfg.total_steps // 50)
+    # episodes launch from the last entry, reached by best_actions[:prefix_len]
     buffer_entries = [BufferEntry(start.snapshot, start.graph_triples,
                                   start.score, 0)]
-    launch = buffer_entries[0]     # reached by best_actions[:prefix_len]
 
     frontier_inv, frontier_flags = _state_capability(
         engine.restore(start.snapshot))
@@ -805,35 +808,34 @@ def mc_train(game, config):
         return inv >= frontier_inv and flags >= frontier_flags
 
     def adopt(candidate_actions, score):
-        """Install a new best trajectory and advance the launch frontier.
+        """Install a new best trajectory, whose score is at least j_max.
 
-        The trajectory is loop-compressed, the buffer rebuilt, and (when
-        intrinsic motivation is active) new episodes start from the latest
-        alive state on it.  The end state itself can be terminal when a
-        gain and a death coincide, hence the buffer-tail launch.
+        The trajectory is loop-compressed.  With intrinsic motivation the
+        buffer is rebuilt, so new episodes start from the latest alive state
+        on it (the end state can be terminal when a gain and a death
+        coincide); an alpha = 0 run launches from the game start until its
+        first stagnation, when it gives up without reading the buffer.
         """
-        nonlocal j_max, best_actions, buffer_entries, launch
+        nonlocal j_max, best_actions, buffer_entries
         nonlocal frontier_inv, frontier_flags
         best_actions = shorten_trajectory(game, candidate_actions,
                                           trainer.encoder)
-        j_max = max(j_max, score)
+        j_max = score
         for env in envs:
             env.stagnant = 0
-        buffer_entries = build_state_buffer(game, best_actions,
-                                            cfg.buffer_size, trainer.encoder)
         if cfg.alpha > 0:
-            launch = buffer_entries[-1]
+            buffer_entries = build_state_buffer(
+                game, best_actions, cfg.buffer_size, trainer.encoder)
             frontier_inv, frontier_flags = _state_capability(
                 _end_state(game, start, best_actions))
             # modular chaining: a fresh policy takes over at the new frontier
             trainer.fresh_policy()
         trainer.curve.append((trainer.steps, j_max))
 
-    def on_improvement(improvement):
-        score, episode_actions, last_useful, _ = improvement
-        adopt(best_actions[:launch.prefix_len]
-              + episode_actions[:last_useful], score)
-        return j_max
+    def graft(entry, env):
+        """Adopt the episode env played from entry after entry's prefix."""
+        adopt(best_actions[:entry.prefix_len]
+              + env.episode_actions[:env.last_useful], env.state.score)
 
     def make_splice(entry):
         """Detour splicing for a backtrack entry.
@@ -846,8 +848,8 @@ def mc_train(game, config):
         dependencies (the egg, the lamp) get inserted without ever beating
         the raw high score directly from an old snapshot.
         """
-        pre = list(best_actions[:entry.prefix_len])
-        suffix = list(best_actions[entry.prefix_len:])
+        pre = best_actions[:entry.prefix_len]
+        suffix = best_actions[entry.prefix_len:]
         entry_state = engine.restore(entry.snapshot)
         entry_room = entry_state.current_room
         entry_inv, entry_flags = _state_capability(entry_state)
@@ -855,38 +857,39 @@ def mc_train(game, config):
 
         def try_splice(env):
             if env.state.current_room != entry_room or not env.state.alive:
-                return None
+                return False
             inv, flags = _state_capability(env.state)
             gained = (env.state.score > entry.score or inv > entry_inv
                       or flags > entry_flags)
             if not gained:
-                return None
+                return False
             key = (frozenset(inv), frozenset(flags), env.state.score,
                    engine.state_hash(env.state))
             if key in tried:
-                return None
+                return False
             tried.add(key)
-            candidate = pre + list(env.episode_actions) + suffix
+            candidate = pre + env.episode_actions + suffix
             end = _end_state(game, start, candidate)
             final = end.score
             cinv, cflags = _state_capability(end)
             if final < j_max:
-                return None
+                return False
             if final == j_max:
                 gained = (cinv >= frontier_inv and cflags >= frontier_flags
                           and (cinv > frontier_inv or cflags > frontier_flags))
                 if not gained:
-                    return None
+                    return False
             adopt(candidate, final)
-            return j_max
+            return True
 
         return try_splice
 
     while trainer.steps < cfg.total_steps and not trainer.at_max(j_max):
-        stopped, _ = _phase(trainer, envs, lambda: launch,
+        stopped, _ = _phase(trainer, envs, lambda: buffer_entries[-1],
                             cfg.total_steps - trainer.steps, j_max,
                             patience=cfg.patience,
-                            on_improvement=on_improvement,
+                            on_improvement=lambda env: graft(
+                                buffer_entries[-1], env),
                             tie_guard=tie_guard if cfg.alpha > 0 else None)
         # the phase returns an improvement only when the stop rule holds
         if stopped is not None or trainer.steps >= cfg.total_steps:
@@ -909,7 +912,7 @@ def mc_train(game, config):
                 break
             backtracks += 1
             advanced = True
-            if improvement[0] == "splice":
+            if improvement == "splice":
                 # the splice callback already adopted the grafted
                 # trajectory.  A tie graft moves the frontier without
                 # raising the score, and the policy has just proven it is
@@ -919,9 +922,7 @@ def mc_train(game, config):
                 if j_max > j_before:
                     break
                 continue
-            score, episode_actions, last_useful, _ = improvement
-            adopt(best_actions[:entry.prefix_len]
-                  + episode_actions[:last_useful], score)
+            graft(entry, improvement)
             break
         if not advanced:
             gave_up = True      # exhausted every snapshot; give up
@@ -940,13 +941,12 @@ def vanilla_train(game, config):
     j_max = start.score
     best_actions = []
 
-    def on_improvement(improvement):
+    def on_improvement(env):
         # every episode starts at the game start, so it gained its score
         nonlocal j_max, best_actions
-        j_max, episode_actions, _, last_gain = improvement
-        best_actions = episode_actions[:last_gain]
+        j_max = env.state.score
+        best_actions = env.episode_actions[:env.last_gain]
         trainer.curve.append((trainer.steps, j_max))
-        return j_max
 
     if not trainer.at_max(j_max):
         _phase(trainer, envs, lambda: start, config.total_steps, j_max,

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -63,6 +64,31 @@ def test_restore_rejects_wrong_version(miniz):
 def test_restore_rejects_garbage(blob):
     with pytest.raises(engine.SnapshotError):
         restore(blob)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("room", ["a"]), ("room", None), ("objects", []),
+    ("objects", {"pebble": []}), ("objects", {"pebble": "inv"}),
+    ("objects", {"pebble": ["room", 1]}), ("objects", {"pebble": ["up", "x"]}),
+    ("objects", {"pebble": ["inv", "x"]}), ("flags", {"x": "y"}),
+    ("flags", {"x": 1}), ("flags", []), ("score", ["a"]), ("score", True),
+    ("score", 1.5), ("turn", "x"), ("turn", None), ("alive", 1),
+    ("alive", "yes"), ("fired", [1.5]), ("fired", "reach-two"),
+    ("fired", {}),
+])
+def test_restore_names_a_field_of_the_wrong_type(chainworld, field, value):
+    payload = json.loads(snapshot(reset(chainworld)[0]))
+    payload[field] = value
+    with pytest.raises(engine.SnapshotError,
+                       match=rf"^snapshot field {field}\b"):
+        restore(json.dumps(payload).encode())
+
+
+def test_restore_names_a_missing_field(chainworld):
+    payload = json.loads(snapshot(reset(chainworld)[0]))
+    del payload["fired"]
+    with pytest.raises(engine.SnapshotError, match="lacks field 'fired'"):
+        restore(json.dumps(payload).encode())
 
 
 def test_grounded_action_text_is_computed_once(miniz, monkeypatch):

@@ -516,6 +516,65 @@ def test_vanilla_train_best_actions_are_pinned(miniz):
         "look", "go west"]
 
 
+# mc_train runs that leave the main phase, recorded before _phase handed
+# over the improving env: at alpha 2 the run backtracks through three
+# improving episodes and two splices; at alpha 0 it gives up at its first
+# stagnation
+BACKTRACK_PINS = {
+    2.0: dict(trajectory_hash="dd11664b0a17590eae70d349508e6568", j_max=40,
+              steps_used=20_000, backtracks=5, gave_up=False),
+    0.0: dict(trajectory_hash="482170e81c8a12011a88e758a4b4414c", j_max=10,
+              steps_used=4960, backtracks=0, gave_up=True),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(BACKTRACK_PINS))
+def test_mc_train_backtracks_and_give_ups_are_pinned(miniz, alpha):
+    result = mc_train(miniz, ExplorationConfig(
+        seed=0, total_steps=20_000,
+        **{**BENCH, "patience": 150, "alpha": alpha}))
+    assert dict(trajectory_hash=result.trajectory_hash, j_max=result.j_max,
+                steps_used=result.steps_used, backtracks=result.backtracks,
+                gave_up=result.gave_up) == BACKTRACK_PINS[alpha]
+
+
+def test_phase_hands_over_the_improving_env(chainworld):
+    """Without on_improvement the phase returns the env that improved, and
+    its actions up to the last gain or discovery reach its score from the
+    launch."""
+    trainer = exploration._Trainer(chainworld, FAST)
+    envs = trainer.make_envs(FAST.batch_size)
+    launch = build_state_buffer(chainworld, ["go east"], 1,
+                                trainer.encoder)[-1]
+    assert launch.score > 0
+    env, used = exploration._phase(trainer, envs, lambda: launch, 2000,
+                                   launch.score)
+    assert 0 < used < 2000
+    assert any(env is e for e in envs)
+    assert env.state.score > launch.score
+    end = exploration._end_state(chainworld, launch,
+                                 env.episode_actions[:env.last_useful])
+    assert end.score == env.state.score
+
+
+def test_mc_without_im_never_builds_a_state_buffer(chainworld, monkeypatch):
+    """An alpha = 0 run launches from the game start and gives up at its
+    first stagnation, so it has no use for a buffer."""
+    calls = []
+    real = exploration.build_state_buffer
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exploration, "build_state_buffer", counted)
+    assert mc_train(chainworld, FAST).curve and calls    # alpha 2 builds
+    calls.clear()
+    result = mc_train(chainworld, replace(FAST, alpha=0.0))
+    assert result.curve
+    assert calls == []
+
+
 CHAIN_DIGEST = """\
 import hashlib, sys
 from questkg import exploration, games, policy, search
@@ -724,3 +783,18 @@ def test_load_chain_rejects_a_length_other_than_the_action_count(
     assert cli.main(["replay-chain", str(tmp_path / "chain.json"), "--game",
                      "chainworld"]) == 1
     assert "module 0 length" in capsys.readouterr().err
+
+
+def test_execute_chain_names_a_terminal_launch(chainworld, tmp_path, capsys):
+    chain = walkthrough_chain(chainworld)
+    launch = chain.modules[1].launch
+    state = engine.restore(launch.snapshot)
+    state.alive = False
+    chain.modules[1].launch = replace(launch, snapshot=engine.snapshot(state))
+    message = "module 1: launch is a terminal state"
+    with pytest.raises(ChainExecutionError, match=message):
+        execute_chain(chain, chainworld)
+    (tmp_path / "chain.json").write_bytes(save_chain(chain))
+    assert cli.main(["replay-chain", str(tmp_path / "chain.json"), "--game",
+                     "chainworld"]) == 1
+    assert message in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """Property tests over random action sequences on the bundled games, and
-over mutated game files.
+over mutated game files and chain checkpoints.
 
 A walk mostly takes admissible actions, sometimes an arbitrary grounding
 (which usually fails but still spends a turn), and after a death keeps
 going with arbitrary groundings, which every replay must ignore.
 """
 
+import base64
+import copy
+import functools
+import json
 import os
 import tempfile
 from collections import Counter
@@ -14,7 +18,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from questkg import engine, exploration, extraction, games, kg, policy
+from questkg import (cli, engine, exploration, extraction, games, kg, policy,
+                     search)
 from questkg.gamedef import (GameDef, GameParseError, GameValidationError,
                              load_game)
 from questkg.exploration import (AgentEnv, ExplorationConfig,
@@ -670,3 +675,83 @@ def test_malformed_game_files_raise_typed_errors(blob):
     finally:
         os.remove(path)
     assert isinstance(game, GameDef)
+
+
+@functools.cache
+def walkthrough_chain_doc(name):
+    game = GAMES[name]
+    texts = [a.text for a in search.walkthrough(game)[0]]
+    chain = exploration.build_chain(game, ENCODER, ExplorationConfig(), texts)
+    return json.loads(exploration.save_chain(chain))
+
+
+def chain_with(name, module, field, value, key=None):
+    """The bytes of a walkthrough chain whose module's snapshot has value in
+    place of field, or of field[key] when a key (an index: an insertion) is
+    given."""
+    doc = copy.deepcopy(walkthrough_chain_doc(name))
+    entry = doc["modules"][module]
+    snap = json.loads(base64.b64decode(entry["snapshot"]))
+    if key is None:
+        snap[field] = value
+    elif isinstance(snap[field], list):
+        snap[field].insert(key, value)
+    else:
+        snap[field][key] = value
+    entry["snapshot"] = base64.b64encode(json.dumps(snap).encode()).decode()
+    return json.dumps(doc).encode()
+
+
+# values a mutation may put in place of a snapshot field or of one part
+ODD_VALUES = (None, True, False, 0, -1, 7, 1.5, "", "x", "inv", [], ["a"],
+              [1.5], ["inv"], ["room"], ["room", 1], ["in", "x"],
+              ["room", "x", "y"], {}, {"x": "y"}, {"x": True})
+CHAIN_GAMES = ("chainworld", "deceive")
+
+
+@st.composite
+def mutated_chain_files(draw):
+    """(game name, the bytes of its walkthrough chain) with one field of one
+    module's snapshot, or one part of that field, replaced by an odd value."""
+    name = draw(st.sampled_from(CHAIN_GAMES))
+    modules = walkthrough_chain_doc(name)["modules"]
+    module = draw(st.integers(0, len(modules) - 1))
+    snap = json.loads(base64.b64decode(modules[module]["snapshot"]))
+    field = draw(st.sampled_from(sorted(set(snap) - {"v"})))
+    part, key = snap[field], None
+    if isinstance(part, (dict, list)) and draw(st.booleans()):
+        key = (draw(st.integers(0, len(part))) if isinstance(part, list)
+               else draw(st.sampled_from(sorted(part) + ["x"])))
+    return name, chain_with(name, module, field,
+                            draw(st.sampled_from(ODD_VALUES)), key)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_chain_files())
+@example(("chainworld", chain_with("chainworld", 1, "objects",
+                                   {"pebble": []})))
+@example(("chainworld", chain_with("chainworld", 1, "room", ["a"])))
+@example(("chainworld", chain_with("chainworld", 1, "turn", "x")))
+@example(("chainworld", chain_with("chainworld", 1, "score", ["a"])))
+@example(("chainworld", chain_with("chainworld", 1, "fired", [1.5])))
+@example(("chainworld", chain_with("chainworld", 1, "flags", {"x": "y"})))
+@example(("chainworld", chain_with("chainworld", 1, "alive", False)))
+def test_mutated_chain_files_raise_typed_errors(case):
+    """load_chain raises only ValueError, and execute_chain on what it
+    loads only ChainExecutionError or SnapshotError."""
+    name, blob = case
+    try:
+        chain = exploration.load_chain(blob)
+    except ValueError:
+        return
+    try:
+        exploration.execute_chain(chain, GAMES[name])
+    except (exploration.ChainExecutionError, engine.SnapshotError):
+        pass
+
+
+def test_replay_chain_names_the_snapshot_field(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_bytes(chain_with("chainworld", 1, "objects", {"pebble": []}))
+    assert cli.main(["replay-chain", str(path), "--game", "chainworld"]) == 1
+    assert "snapshot field objects.pebble" in capsys.readouterr().err
