@@ -15,8 +15,9 @@ nothing by `state.view is view_before`.  This is exact because no condition
 reads the turn counter: every event that could fire has fired and no death
 rule held.  States from reset and restore are never settled, since their
 state may satisfy a death rule or an unfired event, so their first step runs
-in full.  Only the engine writes a WorldState, and every write it makes runs
-the full step, which replaces the view.
+in full.  Every write the engine makes runs the full step, which replaces
+the view.  Outside the engine only loop removal writes a WorldState: it
+renumbers the turn counter of its own walk, which no view or digest reads.
 """
 
 from __future__ import annotations

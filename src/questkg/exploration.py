@@ -6,8 +6,9 @@ another, round-robin; they share policy parameters and a run-level global
 edge set.  Bookkeeping (buffers, chain, archive) happens between steps by
 the coordinator; each AgentEnv counts its own stagnant steps.  Recorded
 actions are replayed with a graph in one kind of oracle AgentEnv
-(_replay_env), which loop removal, the state buffer and the chain layer
-share; the splice checks replay the engine alone (_end_state).
+(_replay_env), which loop removal and the chain layer share; the walk that
+removes loops also yields the state buffer and the frontier.  The splice
+checks replay the engine alone (_end_state).
 vanilla_train reads its best trajectory off the improving episode itself
 (AgentEnv.last_gain), without a replay.  Action sampling draws from a
 dedicated RNG stream so that deterministic bookkeeping never perturbs
@@ -278,24 +279,12 @@ class BufferEntry(Launch):
     prefix_len: int     # actions from game reset to this state
 
 
-def build_state_buffer(game, actions_from_reset, capacity, encoder):
-    """Distinct (state, graph) pairs along a replayed trajectory.
-
-    Walks the actions from reset in an oracle env, deduplicates on its
-    key(), skips terminal states, and keeps the most recent `capacity`
-    entries.
-    """
-    entries = []
-    seen = set()
-    for env in _walk(game, encoder, actions_from_reset):
-        key = env.key()
-        if env.state.alive and key not in seen:
-            seen.add(key)
-            entries.append(BufferEntry(engine.snapshot(env.state),
-                                       frozenset(env.graph.triples),
-                                       env.state.score,
-                                       len(env.episode_actions)))
-    return entries[-capacity:]
+def build_state_buffer(path, end, capacity):
+    """The latest `capacity` launches on a loop-free path and its end state,
+    as shorten_trajectory returns them, without a terminal end."""
+    if not end.alive:
+        path = path[:-1]
+    return path[-capacity:]
 
 
 # --- policy chain ------------------------------------------------------------
@@ -418,9 +407,14 @@ def shorten_trajectory(game, actions_from_reset, encoder):
     One pass suffices: the state hash leaves out only the turn counter, which
     no rule reads, so a revisited pair evolves exactly like its first visit.
     Actions after a terminal step are kept as they are.
+
+    Returns (kept actions, path, end state).  path holds a BufferEntry per
+    pair on the kept path, in order, whose prefix_len and snapshot turn are
+    its index there, as in a replay of the kept actions; the walk stops at
+    the end state.
     """
     actions = list(actions_from_reset)
-    kept = []
+    kept, path = [], []
     seen = {}       # pair on the kept path -> len(kept) at its visit
     for env in _walk(game, encoder, actions):
         i = len(env.episode_actions)
@@ -428,10 +422,15 @@ def shorten_trajectory(game, actions_from_reset, encoder):
             kept.append(actions[i - 1])
         at = seen.setdefault(env.key(), len(kept))
         if at < len(kept):
-            del kept[at:]
+            del kept[at:], path[at + 1:]
             while len(seen) > at + 1:   # forget the pairs of the loop
                 seen.popitem()
-    return kept + actions[i:]
+        else:
+            env.state.turn = at
+            path.append(BufferEntry(engine.snapshot(env.state),
+                                    frozenset(env.graph.triples),
+                                    env.state.score, at))
+    return kept + actions[i:], path, env.state
 
 
 def clone_segment_policy(game, encoder, config, steps):
@@ -508,7 +507,8 @@ def execute_chain(chain, game, config=None):
     Raises ChainExecutionError if a module's policy was trained on other
     templates or entities than the game's, if its arrays do not have the
     shapes the config's encoder gives, if its launch is in a room the game
-    lacks, holds other objects than the game's or is terminal, or if any
+    lacks, holds other objects than the game's, names an event, a flag or an
+    object's place the game lacks, or is terminal, or if any
     module fails to reproduce its recorded handoff score (which would
     indicate nondeterminism).  A launch snapshot that does not restore
     raises engine.SnapshotError.  Each module steps once per recorded action
@@ -523,6 +523,10 @@ def execute_chain(chain, game, config=None):
     score = engine.reset(game)[2]
 
     want = policy.init_params(game, config.encoder)
+    events = {e.id for e in game.events}
+    flags = {f"{o}-{kind}" for o in game.objects for kind in ("open", "lit")}
+    places = {engine.INVENTORY, *(("room", r) for r in game.rooms),
+              *(("in", o) for o in game.objects)}
     for i, module in enumerate(chain.modules):
         params = module.params
         if (params.templates, params.entities) != (want.templates,
@@ -541,6 +545,15 @@ def execute_chain(chain, game, config=None):
             raise ChainExecutionError(
                 f"module {i}: launch in room {state.current_room!r} does not "
                 f"fit the rooms and objects of game {game.name!r}")
+        lacks = ([f"event {e!r}" for e in sorted(state.fired_events - events)]
+                 + [f"flag {f!r}" for f in
+                    sorted(_state_capability(state)[1] - flags)]
+                 + [f"place {list(p)}" for p in
+                    sorted(set(state.object_locations.values()) - places)])
+        if lacks:
+            raise ChainExecutionError(
+                f"module {i}: launch names {', '.join(lacks)}, which game "
+                f"{game.name!r} lacks")
         if not state.alive:
             raise ChainExecutionError(
                 f"module {i}: launch is a terminal state")
@@ -667,8 +680,7 @@ class _Trainer:
         )
         self.transitions.append(transition)
         self.hasher.record(env.index, action.text, r_game, env.state.score,
-                           engine.state_hash(env.state),
-                           kg.kg_hash(env.graph))
+                           *env.key())
         return action, r_game, r_im, r_shaped, done, truncated
 
     def flush_update(self):
@@ -810,24 +822,23 @@ def mc_train(game, config):
     def adopt(candidate_actions, score):
         """Install a new best trajectory, whose score is at least j_max.
 
-        The trajectory is loop-compressed.  With intrinsic motivation the
-        buffer is rebuilt, so new episodes start from the latest alive state
-        on it (the end state can be terminal when a gain and a death
+        The trajectory is loop-compressed in one walk, whose path and end
+        state give the buffer and the frontier.  With intrinsic motivation
+        the buffer is rebuilt, so new episodes start from the latest alive
+        state on it (the end state can be terminal when a gain and a death
         coincide); an alpha = 0 run launches from the game start until its
         first stagnation, when it gives up without reading the buffer.
         """
         nonlocal j_max, best_actions, buffer_entries
         nonlocal frontier_inv, frontier_flags
-        best_actions = shorten_trajectory(game, candidate_actions,
-                                          trainer.encoder)
+        best_actions, path, end = shorten_trajectory(
+            game, candidate_actions, trainer.encoder)
         j_max = score
         for env in envs:
             env.stagnant = 0
         if cfg.alpha > 0:
-            buffer_entries = build_state_buffer(
-                game, best_actions, cfg.buffer_size, trainer.encoder)
-            frontier_inv, frontier_flags = _state_capability(
-                _end_state(game, start, best_actions))
+            buffer_entries = build_state_buffer(path, end, cfg.buffer_size)
+            frontier_inv, frontier_flags = _state_capability(end)
             # modular chaining: a fresh policy takes over at the new frontier
             trainer.fresh_policy()
         trainer.curve.append((trainer.steps, j_max))
@@ -863,8 +874,7 @@ def mc_train(game, config):
                       or flags > entry_flags)
             if not gained:
                 return False
-            key = (frozenset(inv), frozenset(flags), env.state.score,
-                   engine.state_hash(env.state))
+            key = engine.state_hash(env.state)
             if key in tried:
                 return False
             tried.add(key)

@@ -141,8 +141,9 @@ def test_exhausted_backtrack_puts_the_policy_back(miniz):
     trainer = exploration._Trainer(miniz, replace(FAST, batch_size=2))
     main = trainer.params
     weights = main.w_template.copy()
-    entries = build_state_buffer(miniz, walkthrough_texts(miniz)[:6], 3,
-                                 trainer.encoder)
+    _, path, end = shorten_trajectory(miniz, walkthrough_texts(miniz)[:6],
+                                      trainer.encoder)
+    entries = build_state_buffer(path, end, 3)
     entry, params, improvement, used = exploration.backtrack(
         trainer, entries, miniz.max_score, per_snapshot_budget=40,
         max_total=100, tie_guard=lambda env: False,
@@ -155,38 +156,41 @@ def test_exhausted_backtrack_puts_the_policy_back(miniz):
 
 def test_state_buffer_dedups_and_skips_death(miniz):
     texts = ["wait", "wait", "go south", "go west", "go south"]
-    entries = build_state_buffer(miniz, texts, 10, ENCODER)
+    _, path, end = shorten_trajectory(miniz, texts, ENCODER)
+    entries = build_state_buffer(path, end, 10)
     # the waits dedup; each move is a new (state, graph) pair because the
     # movement triples keep enriching the graph
-    assert len(entries) == 4
-    assert [e.prefix_len for e in entries] == [0, 3, 4, 5]
-    assert entries[0].prefix_len == 0
+    assert [e.prefix_len for e in entries] == [0, 1, 2, 3]
     death = ["go south", "go east", "open window", "go west", "go west",
              "open trapdoor", "go down"]
-    entries = build_state_buffer(miniz, death, 10, ENCODER)
+    _, path, end = shorten_trajectory(miniz, death, ENCODER)
+    entries = build_state_buffer(path, end, 10)
+    assert not end.alive
+    assert entries == path[:-1]
     final = engine.restore(entries[-1].snapshot)
     assert final.alive
 
 
 def test_state_buffer_capacity_keeps_latest(miniz):
     texts = walkthrough_texts(miniz)
-    entries = build_state_buffer(miniz, texts, 4, ENCODER)
+    entries = build_state_buffer(*shorten_trajectory(miniz, texts,
+                                                     ENCODER)[1:], 4)
     assert len(entries) == 4
     assert entries[-1].prefix_len == len(texts)
 
 
 def test_shorten_trajectory_removes_loops(miniz):
     texts = ["go south", "go north", "go south", "go east"]
-    shortened = shorten_trajectory(miniz, texts, ENCODER)
+    shortened = shorten_trajectory(miniz, texts, ENCODER)[0]
     assert shortened == ["go south", "go east"]
     # a loop that changes the graph only through revisits still collapses
-    assert shorten_trajectory(miniz, ["wait", "wait"], ENCODER) == []
+    assert shorten_trajectory(miniz, ["wait", "wait"], ENCODER)[0] == []
 
 
 def test_shorten_preserves_outcome(miniz):
     texts = ["open mailbox", "go south", "go north", "go south", "go east",
              "open window", "go west"]
-    shortened = shorten_trajectory(miniz, texts, ENCODER)
+    shortened = shorten_trajectory(miniz, texts, ENCODER)[0]
     state, _, _ = engine.reset(miniz)
     for text in shortened:
         state, _, _, _ = engine.step(state, engine.ground(miniz, text), miniz)
@@ -544,8 +548,8 @@ def test_phase_hands_over_the_improving_env(chainworld):
     launch."""
     trainer = exploration._Trainer(chainworld, FAST)
     envs = trainer.make_envs(FAST.batch_size)
-    launch = build_state_buffer(chainworld, ["go east"], 1,
-                                trainer.encoder)[-1]
+    launch = build_state_buffer(*shorten_trajectory(
+        chainworld, ["go east"], trainer.encoder)[1:], 1)[-1]
     assert launch.score > 0
     env, used = exploration._phase(trainer, envs, lambda: launch, 2000,
                                    launch.score)

@@ -79,6 +79,9 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
     assert 0 < tracer.child_calls(
         "exploration.AgentEnv.step", "exploration.shorten_trajectory") <= \
         tracer.counts["shorten_trajectory.actions_in"]
+    # and that walk is the only one: the buffer is cut from its path
+    assert tracer.child_calls(
+        "exploration.AgentEnv.step", "exploration.build_state_buffer") == 0
     # an oracle env asks its backend only after steps that change the
     # state, so fewer times than it steps the engine
     assert 0 < tracer.child_calls(

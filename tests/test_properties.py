@@ -15,6 +15,7 @@ import tempfile
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -443,12 +444,26 @@ def test_last_gain_is_where_a_replay_of_the_episode_peaks(walk, cut):
             break
 
 
+def rows(entries):
+    return [(e.snapshot, e.graph_triples, e.score, e.prefix_len)
+            for e in entries]
+
+
 @PROPERTY
 @given(walks(max_len=60))
+@example((GAMES["miniz"], [*LEADS["miniz"][1], "go down", "wait"]))
 def test_one_pass_shorten_matches_restart_reference(walk):
+    """The one walk gives what a walk of the restart reference's actions
+    gives: its pairs, snapshot bytes included, and its end state."""
     game, texts = walk
-    assert shorten_trajectory(game, texts, ENCODER) == \
-        restart_shorten(game, texts)
+    kept, path, end = shorten_trajectory(game, texts, ENCODER)
+    reference = restart_shorten(game, texts)
+    assert kept == reference
+    alive = path if end.alive else path[:-1]
+    assert rows(alive) == replay_buffer(game, reference, len(texts) + 1)
+    assert [e.prefix_len for e in path] == list(range(len(path)))
+    assert engine.state_hash(end) == engine.state_hash(exploration._end_state(
+        game, game_start_launch(game), reference))
 
 
 @PROPERTY
@@ -456,9 +471,10 @@ def test_one_pass_shorten_matches_restart_reference(walk):
 @example((GAMES["miniz"], [*LEADS["miniz"][1], "go down", "wait"]), 40)
 def test_state_buffer_matches_the_replay_reference(walk, capacity):
     game, texts = walk
-    rows = [(e.snapshot, e.graph_triples, e.score, e.prefix_len)
-            for e in build_state_buffer(game, texts, capacity, ENCODER)]
-    assert rows == replay_buffer(game, texts, capacity)
+    entries = build_state_buffer(*shorten_trajectory(game, texts,
+                                                     ENCODER)[1:], capacity)
+    assert rows(entries) == replay_buffer(game, restart_shorten(game, texts),
+                                          capacity)
 
 
 LOOPWORLD = """questgame 1
@@ -736,6 +752,12 @@ def mutated_chain_files(draw):
 @example(("chainworld", chain_with("chainworld", 1, "fired", [1.5])))
 @example(("chainworld", chain_with("chainworld", 1, "flags", {"x": "y"})))
 @example(("chainworld", chain_with("chainworld", 1, "alive", False)))
+@example(("chainworld", chain_with("chainworld", 1, "fired", "x", 1)))
+@example(("chainworld", chain_with("chainworld", 1, "flags", {"x": True})))
+@example(("chainworld", chain_with("chainworld", 1, "objects", ["in", "x"],
+                                   "pebble")))
+@example(("chainworld", chain_with("chainworld", 1, "objects",
+                                   ["room", "nowhere"], "pebble")))
 def test_mutated_chain_files_raise_typed_errors(case):
     """load_chain raises only ValueError, and execute_chain on what it
     loads only ChainExecutionError or SnapshotError."""
@@ -748,6 +770,24 @@ def test_mutated_chain_files_raise_typed_errors(case):
         exploration.execute_chain(chain, GAMES[name])
     except (exploration.ChainExecutionError, engine.SnapshotError):
         pass
+
+
+def test_execute_chain_names_what_the_game_lacks():
+    """A well-typed launch naming an event, a flag or a place the game lacks
+    is rejected by name; unchecked, each of these four (the last @examples
+    above) replays to the recorded score along another trajectory."""
+    for (field, value, key), named in [
+            (("fired", "x", 1), "event 'x'"),
+            (("flags", {"x": True}, None), "flag 'x'"),
+            (("objects", ["in", "x"], "pebble"), "place ['in', 'x']"),
+            (("objects", ["room", "nowhere"], "pebble"),
+             "place ['room', 'nowhere']")]:
+        chain = exploration.load_chain(
+            chain_with("chainworld", 1, field, value, key))
+        with pytest.raises(exploration.ChainExecutionError) as raised:
+            exploration.execute_chain(chain, GAMES["chainworld"])
+        assert str(raised.value) == (f"module 1: launch names {named}, "
+                                     f"which game 'chainworld' lacks")
 
 
 def test_replay_chain_names_the_snapshot_field(tmp_path, capsys):
