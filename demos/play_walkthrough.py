@@ -17,7 +17,7 @@ def main():
     state, obs, initial = engine.reset(game)
     print(obs.desc)
     for action in actions:
-        state, obs, reward, done = engine.step(state, action, game)
+        state, obs, reward, done, _ = engine.step_movement(state, action, game)
         marker = f"  (+{reward})" if reward else ""
         print(f"\n> {action.text}{marker}")
         print(obs.feedback)

@@ -73,7 +73,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
         if "seeds" in doc:
-            doc["seeds"] = tuple(int(s) for s in doc["seeds"])
+            doc["seeds"] = tuple(doc["seeds"])
         return cls(**doc)
 
 
@@ -84,6 +84,12 @@ def validate_config(config):
                           f"got {config.strategy!r}")
     if config.alpha is None:
         config = replace(config, alpha=DEFAULT_ALPHA[config.strategy])
+    for name in ("budget", "batch_size", "horizon", "patience",
+                 "buffer_size", "cell_step"):
+        if type(getattr(config, name)) is not int:      # a bool is not one
+            raise ConfigError(f"{name} must be an integer")
+    if any(type(seed) is not int for seed in config.seeds):
+        raise ConfigError("every seed must be an integer")
     for name in ("alpha", "eps", "gamma", "learning_rate", "entropy_coef",
                  "p_drop", "p_swap"):
         if not math.isfinite(getattr(config, name)):
@@ -108,7 +114,8 @@ def validate_config(config):
         raise ConfigError("strategy 'mc+im' requires alpha > 0")
     if config.budget < 0:
         raise ConfigError("budget must be non-negative")
-    for name in ("batch_size", "horizon", "cell_step", "buffer_size"):
+    for name in ("batch_size", "horizon", "patience", "cell_step",
+                 "buffer_size"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be at least 1")
     if not config.seeds:
@@ -234,7 +241,7 @@ def collect_qa_states(game, budget, seed):
     for action in search.walkthrough(game)[0]:
         if len(records) >= budget:
             return records
-        state, obs, _, done = engine.step(state, action, game)
+        state, obs, _, done, _ = engine.step_movement(state, action, game)
         record(state, obs)
         if done:
             break
@@ -248,7 +255,7 @@ def collect_qa_states(game, budget, seed):
             if not actions:
                 break
             action = actions[rng.integers(len(actions))]
-            state, obs, _, done = engine.step(state, action, game)
+            state, obs, _, done, _ = engine.step_movement(state, action, game)
             record(state, obs)
             if done:
                 break

@@ -52,7 +52,7 @@ class View:
 
 
 class WorldState:
-    """Mutable simulation state. step() mutates in place and returns it.
+    """Mutable simulation state; step_movement() mutates it in place.
 
     view is the View of the last full step, or None while the state is not
     settled (see the module docstring).
@@ -428,22 +428,12 @@ def _apply_verb(state, game, action):
     return "Nothing happens.", None, False
 
 
-def step(state, action, game):
-    """Advance one turn. Returns (state, observation, step_reward, done).
-
-    The state object is mutated in place. Stepping a dead or terminal state
-    is a contract violation.
-    """
-    return step_movement(state, action, game)[:4]
-
-
 def step_movement(state, action, game):
-    """Like step() but also reports movement as (from, direction, to), or
-    None when the room did not change.
-
-    Needed by agents that record directional knowledge-graph triples.  The
-    one step implementation, with the fast path for untouched steps from
-    settled states (see the module docstring).
+    """Advance one turn.  Returns (state, observation, step_reward, done,
+    movement), movement (from, direction, to) or None when the room did not
+    change.  The state is mutated in place; stepping a dead or terminal
+    state is a contract violation.  The one step implementation, with the
+    fast path for untouched steps from settled states (module docstring).
     """
     if not state.alive:
         raise RuntimeError("cannot step a dead/terminal state")

@@ -7,8 +7,8 @@ edge set.  Bookkeeping (buffers, chain, archive) happens between steps by
 the coordinator; each AgentEnv counts its own stagnant steps.  Recorded
 actions are replayed with a graph in one kind of oracle AgentEnv
 (_replay_env), which loop removal and the chain layer share; the walk that
-removes loops also yields the state buffer and the frontier.  The splice
-checks replay the engine alone (_end_state).
+removes loops also yields the state buffer and the frontier, and a
+detour splice is judged by the end state of the walk it would adopt.
 vanilla_train reads its best trajectory off the improving episode itself
 (AgentEnv.last_gain), without a replay.  Action sampling draws from a
 dedicated RNG stream so that deterministic bookkeeping never perturbs
@@ -603,15 +603,6 @@ def _state_capability(state):
     return inv, flags
 
 
-def _end_state(game, launch, action_texts):
-    """Engine state at the end of an engine-only replay from the launch."""
-    state = engine.restore(launch.snapshot)
-    for text in action_texts:
-        if engine.step(state, engine.ground(game, text), game)[3]:
-            break
-    return state
-
-
 class _Trainer:
     """Shared machinery for the vanilla / MC / GO loops."""
 
@@ -710,8 +701,8 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
 
     Returns (improving env or None, steps used).  An improvement is an
     episode whose final score strictly exceeds j_target, or one that matches
-    it while discovering globally new triples and passing tie_guard(env)
-    (None refuses ties); the env that played it comes back unstepped, its
+    it with globally new triples and tie_guard(env.state) (None refuses
+    ties); the env that played it comes back unstepped, its
     state, episode_actions, last_useful and last_gain those of the episode.
     When on_improvement is None the phase returns at the first improvement,
     otherwise on_improvement(env) consumes it, the episode's final score
@@ -740,7 +731,7 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
                 final = env.state.score
                 improved = final > j_target or (
                     tie_guard is not None and final >= j_target
-                    and env.episode_new > 0 and tie_guard(env))
+                    and env.episode_new > 0 and tie_guard(env.state))
                 if improved:
                     trainer.log_row(env, r_im, r_t, "highscore")
                     if on_improvement is None:
@@ -809,53 +800,52 @@ def mc_train(game, config):
     buffer_entries = [BufferEntry(start.snapshot, start.graph_triples,
                                   start.score, 0)]
 
-    frontier_inv, frontier_flags = _state_capability(
-        engine.restore(start.snapshot))
+    frontier = _state_capability(engine.restore(start.snapshot))
 
-    def tie_guard(env):
+    def tie_guard(state):
         """Ties must keep every carried item and every set flag, so a
         discovery made while e.g. dropping the lamp cannot poison the
         launch frontier."""
-        inv, flags = _state_capability(env.state)
-        return inv >= frontier_inv and flags >= frontier_flags
+        inv, flags = _state_capability(state)
+        return inv >= frontier[0] and flags >= frontier[1]
 
-    def adopt(candidate_actions, score):
+    def adopt(walk, score):
         """Install a new best trajectory, whose score is at least j_max.
 
-        The trajectory is loop-compressed in one walk, whose path and end
-        state give the buffer and the frontier.  With intrinsic motivation
-        the buffer is rebuilt, so new episodes start from the latest alive
-        state on it (the end state can be terminal when a gain and a death
-        coincide); an alpha = 0 run launches from the game start until its
-        first stagnation, when it gives up without reading the buffer.
+        walk is shorten_trajectory's, whose path and end state give the
+        buffer and the frontier.  With intrinsic motivation the buffer is
+        rebuilt, so new episodes start from the latest alive state on it
+        (the end state can be terminal when a gain and a death coincide);
+        an alpha = 0 run launches from the game start until its first
+        stagnation, when it gives up without reading the buffer.
         """
-        nonlocal j_max, best_actions, buffer_entries
-        nonlocal frontier_inv, frontier_flags
-        best_actions, path, end = shorten_trajectory(
-            game, candidate_actions, trainer.encoder)
+        nonlocal j_max, best_actions, buffer_entries, frontier
+        best_actions, path, end = walk
         j_max = score
         for env in envs:
             env.stagnant = 0
         if cfg.alpha > 0:
             buffer_entries = build_state_buffer(path, end, cfg.buffer_size)
-            frontier_inv, frontier_flags = _state_capability(end)
+            frontier = _state_capability(end)
             # modular chaining: a fresh policy takes over at the new frontier
             trainer.fresh_policy()
         trainer.curve.append((trainer.steps, j_max))
 
     def graft(entry, env):
         """Adopt the episode env played from entry after entry's prefix."""
-        adopt(best_actions[:entry.prefix_len]
-              + env.episode_actions[:env.last_useful], env.state.score)
+        adopt(shorten_trajectory(
+            game, best_actions[:entry.prefix_len]
+            + env.episode_actions[:env.last_useful], trainer.encoder),
+            env.state.score)
 
     def make_splice(entry):
         """Detour splicing for a backtrack entry.
 
         When an episode launched from the entry returns to the entry's room
         with a score gain or globally new triples, graft the detour into the
-        best trajectory (prefix + detour + old suffix) and adopt it if an
-        engine replay confirms a higher score, or an equal score with
-        strictly more items or flags.  This is how missed latent
+        best trajectory (prefix + detour + old suffix) and adopt it if the
+        end of its loop-removal walk has a higher score, or an equal score
+        with strictly more items or flags.  This is how missed latent
         dependencies (the egg, the lamp) get inserted without ever beating
         the raw high score directly from an old snapshot.
         """
@@ -878,18 +868,13 @@ def mc_train(game, config):
             if key in tried:
                 return False
             tried.add(key)
-            candidate = pre + env.episode_actions + suffix
-            end = _end_state(game, start, candidate)
-            final = end.score
-            cinv, cflags = _state_capability(end)
-            if final < j_max:
+            walk = shorten_trajectory(game, pre + env.episode_actions + suffix,
+                                      trainer.encoder)
+            end = walk[2]
+            if end.score < j_max or end.score == j_max and (
+                    not tie_guard(end) or _state_capability(end) == frontier):
                 return False
-            if final == j_max:
-                gained = (cinv >= frontier_inv and cflags >= frontier_flags
-                          and (cinv > frontier_inv or cflags > frontier_flags))
-                if not gained:
-                    return False
-            adopt(candidate, final)
+            adopt(walk, end.score)
             return True
 
         return try_splice

@@ -276,6 +276,7 @@ def parse_game(def_text):
     rooms, objects, events, deaths = {}, {}, [], []
     templates, dag_vertices, dag_edges = [], [], []
     section = None  # (kind, id, body dict, line)
+    headers = set()  # (kind, id) of every id'd section so far
 
     def close(sec):
         if sec is None:
@@ -284,12 +285,11 @@ def parse_game(def_text):
         if kind == "meta":
             meta.update(body)
         elif kind == "room":
-            exits = dict(body.get("exits", []))
             rooms[sid] = Room(
                 id=sid,
                 name=body.get("name", sid),
                 desc=body.get("desc", ""),
-                exits=exits,
+                exits=body.get("exits", {}),
                 dark="dark" in body,
             )
         elif kind == "object":
@@ -328,6 +328,9 @@ def parse_game(def_text):
             elif name in ("room", "object", "event", "death"):
                 if len(words) != 2:
                     raise GameParseError(f"[{name}] needs an id", no)
+                if (name, words[1]) in headers:
+                    raise GameParseError(f"duplicate [{payload}]", no)
+                headers.add((name, words[1]))
                 section = (name, words[1], {}, no)
             else:
                 raise GameParseError(f"unknown section {name!r}", no)
@@ -366,7 +369,10 @@ def parse_game(def_text):
             rest = rest.strip()
             if skind == "room" and key == "exit":
                 direction, ex = _parse_exit(rest, no)
-                body.setdefault("exits", []).append((direction, ex))
+                exits = body.setdefault("exits", {})
+                if direction in exits:
+                    raise GameParseError(f"duplicate exit {direction}", no)
+                exits[direction] = ex
             elif key == "when":
                 body["when"] = parse_condition(rest, no)
             elif (skind, key) in (("meta", "max-score"), ("event", "reward")):

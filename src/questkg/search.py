@@ -57,7 +57,7 @@ def _bfs(game):
         if not base.alive:
             continue
         for action in _frontier_actions(base, game):
-            nxt, _, _, _ = engine.step(engine.restore(snap), action, game)
+            nxt = engine.step_movement(engine.restore(snap), action, game)[0]
             ndigest = engine.state_hash(nxt)
             if ndigest in seen:
                 continue

@@ -253,7 +253,7 @@ def _module_event_order(game, chain):
     seen = set(state.fired_events)
     for index, module in enumerate(chain.modules):
         for text in module.actions:
-            state, _, _, done = engine.step(
+            state, _, _, done, _ = engine.step_movement(
                 state, engine.ground(game, text), game)
             for event_id in state.fired_events - seen:
                 fired_at[event_id] = index

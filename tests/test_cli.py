@@ -176,6 +176,30 @@ def test_out_of_range_learner_settings_are_config_errors(overrides,
     validate_config(RunConfig(gamma=1.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 2.5),
+    ("cell_step", 2.5),
+    ("patience", -1),
+    ("patience", 0),
+    ("budget", 150.5),
+    ("horizon", True),
+    ("seeds", [True]),
+    ("seeds", [0, 1.5]),
+])
+def test_non_integer_settings_are_config_errors(field, value, tmp_path):
+    # batch_size and cell_step 2.5 used to fail mid-run after writing
+    # config.json, the others trained and exited 0, and seeds [true] ran
+    # as seed 1
+    outdir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"strategy": "go", "budget": 150,
+                                    "seeds": [0], "outdir": str(outdir),
+                                    field: value}))
+    code, _ = run_cli(["run", "--config", str(cfg_path)])
+    assert code == 2
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_every_strategy_runs_with_default_flags(strategy, tmp_path,
                                                  monkeypatch):

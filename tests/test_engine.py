@@ -6,7 +6,7 @@ import pytest
 from questkg import engine, search
 from questkg.engine import (GroundedAction, admissible_actions,
                             enumerate_grounded, ground, reset, restore,
-                            snapshot, state_hash, step, step_movement)
+                            snapshot, state_hash, step_movement)
 from questkg.gamedef import load_game
 
 
@@ -14,7 +14,8 @@ def play(game, texts):
     state, obs, _ = reset(game)
     rewards = []
     for text in texts:
-        state, obs, reward, done = step(state, ground(game, text), game)
+        state, obs, reward, done, _ = step_movement(state, ground(game, text),
+                                                    game)
         rewards.append(reward)
         if done:
             break
@@ -45,7 +46,7 @@ def test_snapshot_round_trip_is_bit_exact(miniz):
     clone = restore(snap)
     assert snapshot(clone) == snap
     # the restored state is independent of the original
-    step(clone, ground(miniz, "drop leaflet"), miniz)
+    step_movement(clone, ground(miniz, "drop leaflet"), miniz)
     assert snapshot(restore(snap)) == snap
 
 
@@ -120,7 +121,8 @@ def test_state_hash_ignores_turn_counter(miniz):
 def test_failed_actions_consume_a_turn_without_state_change(miniz):
     state, _, _ = reset(miniz)
     before = state_hash(state)
-    state, obs, reward, done = step(state, ground(miniz, "go up"), miniz)
+    state, obs, reward, done, _ = step_movement(state, ground(miniz, "go up"),
+                                                miniz)
     assert state_hash(state) == before
     assert state.turn == 1
     assert reward == 0 and not done
@@ -165,7 +167,7 @@ def test_drop_extinguishes_light(miniz):
               "take lamp", "light lamp"]
     state, _, _ = play(miniz, script)
     assert state.flags["lamp-lit"]
-    state, _, _, _ = step(state, ground(miniz, "drop lamp"), miniz)
+    state, _, _, _, _ = step_movement(state, ground(miniz, "drop lamp"), miniz)
     assert not state.flags["lamp-lit"]
 
 
@@ -173,8 +175,10 @@ def test_reward_events_fire_once(miniz):
     script = ["go south", "go east", "open window", "go west"]
     state, _, rewards = play(miniz, script)
     assert rewards[-1] == 10 and state.score == 10
-    state, _, reward, _ = step(state, ground(miniz, "go east"), miniz)
-    state, _, reward, _ = step(state, ground(miniz, "go west"), miniz)
+    state, _, reward, _, _ = step_movement(state, ground(miniz, "go east"),
+                                           miniz)
+    state, _, reward, _, _ = step_movement(state, ground(miniz, "go west"),
+                                           miniz)
     assert reward == 0 and state.score == 10
 
 
@@ -193,7 +197,7 @@ def test_stepping_dead_state_raises(miniz):
               "open trapdoor", "go down"]
     state, _, _ = play(miniz, script)
     with pytest.raises(RuntimeError):
-        step(state, ground(miniz, "wait"), miniz)
+        step_movement(state, ground(miniz, "wait"), miniz)
     with pytest.raises(RuntimeError):
         admissible_actions(state, miniz)
 
@@ -245,7 +249,7 @@ def brute_force_admissible(state, game):
     base = snapshot(state)
     for action in it:
         probe = restore(base)
-        probe, _, _, _ = step(probe, action, game)
+        probe, _, _, _, _ = step_movement(probe, action, game)
         if state_hash(probe) != state_hash(state):
             out.add(action.text)
     return out
@@ -263,7 +267,7 @@ def _sample_states(game, limit):
         for action in sorted(admissible_actions(base, game),
                              key=lambda a: a.text):
             nxt = restore(snap)
-            nxt, _, _, done = step(nxt, action, game)
+            nxt, _, _, done, _ = step_movement(nxt, action, game)
             h = state_hash(nxt)
             if h in seen:
                 continue

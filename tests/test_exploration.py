@@ -193,7 +193,8 @@ def test_shorten_preserves_outcome(miniz):
     shortened = shorten_trajectory(miniz, texts, ENCODER)[0]
     state, _, _ = engine.reset(miniz)
     for text in shortened:
-        state, _, _, _ = engine.step(state, engine.ground(miniz, text), miniz)
+        state = engine.step_movement(state, engine.ground(miniz, text),
+                                     miniz)[0]
     assert state.score == 10
     assert state.current_room == "kitchen"
 
@@ -338,7 +339,8 @@ def test_vanilla_best_actions_end_at_their_last_score_gain(name, request):
     scores, done = [score], False
     for text in result.best_actions:
         assert not done
-        state, _, _, done = engine.step(state, engine.ground(game, text), game)
+        state, _, _, done, _ = engine.step_movement(
+            state, engine.ground(game, text), game)
         scores.append(state.score)
     assert scores[-2] < scores[-1] == result.j_max
 
@@ -542,6 +544,31 @@ def test_mc_train_backtracks_and_give_ups_are_pinned(miniz, alpha):
                 gave_up=result.gave_up) == BACKTRACK_PINS[alpha]
 
 
+def test_every_engine_step_of_mc_train_is_an_agent_env_step(miniz,
+                                                            monkeypatch):
+    """Training, splice checks, loop removal and chain building all step
+    the engine through AgentEnv.step; the backtracking run above adopts
+    two splices."""
+    counts = {"engine": 0, "env": 0}
+    real_engine, real_env = engine.step_movement, AgentEnv.step
+
+    def engine_step(*args):
+        counts["engine"] += 1
+        return real_engine(*args)
+
+    def env_step(self, action):
+        counts["env"] += 1
+        return real_env(self, action)
+
+    monkeypatch.setattr(engine, "step_movement", engine_step)
+    monkeypatch.setattr(AgentEnv, "step", env_step)
+    mc_train(miniz, ExplorationConfig(
+        seed=0, total_steps=20_000,
+        **{**BENCH, "patience": 150, "alpha": 2.0}))
+    assert counts["env"] >= 20_000
+    assert counts["engine"] == counts["env"]
+
+
 def test_phase_hands_over_the_improving_env(chainworld):
     """Without on_improvement the phase returns the env that improved, and
     its actions up to the last gain or discovery reach its score from the
@@ -556,8 +583,9 @@ def test_phase_hands_over_the_improving_env(chainworld):
     assert 0 < used < 2000
     assert any(env is e for e in envs)
     assert env.state.score > launch.score
-    end = exploration._end_state(chainworld, launch,
-                                 env.episode_actions[:env.last_useful])
+    from test_properties import replay
+    *_, (_, end, _) = replay(chainworld, launch,
+                             env.episode_actions[:env.last_useful])
     assert end.score == env.state.score
 
 

@@ -10,8 +10,8 @@ from questkg.extraction import (Lexicon, build_context, emit_qa_dataset,
 def state_after(game, texts):
     state, obs, _ = engine.reset(game)
     for text in texts:
-        state, obs, _, done = engine.step(state, engine.ground(game, text),
-                                          game)
+        state, obs, _, done, _ = engine.step_movement(
+            state, engine.ground(game, text), game)
         if done:
             break
     return state, obs

@@ -112,6 +112,25 @@ def test_malformed_fields_report_their_line(mutation, bad_line):
     assert exc.value.line == mutation.splitlines().index(bad_line) + 1
 
 
+@pytest.mark.parametrize("text, bad_line", [
+    (MINIMAL + "\n[room hall]\nname Hall again\n", "[room hall]"),
+    (MINIMAL + "\n[object coin]\nloc hall\n", "[object coin]"),
+    # two 'coin-score' events whose points add up to max-score
+    (MINIMAL.replace("reward 5", "reward 3")
+     + "\n[event coin-score]\nwhen at closet\nreward 2\n",
+     "[event coin-score]"),
+    (MINIMAL + "\n[death pit]\nwhen at closet\n\n[death pit]\nwhen at hall\n",
+     "[death pit]"),
+    (MINIMAL.replace("exit north closet", "exit north closet\nexit north hall"),
+     "exit north hall"),
+], ids=["room", "object", "event", "death", "exit"])
+def test_duplicate_ids_report_the_repeat_line(text, bad_line):
+    with pytest.raises(GameParseError) as exc:
+        load_game(text)
+    lines = text.splitlines()
+    assert exc.value.line == len(lines) - lines[::-1].index(bad_line)
+
+
 def test_object_in_non_container_rejected():
     text = MINIMAL.replace("loc closet", "loc in coin")
     with pytest.raises(GameValidationError):

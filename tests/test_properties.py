@@ -47,7 +47,7 @@ def walks(draw, max_len=40, names=tuple(sorted(GAMES))):
     state = engine.reset(game)[0]
     texts = list(draw(st.sampled_from(LEADS.get(name, ((),)))))
     for text in texts:
-        engine.step(state, engine.ground(game, text), game)
+        engine.step_movement(state, engine.ground(game, text), game)
     for _ in range(draw(st.integers(0, max_len))):
         options = sorted(a.text for a in engine.admissible_actions(
             state, game)) if state.alive else []
@@ -60,7 +60,7 @@ def walks(draw, max_len=40, names=tuple(sorted(GAMES))):
             text = template.ground_text(fillers)
         texts.append(text)
         if state.alive:
-            engine.step(state, engine.ground(game, text), game)
+            engine.step_movement(state, engine.ground(game, text), game)
     return game, texts
 
 
@@ -68,7 +68,7 @@ def alive_prefix(game, texts):
     """The actions up to and including the one that ends the game."""
     state = engine.reset(game)[0]
     for i, text in enumerate(texts):
-        if engine.step(state, engine.ground(game, text), game)[3]:
+        if engine.step_movement(state, engine.ground(game, text), game)[3]:
             return texts[:i + 1]
     return texts
 
@@ -144,21 +144,17 @@ def replay_buffer(game, actions_from_reset, capacity):
 
 @PROPERTY
 @given(walks())
-def test_step_is_step_movement_without_the_movement(walk):
+def test_step_movement_reports_each_room_change(walk):
     game, texts = walk
-    a, b = engine.reset(game)[0], engine.reset(game)[0]
+    state = engine.reset(game)[0]
     for text in alive_prefix(game, texts):
         action = engine.ground(game, text)
-        origin = b.current_room
-        plain = engine.step(a, action, game)
-        moved = engine.step_movement(b, action, game)
-        assert plain[1:] == moved[1:4]
-        assert engine.snapshot(plain[0]) == engine.snapshot(moved[0])
-        movement = moved[4]
-        if b.current_room == origin:
+        origin = state.current_room
+        movement = engine.step_movement(state, action, game)[4]
+        if state.current_room == origin:
             assert movement is None
         else:
-            assert movement == (origin, action.fillers[0], b.current_room)
+            assert movement == (origin, action.fillers[0], state.current_room)
 
 
 @PROPERTY
@@ -172,8 +168,8 @@ def test_snapshot_restore_round_trips(walk):
         assert engine.snapshot(copy) == blob
         assert engine.state_hash(copy) == engine.state_hash(state)
         action = engine.ground(game, text)
-        got = engine.step(copy, action, game)
-        want = engine.step(state, action, game)
+        got = engine.step_movement(copy, action, game)
+        want = engine.step_movement(state, action, game)
         assert got[1:] == want[1:]
         assert engine.snapshot(copy) == engine.snapshot(state)
 
@@ -462,8 +458,9 @@ def test_one_pass_shorten_matches_restart_reference(walk):
     alive = path if end.alive else path[:-1]
     assert rows(alive) == replay_buffer(game, reference, len(texts) + 1)
     assert [e.prefix_len for e in path] == list(range(len(path)))
-    assert engine.state_hash(end) == engine.state_hash(exploration._end_state(
-        game, game_start_launch(game), reference))
+    *_, (_, reference_end, _) = replay(game, game_start_launch(game),
+                                       reference)
+    assert engine.state_hash(end) == engine.state_hash(reference_end)
 
 
 @PROPERTY
@@ -556,7 +553,7 @@ def test_a_start_state_that_satisfies_a_death_rule_dies_on_its_first_step():
     game = load_game(PITFALL)
     wait = engine.ground(game, "wait")
     state = engine.reset(game)[0]
-    _, obs, reward, done = engine.step(state, wait, game)
+    _, obs, reward, done, _ = engine.step_movement(state, wait, game)
     assert done and not state.alive and reward == 0
     assert obs.feedback.endswith("Something in the pit eats you.")
     oracle = extraction.make_backend("oracle", game)
