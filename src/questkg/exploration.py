@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, extraction, kg, policy
-from .gamedef import normalize
+from .gamedef import flag_names, normalize
 
 ROLLOUT = 8             # outer iterations between A2C updates
 STUCK_FRACTION = 0.75   # share of the batch that must stagnate to backtrack
@@ -524,7 +524,7 @@ def execute_chain(chain, game, config=None):
 
     want = policy.init_params(game, config.encoder)
     events = {e.id for e in game.events}
-    flags = {f"{o}-{kind}" for o in game.objects for kind in ("open", "lit")}
+    flags = flag_names(game.objects)
     places = {engine.INVENTORY, *(("room", r) for r in game.rooms),
               *(("in", o) for o in game.objects)}
     for i, module in enumerate(chain.modules):

@@ -36,9 +36,14 @@ A game file is a line-oriented text format with a versioned header::
     vertex egg loc=up-a-tree inv=egg reward=5
     edge west-of-house egg
 
+Keys by section: meta ``name start max-score``; room ``name desc exit
+dark``; object ``name loc attrs text open-text``; event ``when reward``;
+death ``when text``.  Only ``exit`` repeats.  ``[meta]``, ``[templates]``
+and ``[dag]`` appear at most once, every other section once per id.
+
 Conditions are conjunctions of atoms separated by ``&``.  An atom is one of
 ``at <room>``, ``carrying <object>``, ``flag <flag>``, optionally negated
-with a leading ``!``.
+with a leading ``!``.  A flag is ``<object>-open`` or ``<object>-lit``.
 """
 
 from __future__ import annotations
@@ -213,31 +218,31 @@ def parse_condition(text, line=None):
         if len(words) != 2 or words[0] not in ("at", "carrying", "flag"):
             raise GameParseError(f"bad condition atom {part!r}", line)
         atoms.append(Atom(negated, words[0], words[1]))
-    if not atoms:
-        raise GameParseError("empty condition", line)
     return Condition(tuple(atoms))
 
 
 def _parse_exit(rest, line):
-    # "<dir> <room> [if <condition> else <blocked text>]"
-    words = rest.split()
+    # "<dir> <room> [if <condition> [else <blocked text>]]"
+    words = rest.split(None, 2)
     if len(words) < 2:
         raise GameParseError("exit needs a direction and a target room", line)
-    direction, target = words[0], words[1]
+    direction, target, *tail = words
     if direction not in DIRECTIONS:
         raise GameParseError(f"unknown direction {direction!r}", line)
-    tail = rest.split(None, 2)[2] if len(words) > 2 else ""
-    condition, blocked = None, "You can't go that way."
-    if tail:
-        if not tail.startswith("if "):
-            raise GameParseError("exit tail must start with 'if'", line)
-        tail = tail[3:]
-        if " else " in tail:
-            cond_text, blocked = tail.split(" else ", 1)
-        else:
-            cond_text = tail
-        condition = parse_condition(cond_text.strip(), line)
+    if not tail:
+        return direction, Exit(target)
+    if not tail[0].startswith("if "):
+        raise GameParseError("exit tail must start with 'if'", line)
+    cond_text, has_else, blocked = tail[0][3:].partition(" else ")
+    condition = parse_condition(cond_text.strip(), line)
+    if not has_else:
+        return direction, Exit(target, condition)
     return direction, Exit(target, condition, blocked.strip())
+
+
+def flag_names(objects):
+    """Every flag the engine can set for the objects: <id>-open, <id>-lit."""
+    return {f"{o}-{state}" for o in objects for state in ("open", "lit")}
 
 
 def _parse_int(text, what, line):
@@ -248,179 +253,127 @@ def _parse_int(text, what, line):
                              line) from None
 
 
-def _section_lines(text):
-    """Yield (line_number, kind, payload), kind "section" or "field"."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            yield i, "section", line[1:-1].strip()
-        else:
-            yield i, "field", line
+# Each section kind: whether its header takes an id, and the keys of its
+# "key value" lines ([templates] and [dag] lines have no keys).
+SECTIONS = {
+    "meta": (False, ("name", "start", "max-score")),
+    "templates": (False, ()),
+    "dag": (False, ()),
+    "room": (True, ("name", "desc", "exit", "dark")),
+    "object": (True, ("name", "loc", "attrs", "text", "open-text")),
+    "event": (True, ("when", "reward")),
+    "death": (True, ("when", "text")),
+}
 
 
-def parse_game(def_text):
-    """Parse game definition text into an unvalidated GameDef skeleton dict."""
-    lines = list(_section_lines(def_text))
+def _sections(text):
+    """Check the 'questgame <version>' header and split the rest of the text
+    into sections, in file order: {(kind, id or None): (header line,
+    [(line, payload), ...])}."""
+    lines = [(i, line) for i, line in enumerate(
+        (raw.strip() for raw in text.splitlines()), start=1)
+        if line and not line.startswith("#")]
     if not lines:
         raise GameParseError("empty game definition")
-    first_no, _, header = lines[0]
+    no, header = lines[0]
     words = header.split()
     if len(words) != 2 or words[0] != "questgame":
-        raise GameParseError("missing 'questgame <version>' header", first_no)
-    if _parse_int(words[1], "format version", first_no) != FORMAT_VERSION:
-        raise GameParseError(f"unsupported format version {words[1]}", first_no)
-
-    meta = {}
-    rooms, objects, events, deaths = {}, {}, [], []
-    templates, dag_vertices, dag_edges = [], [], []
-    section = None  # (kind, id, body dict, line)
-    headers = set()  # (kind, id) of every id'd section so far
-
-    def close(sec):
-        if sec is None:
-            return
-        kind, sid, body, line = sec
-        if kind == "meta":
-            meta.update(body)
-        elif kind == "room":
-            rooms[sid] = Room(
-                id=sid,
-                name=body.get("name", sid),
-                desc=body.get("desc", ""),
-                exits=body.get("exits", {}),
-                dark="dark" in body,
-            )
-        elif kind == "object":
-            loc = body.get("loc")
-            if loc is None:
-                raise GameParseError(f"object {sid!r} has no loc", line)
-            objects[sid] = GameObject(
-                id=sid,
-                name=body.get("name", sid),
-                location=loc,
-                attrs=frozenset(body.get("attrs", "").split()),
-                text=body.get("text", ""),
-                open_text=body.get("open-text", ""),
-            )
-        elif kind == "event":
-            if "when" not in body or "reward" not in body:
-                raise GameParseError(f"event {sid!r} needs when and reward", line)
-            events.append(RewardEvent(sid, body["when"], body["reward"]))
-        elif kind == "death":
-            if "when" not in body:
-                raise GameParseError(f"death {sid!r} needs a when", line)
-            deaths.append(DeathRule(sid, body["when"], body.get(
-                "text", "You have died.")))
-
-    for no, kind, payload in lines[1:]:
-        if kind == "section":
-            close(section)
-            words = payload.split()
-            if not words:
-                raise GameParseError("section with no name", no)
-            name = words[0]
-            if name in ("templates", "dag"):
-                section = (name, None, {}, no)
-            elif name in ("meta",):
-                section = ("meta", None, {}, no)
-            elif name in ("room", "object", "event", "death"):
-                if len(words) != 2:
-                    raise GameParseError(f"[{name}] needs an id", no)
-                if (name, words[1]) in headers:
-                    raise GameParseError(f"duplicate [{payload}]", no)
-                headers.add((name, words[1]))
-                section = (name, words[1], {}, no)
-            else:
-                raise GameParseError(f"unknown section {name!r}", no)
+        raise GameParseError("missing 'questgame <version>' header", no)
+    if _parse_int(words[1], "format version", no) != FORMAT_VERSION:
+        raise GameParseError(f"unsupported format version {words[1]}", no)
+    sections, body = {}, None
+    for no, line in lines[1:]:
+        if not (line.startswith("[") and line.endswith("]")):
+            if body is None:
+                raise GameParseError("field outside any section", no)
+            body.append((no, line))
             continue
-        if section is None:
-            raise GameParseError("field outside any section", no)
-        skind, sid, body, _ = section
-        if skind == "templates":
-            words = tuple(payload.split())
-            if sum(1 for w in words if w == BLANK) > 2:
-                raise GameParseError("template has more than two blanks", no)
-            templates.append(ActionTemplate(words))
-        elif skind == "dag":
-            words = payload.split()
-            if words[0] == "vertex":
-                if len(words) < 2:
-                    raise GameParseError("vertex needs an id", no)
-                spec = {"loc": "", "inv": "", "reward": "0"}
-                for w in words[2:]:
-                    if "=" not in w:
-                        raise GameParseError(f"bad vertex field {w!r}", no)
-                    k, v = w.split("=", 1)
-                    if k not in spec:
-                        raise GameParseError(f"unknown vertex field {k!r}", no)
-                    spec[k] = v
-                spec["reward"] = _parse_int(spec["reward"], "vertex reward", no)
-                dag_vertices.append((words[1], spec, no))
-            elif words[0] == "edge":
-                if len(words) != 3:
-                    raise GameParseError("edge needs two vertex ids", no)
-                dag_edges.append((words[1], words[2], no))
-            else:
-                raise GameParseError(f"unknown dag line {words[0]!r}", no)
+        words = line[1:-1].split()
+        if not words or words[0] not in SECTIONS:
+            raise GameParseError(f"unknown section {line}", no)
+        kind, ids = words[0], words[1:]
+        takes_id = SECTIONS[kind][0]
+        if len(ids) != takes_id:
+            raise GameParseError(
+                f"[{kind}] header takes {'an id' if takes_id else 'no id'}", no)
+        key = (kind, ids[0] if ids else None)
+        if key in sections:
+            raise GameParseError(f"duplicate [{' '.join(words)}]", no)
+        body = []
+        sections[key] = (no, body)
+    return sections
+
+
+def _fields(kind, body):
+    """The values of a section's 'key value' lines by key.  Only 'exit'
+    repeats: a room's exits are collected as a direction -> Exit dict."""
+    fields = {}
+    for no, payload in body:
+        key, _, rest = payload.partition(" ")
+        rest = rest.strip()
+        if key not in SECTIONS[kind][1]:
+            raise GameParseError(f"unknown [{kind}] key {key!r}", no)
+        if key in fields and key != "exit":
+            raise GameParseError(f"repeated key {key!r}", no)
+        if key == "exit":
+            direction, ex = _parse_exit(rest, no)
+            exits = fields.setdefault("exit", {})
+            if direction in exits:
+                raise GameParseError(f"duplicate exit {direction}", no)
+            exits[direction] = ex
+        elif key == "when":
+            fields[key] = parse_condition(rest, no)
+        elif key in ("max-score", "reward"):
+            fields[key] = _parse_int(rest, key, no)
+        elif key == "loc" and rest == "inventory":
+            fields[key] = INVENTORY
+        elif key == "loc" and rest.startswith("in "):
+            fields[key] = ("in", rest.split()[1])
+        elif key == "loc":
+            fields[key] = ("room", rest)
         else:
-            key, _, rest = payload.partition(" ")
-            rest = rest.strip()
-            if skind == "room" and key == "exit":
-                direction, ex = _parse_exit(rest, no)
-                exits = body.setdefault("exits", {})
-                if direction in exits:
-                    raise GameParseError(f"duplicate exit {direction}", no)
-                exits[direction] = ex
-            elif key == "when":
-                body["when"] = parse_condition(rest, no)
-            elif (skind, key) in (("meta", "max-score"), ("event", "reward")):
-                body[key] = _parse_int(rest, key, no)
-            elif skind == "object" and key == "loc":
-                if rest == "inventory":
-                    body["loc"] = INVENTORY
-                elif rest.startswith("in "):
-                    body["loc"] = ("in", rest.split()[1])
-                else:
-                    body["loc"] = ("room", rest)
-            else:
-                body[key] = rest
-    close(section)
-
-    return {
-        "meta": meta,
-        "rooms": rooms,
-        "objects": objects,
-        "templates": templates,
-        "events": events,
-        "deaths": deaths,
-        "dag_vertices": dag_vertices,
-        "dag_edges": dag_edges,
-    }
+            fields[key] = rest
+    return fields
 
 
-def _build_dag(parsed):
+def _build_dag(body):
+    """The DependencyGraph of a [dag] section's lines, None if it has no
+    vertices."""
     from .questgraph import DependencyGraph, DepVertex
 
-    if not parsed["dag_vertices"]:
+    vertices, edges = {}, set()
+    # Vertex lines first, so that an edge may name a vertex defined below it.
+    for no, payload in sorted(body, key=lambda e: e[1].split()[0] != "vertex"):
+        words = payload.split()
+        if words[0] == "vertex":
+            if len(words) < 2:
+                raise GameParseError("vertex needs an id", no)
+            if words[1] in vertices:
+                raise GameParseError(f"duplicate dag vertex {words[1]!r}", no)
+            spec = {"loc": "", "inv": "", "reward": "0"}
+            for w in words[2:]:
+                k, eq, v = w.partition("=")
+                if not eq or k not in spec:
+                    raise GameParseError(f"bad vertex field {w!r}", no)
+                spec[k] = v
+            vertices[words[1]] = DepVertex(
+                id=words[1],
+                locations=frozenset(x for x in spec["loc"].split(",") if x),
+                items=frozenset(x for x in spec["inv"].split(",") if x),
+                reward=_parse_int(spec["reward"], "vertex reward", no),
+            )
+        elif words[0] == "edge":
+            if len(words) != 3:
+                raise GameParseError("edge needs two vertex ids", no)
+            for end in words[1:]:
+                if end not in vertices:
+                    raise GameParseError(
+                        f"edge references unknown vertex {end!r}", no)
+            edges.add((words[1], words[2]))
+        else:
+            raise GameParseError(f"unknown dag line {words[0]!r}", no)
+    if not vertices:
         return None
-    vertices = {}
-    for vid, spec, no in parsed["dag_vertices"]:
-        if vid in vertices:
-            raise GameParseError(f"duplicate dag vertex {vid!r}", no)
-        vertices[vid] = DepVertex(
-            id=vid,
-            locations=frozenset(x for x in spec["loc"].split(",") if x),
-            items=frozenset(x for x in spec["inv"].split(",") if x),
-            reward=spec["reward"],
-        )
-    edges = set()
-    for u, v, no in parsed["dag_edges"]:
-        for end in (u, v):
-            if end not in vertices:
-                raise GameParseError(f"edge references unknown vertex {end!r}", no)
-        edges.add((u, v))
     return DependencyGraph(vertices=vertices, edges=frozenset(edges))
 
 
@@ -431,20 +384,66 @@ def load_game(def_text):
     GameDef invariant is violated.  Reward reachability is an authoring-time
     concern checked separately by questgraph.validate_against_game.
     """
-    parsed = parse_game(def_text)
-    meta = parsed["meta"]
+    meta, rooms, objects, events, deaths = {}, {}, {}, [], []
+    templates, dag = [], None
+    for (kind, sid), (no, body) in _sections(def_text).items():
+        if kind == "templates":
+            for line, payload in body:
+                templates.append(ActionTemplate(tuple(payload.split())))
+                if templates[-1].blanks > 2:
+                    raise GameParseError("template has more than two blanks",
+                                         line)
+            continue
+        if kind == "dag":
+            dag = _build_dag(body)
+            continue
+        fields = _fields(kind, body)
+        if kind == "meta":
+            meta = fields
+        elif kind == "room":
+            rooms[sid] = Room(
+                id=sid,
+                name=fields.get("name", sid),
+                desc=fields.get("desc", ""),
+                exits=fields.get("exit", {}),
+                dark="dark" in fields,
+            )
+        elif kind == "object":
+            if "loc" not in fields:
+                raise GameParseError(f"object {sid!r} has no loc", no)
+            objects[sid] = GameObject(
+                id=sid,
+                name=fields.get("name", sid),
+                location=fields["loc"],
+                attrs=frozenset(fields.get("attrs", "").split()),
+                text=fields.get("text", ""),
+                open_text=fields.get("open-text", ""),
+            )
+        elif kind == "event":
+            if "when" not in fields or "reward" not in fields:
+                raise GameParseError(f"event {sid!r} needs when and reward", no)
+            events.append(RewardEvent(sid, fields["when"], fields["reward"]))
+        else:  # death
+            if "when" not in fields:
+                raise GameParseError(f"death {sid!r} needs a when", no)
+            deaths.append(DeathRule(sid, fields["when"],
+                                    fields.get("text", "You have died.")))
+
     for key in ("name", "start", "max-score"):
         if key not in meta:
             raise GameValidationError(f"[meta] missing required field {key!r}")
-    rooms, objects = parsed["rooms"], parsed["objects"]
     if meta["start"] not in rooms:
         raise GameValidationError(f"start room {meta['start']!r} is not defined")
+    conditions = [(repr(rule.id), rule.condition) for rule in events + deaths]
     for room in rooms.values():
         for direction, ex in room.exits.items():
             if ex.target not in rooms:
                 raise GameValidationError(
                     f"room {room.id!r} exit {direction} targets undefined room "
                     f"{ex.target!r}")
+            if ex.condition is not None:
+                conditions.append((f"room {room.id!r} exit {direction}",
+                                   ex.condition))
     for obj in objects.values():
         kind = obj.location[0]
         if kind == "room" and obj.location[1] not in rooms:
@@ -461,24 +460,22 @@ def load_game(def_text):
                     f"object {obj.id!r} placed inside non-container "
                     f"{container.id!r}")
     max_score = meta["max-score"]
-    total = sum(e.points for e in parsed["events"])
+    total = sum(e.points for e in events)
     if total != max_score:
         raise GameValidationError(
             f"once-only reward points sum to {total}, expected max-score "
             f"{max_score}")
-    for rule in parsed["events"] + parsed["deaths"]:
-        for atom in rule.condition.atoms:
-            if atom.kind == "at" and atom.arg not in rooms:
+    known = {"at": ("room", rooms), "carrying": ("object", objects),
+             "flag": ("flag", flag_names(objects))}
+    for owner, condition in conditions:
+        for atom in condition.atoms:
+            what, names = known[atom.kind]
+            if atom.arg not in names:
                 raise GameValidationError(
-                    f"{rule.id!r} refers to undefined room {atom.arg!r}")
-            if atom.kind == "carrying" and atom.arg not in objects:
-                raise GameValidationError(
-                    f"{rule.id!r} refers to undefined object {atom.arg!r}")
-    templates = tuple(parsed["templates"])
+                    f"{owner} refers to undefined {what} {atom.arg!r}")
     if not templates:
         raise GameValidationError("game defines no action templates")
 
-    dag = _build_dag(parsed)
     if dag is not None:
         from .questgraph import topological_levels
         topological_levels(dag)  # raises on cycles
@@ -492,9 +489,9 @@ def load_game(def_text):
         max_score=max_score,
         rooms=rooms,
         objects=objects,
-        templates=templates,
-        events=tuple(parsed["events"]),
-        deaths=tuple(parsed["deaths"]),
+        templates=tuple(templates),
+        events=tuple(events),
+        deaths=tuple(deaths),
         dag=dag,
         entities=entities,
         attr_vocab=tuple(attr_vocab),

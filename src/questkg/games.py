@@ -32,4 +32,4 @@ def load_path(path):
         return load_game(text)
     if path in BUNDLED:
         return load_bundled(path)
-    raise FileNotFoundError(path)
+    raise FileNotFoundError(f"no game file or bundled game named {path!r}")

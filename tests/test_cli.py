@@ -68,9 +68,13 @@ def test_analyze_reports_quest_structure():
     assert "walkthrough: 15 actions to score 50" in text
 
 
-def test_analyze_missing_game_fails_with_run_error():
-    code, _ = run_cli(["analyze", "/no/such/game.game"])
-    assert code == 1
+def test_analyze_missing_game_fails_with_run_error(capsys):
+    for argv in (["analyze", "/no/such/game.game"],
+                 ["run", "--game", "nowhere"]):
+        code, _ = run_cli(argv)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: no game file or bundled game named {argv[-1]!r}\n")
 
 
 def test_analyze_game_without_dag_fails(tmp_path):

@@ -1,6 +1,10 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
-from questkg import gamedef
+from questkg import gamedef, games
 from questkg.gamedef import (GameParseError, GameValidationError, load_game,
                              normalize, parse_condition)
 from questkg.questgraph import CycleError
@@ -93,6 +97,15 @@ def test_condition_parse_and_negation():
     (MINIMAL.replace("take ___", "put ___ in ___ on ___"), GameParseError),
     (MINIMAL.replace("exit north closet", "exit sideways closet"),
      GameParseError),
+    # every condition names a room, an object or an object's flag
+    (MINIMAL.replace("exit north closet", "exit north closet if carrying sword"),
+     GameValidationError),
+    (MINIMAL.replace("exit north closet", "exit north closet if at void"),
+     GameValidationError),
+    (MINIMAL.replace("when carrying coin", "when carrying coin & flag ghost-open"),
+     GameValidationError),
+    (MINIMAL.replace("when carrying coin", "when carrying coin & !flag coin"),
+     GameValidationError),
 ])
 def test_malformed_games_are_rejected(mutation, error):
     with pytest.raises(error):
@@ -105,11 +118,31 @@ def test_malformed_games_are_rejected(mutation, error):
     (MINIMAL.replace("reward 5", "reward five"), "reward five"),
     (MINIMAL + "[dag]\nvertex\n", "vertex"),
     (MINIMAL + "[dag]\nvertex coin reward=z\n", "vertex coin reward=z"),
-], ids=["header", "max-score", "event-reward", "vertex-id", "vertex-reward"])
+    (MINIMAL.replace("[meta]", "[meta x]"), "[meta x]"),
+    (MINIMAL.replace("[templates]", "[templates x]"), "[templates x]"),
+    (MINIMAL.replace("[room closet]", "[room]"), "[room]"),
+    (MINIMAL.replace("desc A bare hall.", "desk A bare hall."),
+     "desk A bare hall."),
+    (MINIMAL.replace("name Hall\n", "name Hall\nname Big Hall\n"),
+     "name Big Hall"),
+    (MINIMAL.replace("reward 5", "reward 5\nreward 3"), "reward 3"),
+    (MINIMAL.replace("loc closet", "loc closet\nexit north hall"),
+     "exit north hall"),
+], ids=["header", "max-score", "event-reward", "vertex-id", "vertex-reward",
+        "meta-id", "templates-id", "room-id", "unknown-key", "repeated-key",
+        "repeated-reward", "object-exit"])
 def test_malformed_fields_report_their_line(mutation, bad_line):
     with pytest.raises(GameParseError) as exc:
         load_game(mutation)
     assert exc.value.line == mutation.splitlines().index(bad_line) + 1
+
+
+DAG_TAIL = """
+[dag]
+vertex hall loc=hall
+vertex coin loc=closet inv=coin reward=5
+edge hall coin
+"""
 
 
 @pytest.mark.parametrize("text, bad_line", [
@@ -123,7 +156,10 @@ def test_malformed_fields_report_their_line(mutation, bad_line):
      "[death pit]"),
     (MINIMAL.replace("exit north closet", "exit north closet\nexit north hall"),
      "exit north hall"),
-], ids=["room", "object", "event", "death", "exit"])
+    (MINIMAL + "\n[meta]\nstart closet\n", "[meta]"),
+    (MINIMAL + "\n[templates]\ngo ___\n", "[templates]"),
+    (MINIMAL + DAG_TAIL + DAG_TAIL.replace("hall coin", "coin hall"), "[dag]"),
+], ids=["room", "object", "event", "death", "exit", "meta", "templates", "dag"])
 def test_duplicate_ids_report_the_repeat_line(text, bad_line):
     with pytest.raises(GameParseError) as exc:
         load_game(text)
@@ -135,14 +171,6 @@ def test_object_in_non_container_rejected():
     text = MINIMAL.replace("loc closet", "loc in coin")
     with pytest.raises(GameValidationError):
         load_game(text)
-
-
-DAG_TAIL = """
-[dag]
-vertex hall loc=hall
-vertex coin loc=closet inv=coin reward=5
-edge hall coin
-"""
 
 
 def test_dag_section_builds_graph():
@@ -183,3 +211,28 @@ def test_conditional_exit_parses(miniz):
     assert ex.target == "kitchen"
     assert ex.condition is not None
     assert ex.blocked_text == "The window is closed."
+
+
+def canonical(value):
+    """A JSON form of a GameDef: dataclasses as field maps, sets sorted,
+    dicts as [key, value] pairs and tuples as lists, both in their order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: canonical(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, frozenset):
+        return sorted(canonical(v) for v in value)
+    if isinstance(value, dict):
+        return [[k, canonical(v)] for k, v in value.items()]
+    if isinstance(value, tuple):
+        return [canonical(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("miniz", "42a554c96ea91fd3"),
+    ("chainworld", "670a5816fbd403aa"),
+    ("deceive", "f3d1f983a5c41e95"),
+])
+def test_bundled_games_parse_to_their_pinned_gamedef(name, digest):
+    doc = json.dumps(canonical(games.load_bundled(name)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest

@@ -76,9 +76,21 @@ def referenced_names(tree, skip=None):
     return names
 
 
+def defined_names(node):
+    """The names a module-level statement defines: a function, a class or
+    the plain-name targets of an assignment (not __all__)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and t.id != "__all__"]
+
+
 def names_no_program_uses(modules, programs):
-    """Module-level functions and classes of the modules that no program
-    (the modules among them) references outside their own definition."""
+    """Module-level functions, classes and constants of the modules that no
+    program (the modules among them) references outside their own
+    definition."""
     trees = {path: ast.parse(path.read_text()) for path in programs}
     unused = []
     for path in modules:
@@ -86,23 +98,24 @@ def names_no_program_uses(modules, programs):
         elsewhere = set().union(*(referenced_names(t) for p, t in trees.items()
                                   if p != path))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in elsewhere
-                    and node.name not in referenced_names(tree, skip=node)):
-                unused.append(node.name)
+            unused += [name for name in defined_names(node)
+                       if name not in elsewhere
+                       and name not in referenced_names(tree, skip=node)]
     return unused
 
 
 def test_names_no_program_uses_are_found(tmp_path):
     module = tmp_path / "mod.py"
-    module.write_text("def used():\n    return 1\n\n"
+    module.write_text("__all__ = []\nTABLE = {}\nLIMIT: int = 3\n"
+                      "SHARED = 'x'\n\n"
+                      "def used():\n    return TABLE\n\n"
                       "def recursive(n):\n    return recursive(n - 1)\n\n"
                       "class Unused:\n    pass\n\n"
                       "def caller():\n    return used()\n")
     demo = tmp_path / "demo.py"
-    demo.write_text("import mod\nmod.caller()\n")
+    demo.write_text("import mod\nmod.caller()\nprint(mod.SHARED)\n")
     assert names_no_program_uses([module], [module, demo]) == [
-        "recursive", "Unused"]
+        "LIMIT", "recursive", "Unused"]
 
 
 def test_every_module_level_name_is_used_by_a_program():
