@@ -3,7 +3,8 @@ chaining, the vanilla A2C baseline, and the Go-Explore-style cell archive.
 
 Training steps a batch of independent environment instances one after
 another, round-robin; they share policy parameters and a run-level global
-edge set.  Bookkeeping (buffers, chain, archive) happens between steps by
+edge set, and _phase decides the actions of the envs that act next in one
+policy.act_batch call, with the draws of per-env acting.  Bookkeeping (buffers, chain, archive) happens between steps by
 the coordinator; each AgentEnv counts its own stagnant steps.  Recorded
 actions are replayed with a graph in one kind of oracle AgentEnv
 (_replay_env), which loop removal and the chain layer share; the walk that
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -626,6 +628,7 @@ class _Trainer:
         self.curve = []
         self.steps = 0
         self.fallbacks = 0
+        self._batch = None    # (generator state before, results) of act_batch
 
     def fresh_policy(self):
         """Install a new zero-initialized acting policy, drop the
@@ -644,12 +647,37 @@ class _Trainer:
                          self.global_edges, self.config, i)
                 for i in range(count)]
 
-    def act_and_step(self, env):
+    def decide(self, envs):
+        """The ActResult of each env in envs, as successive policy.act calls
+        on their current features and masks would draw them: act for one
+        env, one policy.act_batch call for several.  undecide puts the
+        generator back for the results no env acts on."""
+        if len(envs) == 1:
+            env = envs[0]
+            return [policy.act(self.params, env.feats(), env.mask(), self.rng,
+                               self.encoder, self.blanks)]
+        state = self.rng.bit_generator.state
+        results = policy.act_batch(
+            self.params, [env.feats() for env in envs],
+            [env.mask() for env in envs], self.rng, self.encoder, self.blanks)
+        self._batch = state, results
+        return results
+
+    def undecide(self, unused):
+        """Put the generator where acting on all but the last `unused`
+        results of the last decide call would have left it."""
+        if unused:
+            state, results = self._batch
+            self.rng.bit_generator.state = state
+            self.rng.random(sum(1 + len(r.filler_indices)
+                                for r in results[:len(results) - unused]))
+
+    def act_and_step(self, env, result):
+        """Take the action of result, env's decide result, and record the
+        transition."""
         params = self.params
         feats = env.feats()
         mask = env.mask()
-        result = policy.act(params, feats, mask, self.rng, self.encoder,
-                            self.blanks)
         if result.mask_fallback:
             self.fallbacks += 1
         key = (result.template_index, result.filler_indices)
@@ -713,42 +741,60 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
     also returns (None, used) at the end of a sweep in which at least
     STUCK_FRACTION of the envs have gone patience steps without a globally
     new triple (AgentEnv.stagnant).
+
+    Actions are decided for a run of envs at once (trainer.decide): at a
+    sweep's start, and again at each env that begins an episode, for it and
+    the envs after it in the sweep that need no reset, whose features stay
+    as they are until their turn.  Each env still acts on its own features
+    at its turn, with the draws of per-env acting: when the budget ends,
+    the phase returns, or an improvement may have installed new params
+    before the run is used up, trainer.undecide drops the rest of the run.
     """
     used = 0
+    decided = []        # ActResults of the run's envs yet to act, last first
     for env in envs:
         env.needs_reset = True
-    while used < budget:
-        for env in envs:
-            if used >= budget:
-                break
-            if env.needs_reset:
-                env.begin(get_launch())
-            _, r_game, r_im, r_t, done, truncated = trainer.act_and_step(env)
-            used += 1
-            if splice is not None and not env.needs_reset and splice(env):
-                return "splice", used
-            if done or truncated:
-                final = env.state.score
-                improved = final > j_target or (
-                    tie_guard is not None and final >= j_target
-                    and env.episode_new > 0 and tie_guard(env.state))
-                if improved:
-                    trainer.log_row(env, r_im, r_t, "highscore")
-                    if on_improvement is None:
-                        return env, used
-                    on_improvement(env)
-                    j_target = final
-                    if trainer.at_max(j_target):
-                        return env, used
-                else:
-                    trainer.log_row(env, r_im, r_t, "")
-            if used % (ROLLOUT * len(envs)) == 0:
-                trainer.flush_update()
-        if patience is not None:
-            stuck = sum(env.stagnant >= patience for env in envs)
-            if stuck / len(envs) >= STUCK_FRACTION:
-                return None, used
-    return None, used
+    try:
+        while used < budget:
+            for i, env in enumerate(envs):
+                if used >= budget:
+                    break
+                if not decided:
+                    if env.needs_reset:
+                        env.begin(get_launch())
+                    decided = trainer.decide([env, *itertools.takewhile(
+                        lambda e: not e.needs_reset, envs[i + 1:])])[::-1]
+                _, r_game, r_im, r_t, done, truncated = trainer.act_and_step(
+                    env, decided.pop())
+                used += 1
+                if splice is not None and not env.needs_reset and splice(env):
+                    return "splice", used
+                if done or truncated:
+                    final = env.state.score
+                    improved = final > j_target or (
+                        tie_guard is not None and final >= j_target
+                        and env.episode_new > 0 and tie_guard(env.state))
+                    if improved:
+                        trainer.log_row(env, r_im, r_t, "highscore")
+                        if on_improvement is None:
+                            return env, used
+                        on_improvement(env)
+                        trainer.undecide(len(decided))
+                        decided = []
+                        j_target = final
+                        if trainer.at_max(j_target):
+                            return env, used
+                    else:
+                        trainer.log_row(env, r_im, r_t, "")
+                if used % (ROLLOUT * len(envs)) == 0:
+                    trainer.flush_update()
+            if patience is not None:
+                stuck = sum(env.stagnant >= patience for env in envs)
+                if stuck / len(envs) >= STUCK_FRACTION:
+                    return None, used
+        return None, used
+    finally:
+        trainer.undecide(len(decided))
 
 
 def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
@@ -1012,7 +1058,7 @@ def go_train(game, config):
             if trainer.steps >= cfg.total_steps:
                 break
             action, r_game, r_im, r_t, done, truncated = trainer.act_and_step(
-                env)
+                env, trainer.decide([env])[0])
             path.append(action.text)
             if env.state.alive:
                 # the key holds the score, so a known key's cell stays as is

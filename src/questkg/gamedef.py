@@ -39,7 +39,8 @@ A game file is a line-oriented text format with a versioned header::
 Keys by section: meta ``name start max-score``; room ``name desc exit
 dark``; object ``name loc attrs text open-text``; event ``when reward``;
 death ``when text``.  Only ``exit`` repeats.  ``[meta]``, ``[templates]``
-and ``[dag]`` appear at most once, every other section once per id.
+and ``[dag]`` appear at most once, every other section once per id, and a
+template line at most once.
 
 Conditions are conjunctions of atoms separated by ``&``.  An atom is one of
 ``at <room>``, ``carrying <object>``, ``flag <flag>``, optionally negated
@@ -389,10 +390,14 @@ def load_game(def_text):
     for (kind, sid), (no, body) in _sections(def_text).items():
         if kind == "templates":
             for line, payload in body:
-                templates.append(ActionTemplate(tuple(payload.split())))
-                if templates[-1].blanks > 2:
+                template = ActionTemplate(tuple(payload.split()))
+                if template in templates:
+                    raise GameParseError(
+                        f"template {template.pattern!r} repeats", line)
+                if template.blanks > 2:
                     raise GameParseError("template has more than two blanks",
                                          line)
+                templates.append(template)
             continue
         if kind == "dag":
             dag = _build_dag(body)

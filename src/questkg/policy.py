@@ -13,7 +13,10 @@ for its blanks into C, with each blank's recorded off-mask row pinning its
 logits to NEG_INF; each head's loss gradient with respect to its logits is
 one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.  The actor draws
 with numpy's own choice recipe (see _draw), so its draws are those of
-Generator.choice.
+Generator.choice.  The training loops act for a sweep's envs at once with
+act_batch, which gives each state the draws and the bits of its own act
+call: one stacked matrix-vector product per head, row-wise cdfs, and the
+uniforms drawn state by state in stream order.
 
 All analytic gradients are verified against central finite differences in
 the test suite; everything is float64.
@@ -21,6 +24,7 @@ the test suite; everything is float64.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -309,9 +313,27 @@ def _log_softmax(logits):
 
 
 def _log_softmax_rows(logits):
-    """Row-wise _log_softmax of a (K, C) logits matrix."""
-    shift = logits - logits.max(axis=1, keepdims=True)
-    return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    """Row-wise _log_softmax of a (K, C) logits matrix, with the same ufunc
+    reductions along each row."""
+    shift = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return shift - np.log(np.add.reduce(np.exp(shift), axis=1,
+                                        keepdims=True))
+
+
+def _cdf(logits):
+    """The cdf Generator.choice builds from p = softmax(logits): the running
+    sum of p, divided by its last entry.  The reductions are called as
+    ufunc methods, which skips the array methods' dispatch but not one
+    operation."""
+    cdf = np.add.accumulate(np.exp(_log_softmax(logits)))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _cdf_rows(logits):
+    """_cdf of each row of a (K, C) logits matrix."""
+    cdf = np.add.accumulate(np.exp(_log_softmax_rows(logits)), axis=1)
+    return cdf / cdf[:, -1:]
 
 
 def _draw(logits, rng):
@@ -320,12 +342,16 @@ def _draw(logits, rng):
     This is rng.choice(len(p), p=np.exp(_log_softmax(logits))) without its
     argument validation: the same cdf, the same single rng.random() draw
     and the same search, so it returns the same index and leaves the
-    generator in the same state.  The reductions are called as ufunc
-    methods, which skips the array methods' dispatch but not one operation.
+    generator in the same state.
     """
-    cdf = np.add.accumulate(np.exp(_log_softmax(logits)))
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(_cdf(logits).searchsorted(rng.random(), side="right"))
+
+
+def _gemv_rows(w, rows):
+    """The product w @ x for each row x of a matrix, as one stacked
+    matrix-vector product: each row has the bits of w @ x, which the
+    matrix product rows @ w.T does not promise."""
+    return np.matmul(w, rows[:, :, None])[..., 0]
 
 
 def _mask_indices(entities, mask):
@@ -387,6 +413,46 @@ def act(params, feats, mask, rng, encoder, template_blanks):
     t_idx, fillers, contexts = _decode(params, feats, off, encoder,
                                        template_blanks, _draw, rng)
     return ActResult(t_idx, fillers, fallback, contexts)
+
+
+def act_batch(params, feats, masks, rng, encoder, template_blanks):
+    """act for each row of feats, with the mask of the same index, in turn.
+
+    Gives the ActResults that successive act calls would give and leaves
+    the generator where they would leave it, but decides every row at once:
+    one stacked matrix-vector product per head (_gemv_rows), the template
+    head's cdf rows, then the entity heads blank position by blank
+    position.  The uniforms are drawn row by row in stream order, one for
+    the template and then one per blank, which are act's draws.
+    """
+    X = np.array(feats)
+    templates, draws = [], []
+    for row in _cdf_rows(_gemv_rows(params.w_template, X)
+                         + params.b_template).tolist():
+        t_idx = bisect.bisect_right(row, rng.random())
+        templates.append(t_idx)
+        draws.append(rng.random(template_blanks[t_idx]).tolist())
+    off = np.array([mask[1] for mask in masks])
+    fillers = [[] for _ in templates]
+    contexts = [[] for _ in templates]
+    position = 0
+    while rows := [i for i, u in enumerate(draws) if len(u) > position]:
+        C = np.concatenate((X[rows], [encoder.context_tail(
+            position == 0, params.templates[templates[i]],
+            params.entities[fillers[i][-1]] if position else "")
+            for i in rows]), axis=1)
+        logits = _gemv_rows(params.w_entity, C) + params.b_entity
+        logits[off[rows]] = NEG_INF
+        # for a sorted row, searchsorted(u, side="right") counts the
+        # entries up to u
+        picks = (_cdf_rows(logits) <= np.array(
+            [draws[i][position] for i in rows])[:, None]).sum(axis=1)
+        for i, e_idx, x in zip(rows, picks.tolist(), C):
+            fillers[i].append(e_idx)
+            contexts[i].append(x)
+        position += 1
+    return [ActResult(t_idx, tuple(f), mask[0], tuple(c)) for t_idx, f, c, mask
+            in zip(templates, fillers, contexts, masks)]
 
 
 def greedy_action(params, feats, mask, encoder, template_blanks):

@@ -360,30 +360,47 @@ def test_mc_curve_is_monotone(chainworld):
     assert scores == sorted(scores)
 
 
-@pytest.mark.parametrize("train", [
-    vanilla_train, mc_train, lambda game, cfg: go_train(game, cfg)[0]],
+@pytest.mark.parametrize("train, batched", [
+    (vanilla_train, True), (mc_train, True),
+    (lambda game, cfg: go_train(game, cfg)[0], False)],
     ids=["vanilla", "mc", "go"])
 def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
-                                                train):
-    """Post-step features are reused as the next step's input; act must
-    still always see exactly what AgentEnv.feats() gives for the acting
-    env, across episode starts, backtracks and cell restores."""
-    acting, stale = [], []
+                                                train, batched):
+    """Post-step features are reused as the next step's input, and _phase
+    decides a run of envs before their turns: every decision, a row of
+    act_batch or a lone act, must still have been taken on exactly what
+    AgentEnv.feats() gives for the acting env at its turn, across episode
+    starts, backtracks and cell restores."""
+    decided = {}        # id(ActResult) -> (which call, result, its feats)
+    stale, turns = [], {"act": 0, "act_batch": 0}
+    real_act, real_batch = policy.act, policy.act_batch
     real_act_and_step = exploration._Trainer.act_and_step
-    real_act = policy.act
-
-    def act_and_step(self, env):
-        acting.append(env)
-        return real_act_and_step(self, env)
 
     def act(params, feats, *args):
-        stale.append(not np.array_equal(feats, acting[-1].feats()))
-        return real_act(params, feats, *args)
+        result = real_act(params, feats, *args)
+        decided[id(result)] = "act", result, feats
+        return result
+
+    def act_batch(params, feats, *args):
+        results = real_batch(params, feats, *args)
+        for result, row in zip(results, feats):
+            decided[id(result)] = "act_batch", result, row
+        return results
+
+    def act_and_step(self, env, result):
+        # each decision is acted on once
+        kind, _, feats = decided.pop(id(result))
+        stale.append(not np.array_equal(feats, env.feats()))
+        turns[kind] += 1
+        return real_act_and_step(self, env, result)
 
     monkeypatch.setattr(exploration._Trainer, "act_and_step", act_and_step)
     monkeypatch.setattr(policy, "act", act)
+    monkeypatch.setattr(policy, "act_batch", act_batch)
     train(chainworld, replace(FAST, total_steps=1500))
     assert stale and not any(stale)
+    assert turns["act"] > 0
+    assert (turns["act_batch"] > 0) == batched
 
 
 def test_archive_insert_keeps_the_first_cell(chainworld):
@@ -587,6 +604,61 @@ def test_phase_hands_over_the_improving_env(chainworld):
     *_, (_, end, _) = replay(chainworld, launch,
                              env.episode_actions[:env.last_useful])
     assert end.score == env.state.score
+
+
+def random_params(game, seed):
+    params = policy.init_params(game, FAST.encoder)
+    rng = np.random.default_rng(seed)
+    return params.from_vector(rng.normal(0, 1, params.to_vector().size))
+
+
+@pytest.mark.parametrize("stop", ["budget", "new-params", "splice"])
+def test_a_phase_that_stops_mid_run_leaves_the_generator_of_per_env_acting(
+        chainworld, monkeypatch, stop):
+    """_phase decides a run of envs at once and puts the generator back
+    when it stops before the run is used up: the budget ends mid-sweep, an
+    improvement installs new params, or a splice returns.  The reference
+    decides one env at a time, which is per-env acting."""
+    launch = build_state_buffer(*shorten_trajectory(
+        chainworld, ["go east"], ENCODER)[1:], 1)[-1]
+    real_decide = exploration._Trainer.decide
+
+    def outcome(lone):
+        trainer = exploration._Trainer(chainworld, FAST)
+        trainer.params = random_params(chainworld, 2)
+        improved = []
+
+        def install(env):
+            improved.append(env.index)
+            trainer.params = random_params(chainworld, 2 + len(improved))
+
+        kwargs = {"budget": dict(budget=6),
+                  "new-params": dict(budget=400, on_improvement=install),
+                  "splice": dict(budget=400, splice=lambda env: (
+                      env.index == 1 and trainer.steps > 4))}[stop]
+        if lone:
+            monkeypatch.setattr(exploration._Trainer, "decide",
+                                lambda self, envs: real_decide(self, envs[:1]))
+        try:
+            stopped, used = exploration._phase(
+                trainer, trainer.make_envs(4), lambda: launch,
+                j_target=launch.score, **kwargs)
+        finally:
+            monkeypatch.undo()
+        if isinstance(stopped, AgentEnv):
+            stopped = stopped.index
+        return (stopped, used, improved,
+                trainer.hasher.hexdigest(), trainer.rng.bit_generator.state)
+
+    batched = outcome(lone=False)
+    assert batched == outcome(lone=True)
+    stopped, used, improved = batched[:3]
+    if stop == "budget":
+        assert used == 6
+    elif stop == "new-params":
+        assert any(index < 3 for index in improved)
+    else:
+        assert (stopped, used) == ("splice", 6)
 
 
 def test_mc_without_im_never_builds_a_state_buffer(chainworld, monkeypatch):

@@ -159,7 +159,11 @@ edge hall coin
     (MINIMAL + "\n[meta]\nstart closet\n", "[meta]"),
     (MINIMAL + "\n[templates]\ngo ___\n", "[templates]"),
     (MINIMAL + DAG_TAIL + DAG_TAIL.replace("hall coin", "coin hall"), "[dag]"),
-], ids=["room", "object", "event", "death", "exit", "meta", "templates", "dag"])
+    # a repeated template line, compared on its words
+    (MINIMAL.replace("take ___", "take ___\ngo ___"), "go ___"),
+    (MINIMAL.replace("take ___", "take ___\ngo  ___"), "go  ___"),
+], ids=["room", "object", "event", "death", "exit", "meta", "templates", "dag",
+        "template-line", "template-words"])
 def test_duplicate_ids_report_the_repeat_line(text, bad_line):
     with pytest.raises(GameParseError) as exc:
         load_game(text)

@@ -323,6 +323,55 @@ def test_act_records_the_entity_contexts_of_its_picks(name, seed, data):
             prev = params.entities[e_idx]
 
 
+def act_fields(result):
+    return (result.template_index, result.filler_indices,
+            result.mask_fallback, tuple(x.tobytes() for x in result.contexts))
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(GAMES)), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.1, 1.0, 10.0)), st.integers(1, 20), st.data())
+@example("miniz", 0, 1.0, 64, None)
+def test_act_batch_is_successive_act_calls_bit_for_bit(name, seed, scale,
+                                                       rows, data):
+    """act_batch decides its rows with stacked products and row-wise cdfs,
+    but must give each row the ActResult its own act call would, context
+    bytes included, and leave the generator where successive act calls
+    leave it.  Masks vary by row; an empty one forces the fallback."""
+    game = GAMES[name]
+    rng = np.random.default_rng(seed)
+    params = policy.init_params(game, ENCODER.config)
+    params.from_vector(rng.normal(0, scale, params.to_vector().size))
+    blanks = {i: t.blanks for i, t in enumerate(game.templates)}
+    if data is None:
+        names = [set() if i % 3 == 0 else set(rng.choice(game.entities, 6))
+                 for i in range(rows)]
+    else:
+        names = [data.draw(st.sets(st.sampled_from(game.entities)))
+                 for _ in range(rows)]
+    masks = [policy._mask_indices(params.entities, n) for n in names]
+    feats = [rng.normal(0, 1, ENCODER.config.feature_dim)
+             for _ in range(rows)]
+    theirs, ours = (np.random.default_rng(seed + 1) for _ in range(2))
+    expected = [policy.act(params, f, mask, theirs, ENCODER, blanks)
+                for f, mask in zip(feats, masks)]
+    got = policy.act_batch(params, feats, masks, ours, ENCODER, blanks)
+    assert list(map(act_fields, got)) == list(map(act_fields, expected))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # a pick rarely moves with the last bit of a logit, so the heads'
+    # stacked products and cdf rows are held to act's one-row ones directly
+    C = np.array([x for r in expected for x in r.contexts]).reshape(
+        -1, params.w_entity.shape[1])
+    for w, X in ((params.w_template, np.array(feats)), (params.w_entity, C)):
+        logits = policy._gemv_rows(w, X)
+        assert logits.tobytes() == b"".join((w @ x).tobytes() for x in X)
+        assert policy._cdf_rows(logits).tobytes() == b"".join(
+            policy._cdf(row).tobytes() for row in logits)
+    if data is None:    # the example decodes every blank count and mask
+        assert {len(r.filler_indices) for r in got} == {0, 1, 2}
+        assert {r.mask_fallback for r in got} == {False, True}
+
+
 def encoder_calls(game, texts, data):
     """(method, arguments) of the encoder calls a walk makes: the messages
     of the triples and the vectors of the observation texts it holds, and
