@@ -55,7 +55,6 @@ class RunConfig:
     gamma: float = 0.9
     learning_rate: float = 0.05
     entropy_coef: float = 0.01
-    cell_step: int = 32
     p_drop: float = 0.1
     p_swap: float = 0.05
     outdir: str = ""                 # empty: <output root>/<strategy>-<game>
@@ -85,7 +84,7 @@ def validate_config(config):
     if config.alpha is None:
         config = replace(config, alpha=DEFAULT_ALPHA[config.strategy])
     for name in ("budget", "batch_size", "horizon", "patience",
-                 "buffer_size", "cell_step"):
+                 "buffer_size"):
         if type(getattr(config, name)) is not int:      # a bool is not one
             raise ConfigError(f"{name} must be an integer")
     if any(type(seed) is not int for seed in config.seeds):
@@ -114,8 +113,7 @@ def validate_config(config):
         raise ConfigError("strategy 'mc+im' requires alpha > 0")
     if config.budget < 0:
         raise ConfigError("budget must be non-negative")
-    for name in ("batch_size", "horizon", "patience", "cell_step",
-                 "buffer_size"):
+    for name in ("batch_size", "horizon", "patience", "buffer_size"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be at least 1")
     if not config.seeds:
@@ -192,7 +190,7 @@ def run_experiment(config, out=sys.stdout):
             _write(os.path.join(seed_dir, "chain.json"),
                    exploration.save_chain(result.chain))
         if config.strategy == "go":
-            cells = sorted((c.launch.score, c.visits)
+            cells = sorted((c.score, c.visits)
                            for c in archive.cells.values())
             _write(os.path.join(seed_dir, "archive.csv"),
                    "score,visits\n"

@@ -1,19 +1,21 @@
 """Structured exploration: stagnation detection, backtracking, policy
 chaining, the vanilla A2C baseline, and the Go-Explore-style cell archive.
 
-Training steps a batch of independent environment instances one after
-another, round-robin; they share policy parameters and a run-level global
-edge set, and _phase decides the actions of the envs that act next in one
-policy.act_batch call, with the draws of per-env acting.  Bookkeeping (buffers, chain, archive) happens between steps by
-the coordinator; each AgentEnv counts its own stagnant steps.  Recorded
-actions are replayed with a graph in one kind of oracle AgentEnv
-(_replay_env), which loop removal and the chain layer share; the walk that
-removes loops also yields the state buffer and the frontier, and a
-detour splice is judged by the end state of the walk it would adopt.
-vanilla_train reads its best trajectory off the improving episode itself
-(AgentEnv.last_gain), without a replay.  Action sampling draws from a
-dedicated RNG stream so that deterministic bookkeeping never perturbs
-trajectories.
+All three strategies train in _phase, which steps a batch of independent
+environment instances round-robin; they share policy parameters and a
+run-level global edge set, and _phase decides the actions of the envs that
+act next in one policy.act_batch call, with the draws of per-env acting.
+The strategies differ in where episodes begin (the game start, the buffer,
+a sampled cell) and in the hooks that do their bookkeeping (buffers, chain,
+archive) between steps; each AgentEnv counts its own stagnant steps and
+keeps the launch it began from.  Recorded actions are replayed with a graph
+in one kind of oracle AgentEnv (_replay_env), which loop removal and the
+chain layer share; the walk that removes loops also yields the state buffer
+and the frontier, and a detour splice is judged by the end state of the
+walk it would adopt.  vanilla_train and go_train read their best trajectory
+off the improving episode itself (AgentEnv.last_gain, after the cell's
+actions for go), without a replay.  Action sampling draws from a dedicated
+RNG stream so that deterministic bookkeeping never perturbs trajectories.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class ExplorationConfig:
     backend: str = "oracle"
     p_drop: float = 0.1
     p_swap: float = 0.05
-    cell_step: int = 32
     stop_at_max: bool = True
     encoder: policy.EncoderConfig = field(default_factory=policy.EncoderConfig)
 
@@ -85,22 +86,32 @@ class TrajectoryHasher:
 # --- per-instance environment wrapper ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class Launch:
-    """Episode start point: engine snapshot plus the agent's graph there."""
+    """Episode start point: engine snapshot plus the agent's graph there.
+    These fields never change: AgentEnv.begin knows a launch by identity."""
     snapshot: bytes
     graph_triples: frozenset
     score: int
 
 
-def game_start_launch(game):
+@dataclass
+class Cell(Launch):
+    """Where a vanilla or go episode begins: a launch, the actions from game
+    reset to it, and the number of episodes go began there."""
+    actions: tuple[str, ...] = ()
+    visits: int = 0
+
+
+def game_start_launch(game, kind=Launch):
     state, _, initial = engine.reset(game)
-    return Launch(engine.snapshot(state), frozenset(), initial)
+    return kind(engine.snapshot(state), frozenset(), initial)
 
 
-def launch_at(state, graph):
-    return Launch(engine.snapshot(state), frozenset(graph.triples),
-                  state.score)
+def launch_at(state, graph, kind=Launch, *extra):
+    """A Launch, or a kind of it with extra fields, at state with graph."""
+    return kind(engine.snapshot(state), frozenset(graph.triples),
+                state.score, *extra)
 
 
 class AgentEnv:
@@ -127,6 +138,7 @@ class AgentEnv:
         self.obs = None
         self.tracker = None
         self.entity_refs = None
+        self.launch = None        # what the episode began from
         self.episode_actions = None
         self.needs_reset = True
         self.stagnant = 0         # steps since the last globally new triple
@@ -161,6 +173,7 @@ class AgentEnv:
                 self.tracker.summary()    # so that every hit shares it
                 self._memo = (launch, self.graph.copy(), self.tracker.copy(),
                               dict(self.entity_refs), self.mask(), self.obs)
+        self.launch = launch
         self.episode_actions = []
         self.episode_new = 0      # globally new triples found this episode
         self.last_useful = 0      # actions up to the last gain or discovery
@@ -275,7 +288,7 @@ def _walk(game, encoder, action_texts):
 # --- state buffer ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class BufferEntry(Launch):
     """A launch on the best trajectory."""
     prefix_len: int     # actions from game reset to this state
@@ -429,9 +442,7 @@ def shorten_trajectory(game, actions_from_reset, encoder):
                 seen.popitem()
         else:
             env.state.turn = at
-            path.append(BufferEntry(engine.snapshot(env.state),
-                                    frozenset(env.graph.triples),
-                                    env.state.score, at))
+            path.append(launch_at(env.state, env.graph, BufferEntry, at))
     return kept + actions[i:], path, env.state
 
 
@@ -700,7 +711,7 @@ class _Trainer:
         self.transitions.append(transition)
         self.hasher.record(env.index, action.text, r_game, env.state.score,
                            *env.key())
-        return action, r_game, r_im, r_shaped, done, truncated
+        return r_game, r_im, r_shaped, done, truncated
 
     def flush_update(self):
         if not self.transitions:
@@ -724,23 +735,24 @@ class _Trainer:
 
 
 def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
-           on_improvement=None, tie_guard=None, splice=None):
+           on_improvement=None, tie_guard=None, on_step=None):
     """Step the batch round-robin until the budget or an improvement.
 
     Returns (improving env or None, steps used).  An improvement is an
     episode whose final score strictly exceeds j_target, or one that matches
     it with globally new triples and tie_guard(env.state) (None refuses
-    ties); the env that played it comes back unstepped, its
+    ties); the env that played it comes back unstepped, its launch,
     state, episode_actions, last_useful and last_gain those of the episode.
     When on_improvement is None the phase returns at the first improvement,
     otherwise on_improvement(env) consumes it, the episode's final score
     becomes the target, and the phase returns once trainer.at_max(target).
-    get_launch is called whenever an instance starts an episode, so the
-    caller may move the launch point mid-phase.  When splice(env) returns
-    True the phase returns ("splice", used).  With a patience the phase
-    also returns (None, used) at the end of a sweep in which at least
-    STUCK_FRACTION of the envs have gone patience steps without a globally
-    new triple (AgentEnv.stagnant).
+    Every finished episode logs one row.  get_launch is called whenever an
+    instance starts an episode, so the caller may move the launch point
+    mid-phase.  on_step(env) sees every step, an episode's last included,
+    before the episode is judged; when it returns True the phase returns
+    ("splice", used).  With a patience the phase also returns (None, used)
+    at the end of a sweep in which at least STUCK_FRACTION of the envs have
+    gone patience steps without a globally new triple (AgentEnv.stagnant).
 
     Actions are decided for a run of envs at once (trainer.decide): at a
     sweep's start, and again at each env that begins an episode, for it and
@@ -764,18 +776,19 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
                         env.begin(get_launch())
                     decided = trainer.decide([env, *itertools.takewhile(
                         lambda e: not e.needs_reset, envs[i + 1:])])[::-1]
-                _, r_game, r_im, r_t, done, truncated = trainer.act_and_step(
+                _, r_im, r_t, done, truncated = trainer.act_and_step(
                     env, decided.pop())
                 used += 1
-                if splice is not None and not env.needs_reset and splice(env):
+                if on_step is not None and on_step(env):
                     return "splice", used
                 if done or truncated:
                     final = env.state.score
                     improved = final > j_target or (
                         tie_guard is not None and final >= j_target
                         and env.episode_new > 0 and tie_guard(env.state))
+                    trainer.log_row(env, r_im, r_t,
+                                    "highscore" if improved else "")
                     if improved:
-                        trainer.log_row(env, r_im, r_t, "highscore")
                         if on_improvement is None:
                             return env, used
                         on_improvement(env)
@@ -784,8 +797,6 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
                         j_target = final
                         if trainer.at_max(j_target):
                             return env, used
-                    else:
-                        trainer.log_row(env, r_im, r_t, "")
                 if used % (ROLLOUT * len(envs)) == 0:
                     trainer.flush_update()
             if patience is not None:
@@ -818,7 +829,7 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
         improvement, used = _phase(
             trainer, envs, lambda: entry,
             min(per_snapshot_budget, max_total - total), j_target,
-            tie_guard=tie_guard, splice=make_splice(entry))
+            tie_guard=tie_guard, on_step=make_splice(entry))
         total += used
         trainer.transitions = []
         if improvement is not None:
@@ -903,7 +914,8 @@ def mc_train(game, config):
         tried = set()
 
         def try_splice(env):
-            if env.state.current_room != entry_room or not env.state.alive:
+            # a dead state ends its episode, so it needs a reset
+            if env.needs_reset or env.state.current_room != entry_room:
                 return False
             inv, flags = _state_capability(env.state)
             gained = (env.state.score > entry.score or inv > entry_inv
@@ -974,36 +986,36 @@ def mc_train(game, config):
     return trainer.result(j_max, best_actions, chain, gave_up, backtracks)
 
 
-def vanilla_train(game, config):
-    """Plain batched A2C: no stagnation check, no buffers, no chaining."""
-    trainer = _Trainer(game, config)
-    envs = trainer.make_envs(config.batch_size)
-    start = game_start_launch(game)
-    j_max = start.score
-    best_actions = []
+def _keep_best_episode(trainer, envs, get_launch, j_max, on_step=None):
+    """Train in one phase over the whole budget; returns the TrainResult.
+    Every launch is a Cell, and the best trajectory is the improving
+    episode's launch's actions and its own up to its last score gain."""
+    best_actions = ()
 
     def on_improvement(env):
-        # every episode starts at the game start, so it gained its score
         nonlocal j_max, best_actions
         j_max = env.state.score
-        best_actions = env.episode_actions[:env.last_gain]
+        best_actions = env.launch.actions + tuple(
+            env.episode_actions[:env.last_gain])
         trainer.curve.append((trainer.steps, j_max))
 
     if not trainer.at_max(j_max):
-        _phase(trainer, envs, lambda: start, config.total_steps, j_max,
-               on_improvement=on_improvement)
+        _phase(trainer, envs, get_launch, trainer.config.total_steps, j_max,
+               on_improvement=on_improvement, on_step=on_step)
     trainer.flush_update()
     return trainer.result(j_max, best_actions)
 
 
+def vanilla_train(game, config):
+    """Plain batched A2C: no stagnation check, no buffers, no chaining.
+    Every episode begins at the game start, a Cell with no actions."""
+    trainer = _Trainer(game, config)
+    start = game_start_launch(game, Cell)
+    return _keep_best_episode(trainer, trainer.make_envs(config.batch_size),
+                              lambda: start, start.score)
+
+
 # --- Go-Explore --------------------------------------------------------------
-
-
-@dataclass
-class Cell:
-    launch: Launch
-    visits: int
-    actions: tuple[str, ...]      # from game reset to this cell
 
 
 class CellArchive:
@@ -1016,11 +1028,12 @@ class CellArchive:
         return self.cells.setdefault(key, cell)
 
     def sample(self, rng):
-        """Score-weighted choice: weight = score + 1."""
+        """Score-weighted choice, weight = score + 1, counted as a visit."""
         cells = list(self.cells.values())
-        weights = np.array([c.launch.score + 1.0 for c in cells])
-        probs = weights / weights.sum()
-        return cells[int(rng.choice(len(cells), p=probs))]
+        weights = np.array([c.score + 1.0 for c in cells])
+        cell = cells[int(rng.choice(len(cells), p=weights / weights.sum()))]
+        cell.visits += 1
+        return cell
 
     def __len__(self):
         return len(self.cells)
@@ -1032,47 +1045,29 @@ class CellArchive:
 def go_train(game, config):
     """Go-Explore phase 1 with a concurrently trained policy.
 
-    Cells are keyed by (world-state digest, knowledge-graph digest); a cell
-    is sampled with probability proportional to score + 1 and explored for
-    cell_step steps.
+    Cells are keyed by (world-state digest, knowledge-graph digest).  The
+    batch_size explorers step through _phase: each episode begins at a cell
+    sampled with probability proportional to score + 1 and lasts horizon
+    steps at most, and every alive state it reaches that the archive lacks
+    becomes a cell, reached by its cell's actions and the episode's.
+    Returns (TrainResult, archive).
     """
     trainer = _Trainer(game, config)
-    cfg = config
-    rng_cells = np.random.default_rng(cfg.seed + 0x9E3779B9)
+    rng_cells = np.random.default_rng(config.seed + 0x9E3779B9)
     archive = CellArchive()
-    env = trainer.make_envs(1)[0]
+    envs = trainer.make_envs(config.batch_size)
+    start = game_start_launch(game, Cell)
+    envs[0].begin(start)
+    archive.insert(envs[0].key(), start)
 
-    env.begin(game_start_launch(game))
-    archive.insert(env.key(), Cell(launch_at(env.state, env.graph), 0, ()))
-    best_score = env.state.score
-    best_actions = ()
+    def explore(env):
+        # the key holds the score, so a known key's cell stays as is
+        if env.state.alive:
+            key = env.key()
+            if key not in archive:
+                archive.insert(key, launch_at(
+                    env.state, env.graph, Cell,
+                    env.launch.actions + tuple(env.episode_actions)))
 
-    while trainer.steps < cfg.total_steps:
-        if trainer.at_max(best_score):
-            break
-        cell = archive.sample(rng_cells)
-        cell.visits += 1
-        env.begin(cell.launch)
-        path = list(cell.actions)
-        for _ in range(cfg.cell_step):
-            if trainer.steps >= cfg.total_steps:
-                break
-            action, r_game, r_im, r_t, done, truncated = trainer.act_and_step(
-                env, trainer.decide([env])[0])
-            path.append(action.text)
-            if env.state.alive:
-                # the key holds the score, so a known key's cell stays as is
-                key = env.key()
-                if key not in archive:
-                    archive.insert(key, Cell(launch_at(env.state, env.graph),
-                                             0, tuple(path)))
-            if env.state.score > best_score:
-                best_score = env.state.score
-                best_actions = tuple(path)
-                trainer.curve.append((trainer.steps, best_score))
-                trainer.log_row(env, r_im, r_t, "highscore")
-            if done:
-                break
-        trainer.flush_update()
-
-    return trainer.result(best_score, best_actions), archive
+    return _keep_best_episode(trainer, envs, lambda: archive.sample(rng_cells),
+                              start.score, explore), archive

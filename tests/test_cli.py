@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from questkg import cli
+from questkg import cli, exploration
 from questkg.cli import ConfigError, RunConfig, main, validate_config
 
 
@@ -29,9 +29,12 @@ def test_run_config_round_trips_through_json():
     assert clone == config
 
 
-def test_run_config_rejects_unknown_field():
-    with pytest.raises(ConfigError):
-        RunConfig.from_json(json.dumps({"strategy": "mc+im", "turbo": True}))
+@pytest.mark.parametrize("field", ["turbo", "cell_step"])
+def test_run_config_rejects_unknown_field(field):
+    # cell_step was a field until go's explorers took their episode length
+    # from horizon
+    with pytest.raises(ConfigError, match="unknown config field"):
+        RunConfig.from_json(json.dumps({"strategy": "go", field: 32}))
 
 
 def test_run_config_with_default_alpha_round_trips_through_json():
@@ -121,19 +124,18 @@ def test_negative_alpha_or_eps_is_a_config_error(flags, tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--strategy", "vanilla", "--batch-size", "0"],
     ["--strategy", "mc+im", "--batch-size", "0"],
-    ["--strategy", "go", "--cell-step", "0"],
+    ["--strategy", "go", "--horizon", "0"],
     ["--buffer-size", "0"],
     ["--horizon", "0"],
     ["--horizon", "-3"],
 ])
 def test_sizes_below_one_are_config_errors(flags):
-    # through the parser rather than main: run with a batch or cell step of
+    # through the parser rather than main: run with a batch or horizon of
     # 0, some strategies never return
     args = cli.build_parser().parse_args(["run", *flags, "--budget", "200"])
     with pytest.raises(ConfigError, match="at least 1"):
         cli._build_run_config(args)
-    validate_config(RunConfig(batch_size=1, horizon=1, cell_step=1,
-                              buffer_size=1))
+    validate_config(RunConfig(batch_size=1, horizon=1, buffer_size=1))
 
 
 @pytest.mark.parametrize("flags", [
@@ -182,7 +184,6 @@ def test_out_of_range_learner_settings_are_config_errors(overrides,
 
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 2.5),
-    ("cell_step", 2.5),
     ("patience", -1),
     ("patience", 0),
     ("budget", 150.5),
@@ -191,7 +192,7 @@ def test_out_of_range_learner_settings_are_config_errors(overrides,
     ("seeds", [0, 1.5]),
 ])
 def test_non_integer_settings_are_config_errors(field, value, tmp_path):
-    # batch_size and cell_step 2.5 used to fail mid-run after writing
+    # batch_size 2.5 used to fail mid-run after writing
     # config.json, the others trained and exited 0, and seeds [true] ran
     # as seed 1
     outdir = tmp_path / "out"
@@ -273,6 +274,44 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     root = tmp_path / "go-chainworld"
     assert (root / "summary.txt").exists()
     assert (root / "seed0" / "archive.csv").exists()
+
+
+def test_go_run_record_agrees_with_itself(tmp_path, monkeypatch):
+    """Every finished explorer episode logs one steps.log row, and every
+    cell visit begins an episode, so the visits outnumber the rows by the
+    episodes still running at the end: at most one per explorer.  The batch
+    size is how many explorers there are, so it shows in the log."""
+    ended = []
+    real_step = exploration.AgentEnv.step
+
+    def step(self, action):
+        out = real_step(self, action)
+        ended[-1] += out[3] or out[4]       # done or truncated
+        return out
+
+    monkeypatch.setattr(exploration.AgentEnv, "step", step)
+    logs = {}
+    for batch in (4, 16):
+        outdir = tmp_path / f"batch{batch}"
+        ended.append(0)
+        code, _ = run_cli(["run", "--game", "deceive", "--strategy", "go",
+                           "--budget", "2000", "--batch-size", str(batch),
+                           "--horizon", "40", "--seeds", "0,1,2,3",
+                           "--outdir", str(outdir)])
+        assert code == 0
+        rows = 0
+        for seed in range(4):
+            seed_dir = outdir / f"seed{seed}"
+            log = (seed_dir / "steps.log").read_text().splitlines()
+            episodes = (seed_dir / "episodes.csv").read_text().splitlines()
+            assert len(episodes) == len(log) + 1
+            cells = (seed_dir / "archive.csv").read_text().splitlines()[1:]
+            seed_visits = sum(int(line.split(",")[1]) for line in cells)
+            assert 0 <= seed_visits - len(log) <= batch
+            rows += len(log)
+        assert rows == ended[-1] > 0
+        logs[batch] = (outdir / "seed0" / "steps.log").read_bytes()
+    assert logs[4] != logs[16]
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -362,7 +362,7 @@ def test_mc_curve_is_monotone(chainworld):
 
 @pytest.mark.parametrize("train, batched", [
     (vanilla_train, True), (mc_train, True),
-    (lambda game, cfg: go_train(game, cfg)[0], False)],
+    (lambda game, cfg: go_train(game, cfg)[0], True)],
     ids=["vanilla", "mc", "go"])
 def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
                                                 train, batched):
@@ -406,11 +406,11 @@ def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
 def test_archive_insert_keeps_the_first_cell(chainworld):
     archive = CellArchive()
     launch = game_start_launch(chainworld)
-    cell = Cell(launch, 0, ())
+    cell = Cell(launch.snapshot, launch.graph_triples, launch.score)
     assert archive.insert("k", cell) is cell
-    higher = Launch(launch.snapshot, launch.graph_triples, 5)
-    assert archive.insert("k", Cell(higher, 0, ("x",))) is cell
-    assert archive.cells == {"k": cell} and cell.launch.score == 0
+    higher = Cell(launch.snapshot, launch.graph_triples, 5, ("x",))
+    assert archive.insert("k", higher) is cell
+    assert archive.cells == {"k": cell} and cell.score == 0
 
 
 def test_backends_mark_only_the_oracle_pure(miniz):
@@ -446,10 +446,10 @@ def test_untouched_steps_skip_the_backend_and_keep_the_graph(miniz):
 
 def test_archive_sampling_is_score_weighted():
     archive = CellArchive()
-    archive.insert("low", Cell(Launch(b"", frozenset(), 0), 0, ()))
-    archive.insert("high", Cell(Launch(b"", frozenset(), 9), 0, ()))
+    archive.insert("low", Cell(b"", frozenset(), 0))
+    archive.insert("high", Cell(b"", frozenset(), 9))
     rng = np.random.default_rng(0)
-    picks = [archive.sample(rng).launch.score for _ in range(2000)]
+    picks = [archive.sample(rng).score for _ in range(2000)]
     high = sum(1 for s in picks if s == 9)
     assert high / len(picks) == pytest.approx(0.9, abs=0.03)
 
@@ -537,6 +537,32 @@ def test_vanilla_train_best_actions_are_pinned(miniz):
         "light west", "take mailbox", "inventory", "read south",
         "inventory", "open window", "go north", "take north", "go east",
         "look", "go west"]
+
+
+# perfbench's vanilla_miniz and go_deceive workloads: strategy -> (train,
+# game, config overrides)
+WORKLOAD_RUNS = {
+    "vanilla": (vanilla_train, "miniz", dict(alpha=0.0, patience=None)),
+    "go": (lambda game, cfg: go_train(game, cfg)[0], "deceive",
+           dict(alpha=2.0, stop_at_max=False)),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("strategy", sorted(WORKLOAD_RUNS))
+def test_best_actions_replay_to_j_max(request, strategy, seed):
+    """The engine replay of result.best_actions reaches result.j_max.  mc is
+    left out: its graft joins an episode to the prefix of the launch that is
+    current when the episode ends, not of the one it began from."""
+    train, name, overrides = WORKLOAD_RUNS[strategy]
+    game = request.getfixturevalue(name)
+    result = train(game, ExplorationConfig(
+        seed=seed, total_steps=4000, **{**BENCH, **overrides}))
+    state = engine.reset(game)[0]
+    for text in result.best_actions:
+        state = engine.step_movement(state, engine.ground(game, text),
+                                     game)[0]
+    assert state.score == result.j_max
 
 
 # mc_train runs that leave the main phase, recorded before _phase handed
@@ -634,7 +660,7 @@ def test_a_phase_that_stops_mid_run_leaves_the_generator_of_per_env_acting(
 
         kwargs = {"budget": dict(budget=6),
                   "new-params": dict(budget=400, on_improvement=install),
-                  "splice": dict(budget=400, splice=lambda env: (
+                  "splice": dict(budget=400, on_step=lambda env: (
                       env.index == 1 and trainer.steps > 4))}[stop]
         if lone:
             monkeypatch.setattr(exploration._Trainer, "decide",

@@ -537,8 +537,8 @@ def test_go_trajectory_hash_is_pinned(deceive):
         deceive, exploration.ExplorationConfig(
             seed=1, total_steps=600, stop_at_max=False,
             **{**BENCH, "alpha": 2.0}))
-    assert (result.steps_used, result.j_max, len(archive)) == (600, 90, 47)
-    assert result.trajectory_hash == "a0616c10ac18f41899b418e50a4c170f"
+    assert (result.steps_used, result.j_max, len(archive)) == (600, 0, 21)
+    assert result.trajectory_hash == "9eccdfd3d1381a64e15da2f48f3c0fe6"
 
 
 # Recorded before steps that change nothing skipped the answer backend.
