@@ -27,6 +27,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .gamedef import BLANK, INVENTORY, GroundedActionError
 
@@ -80,8 +81,7 @@ class WorldState:
                 f"turn={self.turn}, alive={self.alive})")
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     desc: str
     feedback: str
     inv: str
@@ -234,7 +234,7 @@ def visible_objects(state, game):
         return []
     here = ("room", state.current_room)
     out = []
-    for obj_id in sorted(game.objects):
+    for obj_id in game.object_ids:
         loc = state.object_locations[obj_id]
         if loc == here:
             out.append(obj_id)
@@ -252,14 +252,14 @@ def render_look(state, game):
         return f"{room.name}\n{DARK_TEXT}"
     lines = [room.name, room.desc]
     here = ("room", state.current_room)
-    for obj_id in sorted(game.objects):
+    for obj_id in game.object_ids:
         obj = game.objects[obj_id]
         loc = state.object_locations[obj_id]
         if loc == here and "scenery" not in obj.attrs:
             lines.append(f"There is a {obj.name} here.")
         if (loc == here and "container" in obj.attrs and _is_open(state, obj_id)):
             contents = [game.objects[i].name
-                        for i in sorted(game.objects)
+                        for i in game.object_ids
                         if state.object_locations[i] == ("in", obj_id)]
             if contents:
                 listing = ", ".join(f"a {c}" for c in contents)
@@ -268,7 +268,7 @@ def render_look(state, game):
 
 
 def render_inventory(state, game):
-    carried = [game.objects[i].name for i in sorted(game.objects)
+    carried = [game.objects[i].name for i in game.object_ids
                if state.object_locations[i] == INVENTORY]
     if not carried:
         return "You are empty handed."
@@ -322,7 +322,6 @@ def _apply_verb(state, game, action):
     words = template.words
     fillers = action.fillers
     room = game.rooms[state.current_room]
-    lit = has_light(state, game)
 
     if verb == "go" and len(words) == 2:
         direction = fillers[0]
@@ -350,8 +349,9 @@ def _apply_verb(state, game, action):
     obj_id = fillers[0]
     obj = game.objects.get(obj_id)
     carried = obj is not None and state.object_locations.get(obj_id) == INVENTORY
-    visible = obj is not None and (carried or (lit and obj_id in
-                                               visible_objects(state, game)))
+    # open, close, take and read need it; in the dark nothing is visible
+    visible = verb in ("open", "close", "take", "read") and obj is not None \
+        and (carried or obj_id in visible_objects(state, game))
 
     if verb == "open":
         if not visible or "openable" not in obj.attrs:
@@ -362,7 +362,7 @@ def _apply_verb(state, game, action):
         if obj.open_text:
             return obj.open_text, None, True
         if "container" in obj.attrs:
-            contents = [game.objects[i].name for i in sorted(game.objects)
+            contents = [game.objects[i].name for i in game.object_ids
                         if state.object_locations[i] == ("in", obj_id)]
             if contents:
                 listing = " and ".join(f"a {c}" for c in contents)
@@ -515,7 +515,7 @@ def admissible_actions(state, game):
         if ex.condition is None or ex.condition.holds(state):
             if ex.target != state.current_room:
                 add("go ___", direction)
-    for obj_id in sorted(game.objects):
+    for obj_id in game.object_ids:
         obj = game.objects[obj_id]
         loc = state.object_locations[obj_id]
         carried = loc == INVENTORY
@@ -531,7 +531,7 @@ def admissible_actions(state, game):
             add("take ___", obj_id)
         if carried:
             add("drop ___", obj_id)
-            for cid in sorted(game.objects):
+            for cid in game.object_ids:
                 cobj = game.objects[cid]
                 if (cid != obj_id and "container" in cobj.attrs
                         and cid in visible and _is_open(state, cid)):

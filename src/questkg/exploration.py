@@ -4,7 +4,7 @@ chaining, the vanilla A2C baseline, and the Go-Explore-style cell archive.
 All three strategies train in _phase, which steps a batch of independent
 environment instances round-robin; they share policy parameters and a
 run-level global edge set, and _phase decides the actions of the envs that
-act next in one policy.act_batch call, with the draws of per-env acting.
+act next in one policy.act_batch call, with the picks of per-env acting.
 The strategies differ in where episodes begin (the game start, the buffer,
 a sampled cell) and in the hooks that do their bookkeeping (buffers, chain,
 archive) between steps; each AgentEnv counts its own stagnant steps and
@@ -14,8 +14,9 @@ chain layer share; the walk that removes loops also yields the state buffer
 and the frontier, and a detour splice is judged by the end state of the
 walk it would adopt.  vanilla_train and go_train read their best trajectory
 off the improving episode itself (AgentEnv.last_gain, after the cell's
-actions for go), without a replay.  Action sampling draws from a dedicated
-RNG stream so that deterministic bookkeeping never perturbs trajectories.
+actions for go), without a replay.  Action sampling reads a dedicated
+stream of uniforms (policy.Uniforms) so that deterministic bookkeeping
+never perturbs trajectories.
 """
 
 from __future__ import annotations
@@ -633,13 +634,12 @@ class _Trainer:
         # action's text is computed once; every policy the trainer installs
         # has the game's entities in init_params order
         self.actions = {}
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = policy.Uniforms(np.random.default_rng(config.seed))
         self.hasher = TrajectoryHasher()
         self.log = []
         self.curve = []
         self.steps = 0
         self.fallbacks = 0
-        self._batch = None    # (generator state before, results) of act_batch
 
     def fresh_policy(self):
         """Install a new zero-initialized acting policy, drop the
@@ -659,29 +659,23 @@ class _Trainer:
                 for i in range(count)]
 
     def decide(self, envs):
-        """The ActResult of each env in envs, as successive policy.act calls
-        on their current features and masks would draw them: act for one
-        env, one policy.act_batch call for several.  undecide puts the
-        generator back for the results no env acts on."""
+        """The ActResult of each env in envs on its current features and
+        mask, from the trainer's uniform stream: policy.act for one env
+        (the name perfbench's traced pass times), one policy.act_batch call
+        for several, which picks what successive act calls would.  undecide
+        gives back the uniforms of the results no env acts on."""
         if len(envs) == 1:
             env = envs[0]
             return [policy.act(self.params, env.feats(), env.mask(), self.rng,
                                self.encoder, self.blanks)]
-        state = self.rng.bit_generator.state
-        results = policy.act_batch(
+        return policy.act_batch(
             self.params, [env.feats() for env in envs],
             [env.mask() for env in envs], self.rng, self.encoder, self.blanks)
-        self._batch = state, results
-        return results
 
     def undecide(self, unused):
-        """Put the generator where acting on all but the last `unused`
-        results of the last decide call would have left it."""
-        if unused:
-            state, results = self._batch
-            self.rng.bit_generator.state = state
-            self.rng.random(sum(1 + len(r.filler_indices)
-                                for r in results[:len(results) - unused]))
+        """Move the stream back over the uniforms of unused, the last
+        results of the last decide call, as if they were never drawn."""
+        self.rng.rewind(sum(1 + len(r.filler_indices) for r in unused))
 
     def act_and_step(self, env, result):
         """Take the action of result, env's decide result, and record the
@@ -792,7 +786,7 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
                         if on_improvement is None:
                             return env, used
                         on_improvement(env)
-                        trainer.undecide(len(decided))
+                        trainer.undecide(decided)
                         decided = []
                         j_target = final
                         if trainer.at_max(j_target):
@@ -805,7 +799,7 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
                     return None, used
         return None, used
     finally:
-        trainer.undecide(len(decided))
+        trainer.undecide(decided)
 
 
 def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,

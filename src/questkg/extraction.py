@@ -67,7 +67,7 @@ def oracle_answer(state, game):
     room = game.rooms[state.current_room]
     objects = engine.visible_objects(state, game)
     dirs = list(room.exits) if engine.has_light(state, game) else []
-    inventory = tuple(o for o in sorted(game.objects)
+    inventory = tuple(o for o in game.object_ids
                       if state.object_locations[o] == engine.INVENTORY)
     attributes = {}
     for obj_id in list(objects) + list(inventory):
@@ -203,7 +203,7 @@ def make_backend(name, game, seed=0, p_drop=0.1, p_swap=0.05):
             build_context(obs, game.attr_vocab), lexicon)
     if name == "noisy":
         rng = np.random.default_rng(seed)
-        vocab = [o for o in sorted(game.objects)]
+        vocab = list(game.object_ids)
         return lambda state, obs: noisy_answer(
             oracle_answer(state, game), p_drop, p_swap, rng, vocab)
     raise ValueError(f"unknown extraction backend {name!r}")

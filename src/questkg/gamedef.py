@@ -50,6 +50,7 @@ with a leading ``!``.  A flag is ``<object>-open`` or ``<object>-lit``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 FORMAT_VERSION = 1
 
@@ -206,6 +207,11 @@ class GameDef:
     dag: "DependencyGraph | None"
     entities: tuple[str, ...]  # grounding vocabulary: object ids + directions
     attr_vocab: tuple[str, ...]
+
+    @cached_property
+    def object_ids(self):
+        """The object ids, sorted: computed once per game, not a field."""
+        return tuple(sorted(self.objects))
 
 
 def parse_condition(text, line=None):

@@ -11,12 +11,14 @@ The A2C learner works on a whole transition batch with matrix products:
 the N states are stacked into X and the entity contexts the actor built
 for its blanks into C, with each blank's recorded off-mask row pinning its
 logits to NEG_INF; each head's loss gradient with respect to its logits is
-one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.  The actor draws
-with numpy's own choice recipe (see _draw), so its draws are those of
-Generator.choice.  The training loops act for a sweep's envs at once with
-act_batch, which gives each state the draws and the bits of its own act
-call: one stacked matrix-vector product per head, row-wise cdfs, and the
-uniforms drawn state by state in stream order.
+one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.  act_batch is
+the one sampling decoder (act is its one-row case): it decides a list of
+states at once, with one stacked matrix-vector product per head and
+row-wise cdfs, and picks each index as Generator.choice would, from a
+Uniforms stream that holds the doubles successive rng.random() calls
+return.  The states take their uniforms in stream order, so a batch picks
+what its states picked one call each.  greedy_action is the argmax decode
+of frozen chain modules.
 
 All analytic gradients are verified against central finite differences in
 the test suite; everything is float64.
@@ -29,6 +31,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -307,44 +310,20 @@ def load_params(blob):
 
 # --- acting -----------------------------------------------------------------
 
-def _log_softmax(logits):
-    shift = logits - np.maximum.reduce(logits)
-    return shift - np.log(np.add.reduce(np.exp(shift)))
-
-
 def _log_softmax_rows(logits):
-    """Row-wise _log_softmax of a (K, C) logits matrix, with the same ufunc
-    reductions along each row."""
+    """Row-wise log-softmax of a (K, C) logits matrix, with the reductions
+    called as ufunc methods along each row."""
     shift = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     return shift - np.log(np.add.reduce(np.exp(shift), axis=1,
                                         keepdims=True))
 
 
-def _cdf(logits):
-    """The cdf Generator.choice builds from p = softmax(logits): the running
-    sum of p, divided by its last entry.  The reductions are called as
-    ufunc methods, which skips the array methods' dispatch but not one
-    operation."""
-    cdf = np.add.accumulate(np.exp(_log_softmax(logits)))
-    cdf /= cdf[-1]
-    return cdf
-
-
 def _cdf_rows(logits):
-    """_cdf of each row of a (K, C) logits matrix."""
+    """The cdf Generator.choice builds from p = softmax(row), for each row
+    of a (K, C) logits matrix: the running sum of p, divided by its last
+    entry."""
     cdf = np.add.accumulate(np.exp(_log_softmax_rows(logits)), axis=1)
     return cdf / cdf[:, -1:]
-
-
-def _draw(logits, rng):
-    """Draw an index with probabilities softmax(logits).
-
-    This is rng.choice(len(p), p=np.exp(_log_softmax(logits))) without its
-    argument validation: the same cdf, the same single rng.random() draw
-    and the same search, so it returns the same index and leaves the
-    generator in the same state.
-    """
-    return int(_cdf(logits).searchsorted(rng.random(), side="right"))
 
 
 def _gemv_rows(w, rows):
@@ -364,8 +343,39 @@ def _mask_indices(entities, mask):
     return False, off
 
 
-@dataclass
-class ActResult:
+class Uniforms:
+    """The doubles that successive rng.random() calls return, drawn from
+    the generator `block` at a time.  window(n) shows the next n,
+    advance(n) uses them, and rewind(n) gives back the last n used, as far
+    back as the start of the last window; position counts the uniforms
+    used."""
+
+    block = 16384       # 128 KiB of doubles
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.position = 0
+        self._buf = np.empty(0)
+        self._at = 0        # index in _buf of the next uniform
+
+    def window(self, n):
+        while self._at + n > len(self._buf):
+            self._buf = np.concatenate((self._buf[self._at:],
+                                        self.rng.random(self.block)))
+            self._at = 0
+        return self._buf[self._at:self._at + n].tolist()
+
+    def advance(self, n):
+        self._at += n
+        self.position += n
+
+    def rewind(self, n):
+        if n > self._at:
+            raise ValueError(f"cannot rewind {n} uniforms past the window")
+        self.advance(-n)
+
+
+class ActResult(NamedTuple):
     template_index: int
     filler_indices: tuple[int, ...]
     mask_fallback: bool  # an empty mask forced full-vocabulary filling
@@ -377,89 +387,76 @@ def _entity_context(encoder, feats, position, template_pattern, prev_entity):
         position == 0, template_pattern, prev_entity)))
 
 
-def _argmax(logits, rng):
-    return int(np.argmax(logits))
+def act_batch(params, feats, masks, uniforms, encoder, template_blanks):
+    """Sample a factored action for each row of feats, with the mask of the
+    same index, from a Uniforms stream.
 
-
-def _decode(params, feats, off, encoder, template_blanks, pick, rng):
-    """Pick a template, then a filler for each of its blanks with the
-    entities in off set to NEG_INF; pick(logits, rng) chooses an index.
-    Returns (template index, fillers, each blank's entity context)."""
-    t_idx = pick(params.w_template @ feats + params.b_template, rng)
-    template = params.templates[t_idx]
-    fillers, contexts = [], []
-    prev = ""
-    for position in range(template_blanks[t_idx]):
-        x = _entity_context(encoder, feats, position, template, prev)
-        logits = params.w_entity @ x + params.b_entity
-        logits[off] = NEG_INF
-        e_idx = pick(logits, rng)
-        fillers.append(e_idx)
-        contexts.append(x)
-        prev = params.entities[e_idx]
-    return t_idx, tuple(fillers), tuple(contexts)
-
-
-def act(params, feats, mask, rng, encoder, template_blanks):
-    """Sample a factored action.
-
-    mask is _mask_indices(params.entities, permitted entity set), which
+    A mask is _mask_indices(params.entities, permitted entity set), which
     the caller keeps while the set is unchanged; template_blanks maps
-    template index -> blank count.  Masked-out entities receive exactly zero
+    template index -> blank count.  Masked-out entities get exactly zero
     probability; an empty mask falls back to the full vocabulary and is
-    flagged on the result.  Draws are those of rng.choice (see _draw).
-    """
-    fallback, off = mask
-    t_idx, fillers, contexts = _decode(params, feats, off, encoder,
-                                       template_blanks, _draw, rng)
-    return ActResult(t_idx, fillers, fallback, contexts)
-
-
-def act_batch(params, feats, masks, rng, encoder, template_blanks):
-    """act for each row of feats, with the mask of the same index, in turn.
-
-    Gives the ActResults that successive act calls would give and leaves
-    the generator where they would leave it, but decides every row at once:
-    one stacked matrix-vector product per head (_gemv_rows), the template
-    head's cdf rows, then the entity heads blank position by blank
-    position.  The uniforms are drawn row by row in stream order, one for
-    the template and then one per blank, which are act's draws.
+    flagged on the result.  Each pick is Generator.choice's: where its
+    uniform falls in the cdf of softmax(logits).  The rows take their
+    uniforms in stream order, one for the template and then one per blank,
+    so a batch picks what one call per row would.  All rows are decided at
+    once: one stacked matrix-vector product per head (_gemv_rows), a bisect
+    on each template cdf row, then the entity heads one blank position at a
+    time.
     """
     X = np.array(feats)
-    templates, draws = [], []
+    u = uniforms.window(len(X) * (1 + max(template_blanks.values())))
+    templates, starts = [], []  # per row: template, first blank's uniform
+    used = 0
     for row in _cdf_rows(_gemv_rows(params.w_template, X)
                          + params.b_template).tolist():
-        t_idx = bisect.bisect_right(row, rng.random())
+        t_idx = bisect.bisect_right(row, u[used])
         templates.append(t_idx)
-        draws.append(rng.random(template_blanks[t_idx]).tolist())
+        used += 1
+        starts.append(used)
+        used += template_blanks[t_idx]
+    uniforms.advance(used)
     off = np.array([mask[1] for mask in masks])
     fillers = [[] for _ in templates]
     contexts = [[] for _ in templates]
     position = 0
-    while rows := [i for i, u in enumerate(draws) if len(u) > position]:
-        C = np.concatenate((X[rows], [encoder.context_tail(
+    while rows := [i for i, t in enumerate(templates)
+                   if template_blanks[t] > position]:
+        all_rows = len(rows) == len(X)
+        C = np.concatenate((X if all_rows else X[rows], [encoder.context_tail(
             position == 0, params.templates[templates[i]],
             params.entities[fillers[i][-1]] if position else "")
             for i in rows]), axis=1)
         logits = _gemv_rows(params.w_entity, C) + params.b_entity
-        logits[off[rows]] = NEG_INF
-        # for a sorted row, searchsorted(u, side="right") counts the
-        # entries up to u
-        picks = (_cdf_rows(logits) <= np.array(
-            [draws[i][position] for i in rows])[:, None]).sum(axis=1)
-        for i, e_idx, x in zip(rows, picks.tolist(), C):
-            fillers[i].append(e_idx)
+        logits[off if all_rows else off[rows]] = NEG_INF
+        for i, row, x in zip(rows, _cdf_rows(logits).tolist(), C):
+            fillers[i].append(bisect.bisect_right(row,
+                                                  u[starts[i] + position]))
             contexts[i].append(x)
         position += 1
     return [ActResult(t_idx, tuple(f), mask[0], tuple(c)) for t_idx, f, c, mask
             in zip(templates, fillers, contexts, masks)]
 
 
+def act(params, feats, mask, uniforms, encoder, template_blanks):
+    """act_batch of one state: its ActResult."""
+    return act_batch(params, (feats,), (mask,), uniforms, encoder,
+                     template_blanks)[0]
+
+
 def greedy_action(params, feats, mask, encoder, template_blanks):
     """Deterministic argmax decode used when executing frozen chain modules;
-    mask is as for act."""
-    return _decode(params, feats, mask[1], encoder, template_blanks,
-                   _argmax, None)[:2]
+    mask is as for act_batch.  Returns (template index, filler indices)."""
+    t_idx = int(np.argmax(params.w_template @ feats + params.b_template))
+    template = params.templates[t_idx]
+    fillers, prev = [], ""
+    for position in range(template_blanks[t_idx]):
+        logits = params.w_entity @ _entity_context(
+            encoder, feats, position, template, prev) + params.b_entity
+        logits[mask[1]] = NEG_INF
+        e_idx = int(np.argmax(logits))
+        fillers.append(e_idx)
+        prev = params.entities[e_idx]
+    return t_idx, tuple(fillers)
 
 
 # --- A2C update --------------------------------------------------------------

@@ -14,6 +14,7 @@ import types
 import numpy as np
 import pytest
 
+import per_row_actor
 from questkg import engine, exploration, extraction, kg, policy, search
 from questkg.exploration import ExplorationConfig, execute_chain
 from questkg.gamedef import ActionTemplate
@@ -230,10 +231,11 @@ def test_sampled_actions_respect_graph_mask(miniz):
                                            params.templates[0], "")
                 logits = params.w_entity @ x + params.b_entity
                 logits[act_mask[1]] = policy.NEG_INF
-                probs = np.exp(policy._log_softmax(logits))
+                probs = np.exp(per_row_actor._log_softmax(logits))
                 assert np.all(np.delete(probs, mask_idx) == 0.0)
                 mass_checks += 1
-        result = policy.act(params, feats, act_mask, rng, encoder, blanks)
+        result = per_row_actor.act(params, feats, act_mask, rng, encoder,
+                                   blanks)
         if result.mask_fallback:
             fallbacks += 1
             assert not mask   # fallback is only allowed on an empty mask

@@ -377,6 +377,7 @@ def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
     real_act_and_step = exploration._Trainer.act_and_step
 
     def act(params, feats, *args):
+        # act decides through act_batch: relabel its one row as a lone act
         result = real_act(params, feats, *args)
         decided[id(result)] = "act", result, feats
         return result
@@ -641,10 +642,10 @@ def random_params(game, seed):
 @pytest.mark.parametrize("stop", ["budget", "new-params", "splice"])
 def test_a_phase_that_stops_mid_run_leaves_the_generator_of_per_env_acting(
         chainworld, monkeypatch, stop):
-    """_phase decides a run of envs at once and puts the generator back
-    when it stops before the run is used up: the budget ends mid-sweep, an
-    improvement installs new params, or a splice returns.  The reference
-    decides one env at a time, which is per-env acting."""
+    """_phase decides a run of envs at once and moves the uniform stream
+    back when it stops before the run is used up: the budget ends
+    mid-sweep, an improvement installs new params, or a splice returns.
+    The reference decides one env at a time, which is per-env acting."""
     launch = build_state_buffer(*shorten_trajectory(
         chainworld, ["go east"], ENCODER)[1:], 1)[-1]
     real_decide = exploration._Trainer.decide
@@ -674,7 +675,7 @@ def test_a_phase_that_stops_mid_run_leaves_the_generator_of_per_env_acting(
         if isinstance(stopped, AgentEnv):
             stopped = stopped.index
         return (stopped, used, improved,
-                trainer.hasher.hexdigest(), trainer.rng.bit_generator.state)
+                trainer.hasher.hexdigest(), trainer.rng.position)
 
     batched = outcome(lone=False)
     assert batched == outcome(lone=True)

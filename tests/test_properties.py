@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import per_row_actor
 from questkg import (cli, engine, exploration, extraction, games, kg, policy,
                      search)
 from questkg.gamedef import (GameDef, GameParseError, GameValidationError,
@@ -308,9 +309,10 @@ def test_act_records_the_entity_contexts_of_its_picks(name, seed, data):
     assert fallback == (not names)
     assert off.tolist() == [bool(names) and e not in names
                             for e in params.entities]
+    uniforms = policy.Uniforms(rng)
     for _ in range(20):
         feats = rng.normal(0, 1, ENCODER.config.feature_dim)
-        result = policy.act(params, feats, mask, rng, ENCODER, blanks)
+        result = policy.act(params, feats, mask, uniforms, ENCODER, blanks)
         template = params.templates[result.template_index]
         assert len(result.contexts) == len(result.filler_indices) == \
             blanks[result.template_index]
@@ -334,10 +336,13 @@ def act_fields(result):
 @example("miniz", 0, 1.0, 64, None)
 def test_act_batch_is_successive_act_calls_bit_for_bit(name, seed, scale,
                                                        rows, data):
-    """act_batch decides its rows with stacked products and row-wise cdfs,
-    but must give each row the ActResult its own act call would, context
-    bytes included, and leave the generator where successive act calls
-    leave it.  Masks vary by row; an empty one forces the fallback."""
+    """act_batch decides its rows with stacked products and row-wise cdfs
+    from a stream of uniforms, but must give each row the ActResult the
+    per-row reference actor gives it from the stream's generator, context
+    bytes included, and use exactly the uniforms the reference drew.  The
+    rows are decided in calls of drawn sizes, one-row act calls among them,
+    from a stream whose small block makes refills fall inside calls.  Masks
+    vary by row; an empty one forces the fallback."""
     game = GAMES[name]
     rng = np.random.default_rng(seed)
     params = policy.init_params(game, ENCODER.config)
@@ -346,27 +351,42 @@ def test_act_batch_is_successive_act_calls_bit_for_bit(name, seed, scale,
     if data is None:
         names = [set() if i % 3 == 0 else set(rng.choice(game.entities, 6))
                  for i in range(rows)]
+        sizes = [1, 1, 9, 1, rows]
     else:
         names = [data.draw(st.sets(st.sampled_from(game.entities)))
                  for _ in range(rows)]
+        sizes = data.draw(st.lists(st.integers(1, rows), min_size=1))
     masks = [policy._mask_indices(params.entities, n) for n in names]
     feats = [rng.normal(0, 1, ENCODER.config.feature_dim)
              for _ in range(rows)]
-    theirs, ours = (np.random.default_rng(seed + 1) for _ in range(2))
-    expected = [policy.act(params, f, mask, theirs, ENCODER, blanks)
+    theirs = np.random.default_rng(seed + 1)
+    ours = policy.Uniforms(np.random.default_rng(seed + 1))
+    ours.block = 7
+    expected = [per_row_actor.act(params, f, mask, theirs, ENCODER, blanks)
                 for f, mask in zip(feats, masks)]
-    got = policy.act_batch(params, feats, masks, ours, ENCODER, blanks)
+    got, start = [], 0
+    for size in sizes + [rows]:
+        end = min(start + size, rows)
+        if end - start == 1:
+            got.append(policy.act(params, feats[start], masks[start], ours,
+                                  ENCODER, blanks))
+        elif end > start:
+            got += policy.act_batch(params, feats[start:end],
+                                    masks[start:end], ours, ENCODER, blanks)
+        start = end
     assert list(map(act_fields, got)) == list(map(act_fields, expected))
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.position == sum(1 + len(r.filler_indices) for r in expected)
+    assert ours.window(1)[0] == theirs.random()
     # a pick rarely moves with the last bit of a logit, so the heads'
-    # stacked products and cdf rows are held to act's one-row ones directly
+    # stacked products and cdf rows are held to the reference's one-row
+    # ones directly
     C = np.array([x for r in expected for x in r.contexts]).reshape(
         -1, params.w_entity.shape[1])
     for w, X in ((params.w_template, np.array(feats)), (params.w_entity, C)):
         logits = policy._gemv_rows(w, X)
         assert logits.tobytes() == b"".join((w @ x).tobytes() for x in X)
         assert policy._cdf_rows(logits).tobytes() == b"".join(
-            policy._cdf(row).tobytes() for row in logits)
+            per_row_actor._cdf(row).tobytes() for row in logits)
     if data is None:    # the example decodes every blank count and mask
         assert {len(r.filler_indices) for r in got} == {0, 1, 2}
         assert {r.mask_fallback for r in got} == {False, True}
