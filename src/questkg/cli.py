@@ -190,8 +190,8 @@ def run_experiment(config, out=sys.stdout):
             _write(os.path.join(seed_dir, "chain.json"),
                    exploration.save_chain(result.chain))
         if config.strategy == "go":
-            cells = sorted((c.score, c.visits)
-                           for c in archive.cells.values())
+            cells = sorted((c.score, archive.visits[k])
+                           for k, c in archive.cells.items())
             _write(os.path.join(seed_dir, "archive.csv"),
                    "score,visits\n"
                    + "".join(f"{s},{v}\n" for s, v in cells))
@@ -224,7 +224,8 @@ def analyze_game(path, out=sys.stdout):
 
 
 def collect_qa_states(game, budget, seed):
-    """(QAContext, AnswerSet) pairs from the walkthrough plus random play."""
+    """(QAContext, AnswerSet) pairs from the walkthrough plus random play,
+    at most budget of them; fewer when the start admits no action."""
     if budget <= 0:
         return []
     records = []
@@ -243,6 +244,8 @@ def collect_qa_states(game, budget, seed):
         record(state, obs)
         if done:
             break
+    if not engine.admissible_actions(engine.reset(game)[0], game):
+        return records      # random play would record nothing, forever
     while len(records) < budget:
         state, obs, _ = engine.reset(game)
         for _ in range(50):        # turns per random episode

@@ -5,18 +5,19 @@ All three strategies train in _phase, which steps a batch of independent
 environment instances round-robin; they share policy parameters and a
 run-level global edge set, and _phase decides the actions of the envs that
 act next in one policy.act_batch call, with the picks of per-env acting.
-The strategies differ in where episodes begin (the game start, the buffer,
-a sampled cell) and in the hooks that do their bookkeeping (buffers, chain,
-archive) between steps; each AgentEnv counts its own stagnant steps and
-keeps the launch it began from.  Recorded actions are replayed with a graph
-in one kind of oracle AgentEnv (_replay_env), which loop removal and the
-chain layer share; the walk that removes loops also yields the state buffer
-and the frontier, and a detour splice is judged by the end state of the
-walk it would adopt.  vanilla_train and go_train read their best trajectory
-off the improving episode itself (AgentEnv.last_gain, after the cell's
-actions for go), without a replay.  Action sampling reads a dedicated
-stream of uniforms (policy.Uniforms) so that deterministic bookkeeping
-never perturbs trajectories.
+The strategies differ in where episodes begin (the game start, a buffer
+entry, a sampled cell: each a Launch with the actions that reach it) and in
+the hooks that do their bookkeeping (buffers, chain, archive) between steps;
+each AgentEnv counts its own stagnant steps and keeps the launch it began
+from.  Recorded actions are replayed with a graph in one kind of oracle
+AgentEnv (_replay_env), which loop removal and the chain layer share; the
+walk that removes loops also yields the state buffer and the frontier, and
+a detour splice is judged by the end state of the walk it would adopt.
+A best trajectory joins a launch's actions to an episode's (mc_train
+removes its loops); vanilla_train and go_train read theirs off the
+improving episode (up to AgentEnv.last_gain), without a replay.  Action
+sampling reads a dedicated stream of uniforms (policy.Uniforms) so that
+deterministic bookkeeping never perturbs trajectories.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import base64
 import hashlib
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,32 +89,25 @@ class TrajectoryHasher:
 # --- per-instance environment wrapper ---------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Launch:
-    """Episode start point: engine snapshot plus the agent's graph there.
-    These fields never change: AgentEnv.begin knows a launch by identity."""
+    """Episode start point: engine snapshot, the agent's graph there and the
+    actions from game reset that reach it (none for a chain module's launch).
+    Never changes: AgentEnv.begin knows a launch by identity."""
     snapshot: bytes
     graph_triples: frozenset
     score: int
-
-
-@dataclass
-class Cell(Launch):
-    """Where a vanilla or go episode begins: a launch, the actions from game
-    reset to it, and the number of episodes go began there."""
     actions: tuple[str, ...] = ()
-    visits: int = 0
 
 
-def game_start_launch(game, kind=Launch):
-    state, _, initial = engine.reset(game)
-    return kind(engine.snapshot(state), frozenset(), initial)
+def game_start_launch(game):
+    return launch_at(engine.reset(game)[0], kg.KnowledgeGraph())
 
 
-def launch_at(state, graph, kind=Launch, *extra):
-    """A Launch, or a kind of it with extra fields, at state with graph."""
-    return kind(engine.snapshot(state), frozenset(graph.triples),
-                state.score, *extra)
+def launch_at(state, graph, actions=()):
+    """The Launch at state with graph, reached by actions."""
+    return Launch(engine.snapshot(state), frozenset(graph.triples),
+                  state.score, tuple(actions))
 
 
 class AgentEnv:
@@ -289,12 +284,6 @@ def _walk(game, encoder, action_texts):
 # --- state buffer ------------------------------------------------------------
 
 
-@dataclass
-class BufferEntry(Launch):
-    """A launch on the best trajectory."""
-    prefix_len: int     # actions from game reset to this state
-
-
 def build_state_buffer(path, end, capacity):
     """The latest `capacity` launches on a loop-free path and its end state,
     as shorten_trajectory returns them, without a terminal end."""
@@ -424,10 +413,10 @@ def shorten_trajectory(game, actions_from_reset, encoder):
     no rule reads, so a revisited pair evolves exactly like its first visit.
     Actions after a terminal step are kept as they are.
 
-    Returns (kept actions, path, end state).  path holds a BufferEntry per
-    pair on the kept path, in order, whose prefix_len and snapshot turn are
-    its index there, as in a replay of the kept actions; the walk stops at
-    the end state.
+    Returns (kept actions, path, end state).  path holds a Launch per pair
+    on the kept path, in order, whose actions are the kept actions before it
+    and whose snapshot turn is their number, as in a replay of the kept
+    actions; the walk stops at the end state.
     """
     actions = list(actions_from_reset)
     kept, path = [], []
@@ -443,7 +432,7 @@ def shorten_trajectory(game, actions_from_reset, encoder):
                 seen.popitem()
         else:
             env.state.turn = at
-            path.append(launch_at(env.state, env.graph, BufferEntry, at))
+            path.append(launch_at(env.state, env.graph, kept))
     return kept + actions[i:], path, env.state
 
 
@@ -847,9 +836,7 @@ def mc_train(game, config):
     # steps per backtrack snapshot: a batch of full episodes, or 2% of
     # the run's budget when that is larger
     n_backtrack = max(cfg.horizon * cfg.batch_size, cfg.total_steps // 50)
-    # episodes launch from the last entry, reached by best_actions[:prefix_len]
-    buffer_entries = [BufferEntry(start.snapshot, start.graph_triples,
-                                  start.score, 0)]
+    buffer_entries = [start]    # episodes launch from the last entry
 
     frontier = _state_capability(engine.restore(start.snapshot))
 
@@ -883,11 +870,10 @@ def mc_train(game, config):
         trainer.curve.append((trainer.steps, j_max))
 
     def graft(entry, env):
-        """Adopt the episode env played from entry after entry's prefix."""
+        """Adopt the episode env played from entry after entry's actions."""
         adopt(shorten_trajectory(
-            game, best_actions[:entry.prefix_len]
-            + env.episode_actions[:env.last_useful], trainer.encoder),
-            env.state.score)
+            game, entry.actions + tuple(env.episode_actions[:env.last_useful]),
+            trainer.encoder), env.state.score)
 
     def make_splice(entry):
         """Detour splicing for a backtrack entry.
@@ -900,8 +886,7 @@ def mc_train(game, config):
         dependencies (the egg, the lamp) get inserted without ever beating
         the raw high score directly from an old snapshot.
         """
-        pre = best_actions[:entry.prefix_len]
-        suffix = best_actions[entry.prefix_len:]
+        suffix = tuple(best_actions[len(entry.actions):])
         entry_state = engine.restore(entry.snapshot)
         entry_room = entry_state.current_room
         entry_inv, entry_flags = _state_capability(entry_state)
@@ -920,8 +905,9 @@ def mc_train(game, config):
             if key in tried:
                 return False
             tried.add(key)
-            walk = shorten_trajectory(game, pre + env.episode_actions + suffix,
-                                      trainer.encoder)
+            walk = shorten_trajectory(
+                game, entry.actions + tuple(env.episode_actions) + suffix,
+                trainer.encoder)
             end = walk[2]
             if end.score < j_max or end.score == j_max and (
                     not tie_guard(end) or _state_capability(end) == frontier):
@@ -982,8 +968,8 @@ def mc_train(game, config):
 
 def _keep_best_episode(trainer, envs, get_launch, j_max, on_step=None):
     """Train in one phase over the whole budget; returns the TrainResult.
-    Every launch is a Cell, and the best trajectory is the improving
-    episode's launch's actions and its own up to its last score gain."""
+    The best trajectory is the actions that reach the improving episode's
+    launch and the episode's own up to its last score gain."""
     best_actions = ()
 
     def on_improvement(env):
@@ -1002,9 +988,9 @@ def _keep_best_episode(trainer, envs, get_launch, j_max, on_step=None):
 
 def vanilla_train(game, config):
     """Plain batched A2C: no stagnation check, no buffers, no chaining.
-    Every episode begins at the game start, a Cell with no actions."""
+    Every episode begins at the game start."""
     trainer = _Trainer(game, config)
-    start = game_start_launch(game, Cell)
+    start = game_start_launch(game)
     return _keep_best_episode(trainer, trainer.make_envs(config.batch_size),
                               lambda: start, start.score)
 
@@ -1013,21 +999,23 @@ def vanilla_train(game, config):
 
 
 class CellArchive:
-    """Map from (state digest, graph digest) to the first cell inserted."""
+    """Map from (state digest, graph digest) to its cell, the first launch
+    inserted under that key, and to the episodes begun there (visits)."""
 
     def __init__(self):
-        self.cells = {}           # key -> Cell, insertion-ordered
+        self.cells = {}           # key -> Launch, insertion-ordered
+        self.visits = Counter()   # key -> episodes begun at its cell
 
     def insert(self, key, cell):
         return self.cells.setdefault(key, cell)
 
     def sample(self, rng):
         """Score-weighted choice, weight = score + 1, counted as a visit."""
-        cells = list(self.cells.values())
-        weights = np.array([c.score + 1.0 for c in cells])
-        cell = cells[int(rng.choice(len(cells), p=weights / weights.sum()))]
-        cell.visits += 1
-        return cell
+        keys = list(self.cells)
+        weights = np.array([self.cells[k].score + 1.0 for k in keys])
+        key = keys[int(rng.choice(len(keys), p=weights / weights.sum()))]
+        self.visits[key] += 1
+        return self.cells[key]
 
     def __len__(self):
         return len(self.cells)
@@ -1050,7 +1038,7 @@ def go_train(game, config):
     rng_cells = np.random.default_rng(config.seed + 0x9E3779B9)
     archive = CellArchive()
     envs = trainer.make_envs(config.batch_size)
-    start = game_start_launch(game, Cell)
+    start = game_start_launch(game)
     envs[0].begin(start)
     archive.insert(envs[0].key(), start)
 
@@ -1060,7 +1048,7 @@ def go_train(game, config):
             key = env.key()
             if key not in archive:
                 archive.insert(key, launch_at(
-                    env.state, env.graph, Cell,
+                    env.state, env.graph,
                     env.launch.actions + tuple(env.episode_actions)))
 
     return _keep_best_episode(trainer, envs, lambda: archive.sample(rng_cells),

@@ -30,6 +30,7 @@ import bisect
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -291,21 +292,27 @@ def save_params(params):
 
 
 def load_params(blob):
+    """Inverse of save_params.  Raises ValueError for anything else."""
     head_len = int.from_bytes(blob[:4], "big")
-    meta = json.loads(blob[4:4 + head_len].decode())
-    if meta.get("v") != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version {meta.get('v')!r}")
-    params = PolicyParams(
-        templates=tuple(meta["templates"]),
-        entities=tuple(meta["entities"]),
-        gamma=meta["gamma"],
-        **{n: np.zeros(tuple(meta["shapes"][n])) for n in PolicyParams.ARRAYS})
-    vec = np.frombuffer(blob[4 + head_len:], dtype="<f8").copy()
-    size = sum(getattr(params, n).size for n in params.ARRAYS)
-    if vec.size != size:
-        raise ValueError(f"checkpoint holds {vec.size} values, its shapes "
-                         f"need {size}")
-    return params.from_vector(vec)
+    body = blob[4 + head_len:]
+    try:
+        meta = json.loads(blob[4:4 + head_len].decode())
+        version = meta.get("v") if isinstance(meta, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint version {version!r}")
+        shapes = {n: tuple(meta["shapes"][n]) for n in PolicyParams.ARRAYS}
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if len(body) != 8 * size:    # before any array is allocated
+            raise ValueError(f"checkpoint holds {len(body)} body bytes, its "
+                             f"shapes need {8 * size}")
+        params = PolicyParams(
+            templates=tuple(meta["templates"]),
+            entities=tuple(meta["entities"]),
+            gamma=meta["gamma"],
+            **{n: np.zeros(shape) for n, shape in shapes.items()})
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"malformed policy checkpoint: {exc!r}") from None
+    return params.from_vector(np.frombuffer(body, dtype="<f8").copy())
 
 
 # --- acting -----------------------------------------------------------------

@@ -1,10 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from questkg import cli, exploration
+from questkg import cli, exploration, extraction
 from questkg.cli import ConfigError, RunConfig, main, validate_config
 
 
@@ -351,6 +354,27 @@ def test_emit_dataset_budget_zero_is_empty(tmp_path):
                        "--out", str(out)])
     assert code == 0
     assert out.read_text() == ""
+
+
+def test_emit_dataset_returns_on_a_game_without_actions(tmp_path):
+    """Random play from a start that admits no action records nothing, so
+    the dataset holds the start state alone.  In a subprocess, so that a
+    hang fails the test instead of stalling the suite."""
+    path = tmp_path / "cell.game"
+    path.write_text("questgame 1\n[meta]\nname cell\nstart cell\n"
+                    "max-score 0\n[room cell]\nname Cell\ndesc Bare.\n"
+                    "[templates]\nwait\n")
+    out = tmp_path / "cell.qa"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "questkg.cli", "emit-dataset", str(path),
+         "--budget", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert f"wrote 1 states to {out}" in done.stdout
+    assert len(extraction.parse_qa_dataset(out.read_text())) == 1
 
 
 def test_replay_chain_round_trip(tmp_path):

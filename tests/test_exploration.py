@@ -13,7 +13,7 @@ from questkg import (cli, engine, exploration, extraction, games, kg, policy,
                      search)
 from questkg.gamedef import load_game
 from questkg.exploration import (AgentEnv, CellArchive,
-                                 Cell, ChainCloneError, ChainExecutionError,
+                                 ChainCloneError, ChainExecutionError,
                                  ExplorationConfig,
                                  Launch, build_chain, build_state_buffer,
                                  execute_chain,
@@ -160,7 +160,7 @@ def test_state_buffer_dedups_and_skips_death(miniz):
     entries = build_state_buffer(path, end, 10)
     # the waits dedup; each move is a new (state, graph) pair because the
     # movement triples keep enriching the graph
-    assert [e.prefix_len for e in entries] == [0, 1, 2, 3]
+    assert [len(e.actions) for e in entries] == [0, 1, 2, 3]
     death = ["go south", "go east", "open window", "go west", "go west",
              "open trapdoor", "go down"]
     _, path, end = shorten_trajectory(miniz, death, ENCODER)
@@ -176,7 +176,7 @@ def test_state_buffer_capacity_keeps_latest(miniz):
     entries = build_state_buffer(*shorten_trajectory(miniz, texts,
                                                      ENCODER)[1:], 4)
     assert len(entries) == 4
-    assert entries[-1].prefix_len == len(texts)
+    assert len(entries[-1].actions) == len(texts)
 
 
 def test_shorten_trajectory_removes_loops(miniz):
@@ -407,9 +407,9 @@ def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
 def test_archive_insert_keeps_the_first_cell(chainworld):
     archive = CellArchive()
     launch = game_start_launch(chainworld)
-    cell = Cell(launch.snapshot, launch.graph_triples, launch.score)
+    cell = Launch(launch.snapshot, launch.graph_triples, launch.score)
     assert archive.insert("k", cell) is cell
-    higher = Cell(launch.snapshot, launch.graph_triples, 5, ("x",))
+    higher = Launch(launch.snapshot, launch.graph_triples, 5, ("x",))
     assert archive.insert("k", higher) is cell
     assert archive.cells == {"k": cell} and cell.score == 0
 
@@ -447,8 +447,8 @@ def test_untouched_steps_skip_the_backend_and_keep_the_graph(miniz):
 
 def test_archive_sampling_is_score_weighted():
     archive = CellArchive()
-    archive.insert("low", Cell(b"", frozenset(), 0))
-    archive.insert("high", Cell(b"", frozenset(), 9))
+    archive.insert("low", Launch(b"", frozenset(), 0))
+    archive.insert("high", Launch(b"", frozenset(), 9))
     rng = np.random.default_rng(0)
     picks = [archive.sample(rng).score for _ in range(2000)]
     high = sum(1 for s in picks if s == 9)
@@ -461,6 +461,40 @@ def test_go_explore_clears_chainworld(chainworld):
     assert len(archive) > 1
     again, _ = go_train(chainworld, FAST)
     assert again.trajectory_hash == result.trajectory_hash
+
+
+def assert_reached_by_its_actions(game, launch):
+    """Replaying launch.actions from the game start reaches the state hash
+    and score of launch's snapshot."""
+    state = engine.reset(game)[0]
+    for text in launch.actions:
+        state = engine.step_movement(state, engine.ground(game, text), game)[0]
+    there = engine.restore(launch.snapshot)
+    assert (engine.state_hash(state), state.score) == (
+        engine.state_hash(there), there.score)
+
+
+def test_mc_buffer_entries_are_reached_by_their_actions(miniz, monkeypatch):
+    buffers = []
+    build = exploration.build_state_buffer
+
+    def recorded(*args):
+        buffers.append(build(*args))
+        return buffers[-1]
+    monkeypatch.setattr(exploration, "build_state_buffer", recorded)
+    result = mc_train(miniz, FAST)
+    # the run rebuilds its buffer as it adopts, and backtracks
+    assert result.backtracks > 0 and len(buffers) > 1
+    for entry in (e for buffer in buffers for e in buffer):
+        assert_reached_by_its_actions(miniz, entry)
+
+
+def test_go_cells_are_reached_by_their_actions(miniz):
+    _, archive = go_train(miniz, replace(FAST, total_steps=2000))
+    # cells begun from cells: actions longer than one episode
+    assert max(len(c.actions) for c in archive.cells.values()) > FAST.horizon
+    for cell in archive.cells.values():
+        assert_reached_by_its_actions(miniz, cell)
 
 
 # --- outputs pinned before the replay helpers were rebuilt on replay() ------

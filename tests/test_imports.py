@@ -52,6 +52,7 @@ MODULES = [path for path in sorted(PACKAGE.glob("*.py"))
            if path.name != "__init__.py"]
 PROGRAMS = (MODULES + sorted((ROOT / "demos").glob("*.py"))
             + sorted((ROOT / "perfbench").glob("*.py")))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # validate_against_game is the only reachability check of a game's [dag]
 # section: no program runs it, but the tests run it on the bundled games.
 TEST_ONLY = ["validate_against_game"]
@@ -120,3 +121,5 @@ def test_names_no_program_uses_are_found(tmp_path):
 
 def test_every_module_level_name_is_used_by_a_program():
     assert names_no_program_uses(MODULES, PROGRAMS) == TEST_ONLY
+    # and each test-only name by a test
+    assert names_no_program_uses(MODULES, PROGRAMS + TESTS) == []

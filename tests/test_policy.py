@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -179,6 +180,25 @@ def test_load_params_rejects_a_body_that_does_not_fit_its_shapes(miniz):
     for bad in (blob + b"\0" * 16, blob + b"\0" * 3, blob[:-8]):
         with pytest.raises(ValueError):
             load_params(bad)
+
+
+def _blob(head):
+    return len(head).to_bytes(4, "big") + head
+
+
+@pytest.mark.parametrize("blob", [
+    b"", _blob(b"[1]"), _blob(b'{"v":1}'), _blob(b"\xff\xfe"),
+    _blob(b'{"v":1,"shapes":[]}'),
+    _blob(b'{"v":1,"shapes":{"w_template":4}}'),
+    # shapes no body holds, so no array may be allocated for them
+    _blob(json.dumps({"v": 1, "templates": [], "entities": [], "gamma": 0.9,
+                      "shapes": dict.fromkeys(policy.PolicyParams.ARRAYS,
+                                              [2 ** 40])}).encode()),
+], ids=["empty", "list", "no-fields", "not-utf8", "shapes-list",
+        "shape-int", "huge"])
+def test_load_params_rejects_a_malformed_blob(blob):
+    with pytest.raises(ValueError, match="malformed policy checkpoint"):
+        load_params(blob)
 
 
 def test_masked_sampling_stays_on_mask(miniz):

@@ -28,7 +28,8 @@ from questkg.exploration import (AgentEnv, ExplorationConfig,
                                  build_state_buffer, game_start_launch,
                                  launch_at, mc_train, shorten_trajectory)
 from test_engine import brute_force_admissible
-from test_exploration import BENCH, MC_PINS
+from test_exploration import (BENCH, MC_PINS,
+                              assert_reached_by_its_actions)
 
 GAMES = {name: games.load_bundled(name) for name in games.BUNDLED}
 # walks may start with a lead-in; this one ends beside miniz's open
@@ -129,7 +130,7 @@ def replay(game, launch, action_texts, backend=None):
 
 
 def replay_buffer(game, actions_from_reset, capacity):
-    """The state buffer as (snapshot, triples, score, prefix_len) rows,
+    """The state buffer as (snapshot, triples, score, prefix length) rows,
     built on the reference replay."""
     oracle = extraction.make_backend("oracle", game)
     rows, seen = [], set()
@@ -510,7 +511,7 @@ def test_last_gain_is_where_a_replay_of_the_episode_peaks(walk, cut):
 
 
 def rows(entries):
-    return [(e.snapshot, e.graph_triples, e.score, e.prefix_len)
+    return [(e.snapshot, e.graph_triples, e.score, len(e.actions))
             for e in entries]
 
 
@@ -526,7 +527,9 @@ def test_one_pass_shorten_matches_restart_reference(walk):
     assert kept == reference
     alive = path if end.alive else path[:-1]
     assert rows(alive) == replay_buffer(game, reference, len(texts) + 1)
-    assert [e.prefix_len for e in path] == list(range(len(path)))
+    assert [len(e.actions) for e in path] == list(range(len(path)))
+    for launch in path:
+        assert_reached_by_its_actions(game, launch)
     *_, (_, reference_end, _) = replay(game, game_start_launch(game),
                                        reference)
     assert engine.state_hash(end) == engine.state_hash(reference_end)
