@@ -2,7 +2,7 @@
 
 Trains a vanilla agent, a modular agent with intrinsic motivation, and a
 cell-archive baseline on miniz, then prints the learning outcome and the
-modular agent's chain manifest.  The vanilla agent tends to stall at the
+modular agent's chain modules.  The vanilla agent tends to stall at the
 kitchen while the modular agent backtracks its way into the cellar.
 
 Run with: python demos/compare_agents.py
@@ -36,10 +36,10 @@ def main():
 
     chain = results["mc+im"][0].chain
     if chain is not None:
-        print("\nChain manifest for the first mc+im run:")
-        for module in chain.manifest()["modules"]:
-            print(f"  module of {module['length']} actions, "
-                  f"handoff score {module['handoff_score']}")
+        print("\nChain modules of the first mc+im run:")
+        for module in chain.modules:
+            print(f"  module of {len(module.actions)} actions, "
+                  f"handoff score {module.handoff_score}")
         trajectory, score, digest = exploration.execute_chain(chain, game)
         print(f"replayed to score {score} "
               f"({len(trajectory)} actions, hash {digest})")

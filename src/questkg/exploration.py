@@ -116,9 +116,8 @@ class AgentEnv:
     With a pure backend, begin() keeps what it built from its last launch
     (one slot) and copies it when the same launch object comes again:
     restoring a snapshot and asking a pure backend give the same graph,
-    summary and entity counts every time, and the global edge set already
-    holds the triples the miss absorbed.  An impure backend is asked on
-    every begin.
+    summary and mask every time, and the global edge set already holds the
+    triples the miss absorbed.  An impure backend is asked on every begin.
     """
 
     def __init__(self, game, encoder, backend, global_edges, config, index):
@@ -133,13 +132,12 @@ class AgentEnv:
         self.graph = None
         self.obs = None
         self.tracker = None
-        self.entity_refs = None
         self.launch = None        # what the episode began from
         self.episode_actions = None
         self.needs_reset = True
         self.stagnant = 0         # steps since the last globally new triple
         self._feats = None        # feats(), until the next begin or step
-        self._mask = None         # mask(), until a token enters or leaves
+        self._mask = None         # mask(), until the graph changes
         self._memo = None         # (launch, what begin built from it)
 
     def begin(self, launch):
@@ -148,19 +146,14 @@ class AgentEnv:
         if not self.state.alive:
             raise ValueError("cannot launch an episode from a terminal state")
         if self._memo is not None and self._memo[0] is launch:
-            _, graph, tracker, refs, self._mask, self.obs = self._memo
+            _, graph, tracker, self._mask, self.obs = self._memo
             self.graph = graph.copy()
             self.tracker = tracker.copy()
-            self.entity_refs = dict(refs)
         else:
             self._mask = None
             self.graph = kg.KnowledgeGraph(launch.graph_triples)
             self.obs = engine.observe(self.state, self.game)
             self.tracker = policy.PooledGraphTracker(self.encoder, self.graph)
-            self.entity_refs = {}
-            for t in self.graph.triples:
-                self._ref(t.subject, +1)
-                self._ref(t.object, +1)
             answers = self.backend(self.state, self.obs)
             added, removed = kg.apply_answers(self.graph, answers)
             self._absorb_diff(added, removed)
@@ -168,7 +161,7 @@ class AgentEnv:
             if self.pure:
                 self.tracker.summary()    # so that every hit shares it
                 self._memo = (launch, self.graph.copy(), self.tracker.copy(),
-                              dict(self.entity_refs), self.mask(), self.obs)
+                              self.mask(), self.obs)
         self.launch = launch
         self.episode_actions = []
         self.episode_new = 0      # globally new triples found this episode
@@ -176,24 +169,10 @@ class AgentEnv:
         self.last_gain = 0        # actions up to the last score gain
         self.needs_reset = False
 
-    def _ref(self, token, delta):
-        old = self.entity_refs.get(token, 0)
-        count = old + delta
-        if count > 0:
-            self.entity_refs[token] = count
-        elif old:
-            del self.entity_refs[token]
-        if (count > 0) != (old > 0):
-            self._mask = None
-
     def _absorb_diff(self, added, removed):
         self.tracker.apply(added, removed)
-        for t in added:
-            self._ref(t.subject, +1)
-            self._ref(t.object, +1)
-        for t in removed:
-            self._ref(t.subject, -1)
-            self._ref(t.object, -1)
+        if added or removed:
+            self._mask = None
 
     def key(self):
         """The (state hash, graph hash) pair: where the env is."""
@@ -215,10 +194,11 @@ class AgentEnv:
 
     def mask(self):
         """The entity mask act and greedy_action take: _mask_indices of the
-        tokens the graph mentions, kept until one enters or leaves."""
+        tokens the graph's triples mention, kept until the graph changes."""
         if self._mask is None:
-            self._mask = policy._mask_indices(self.game.entities,
-                                              self.entity_refs)
+            self._mask = policy._mask_indices(self.game.entities, {
+                token for t in self.graph.triples
+                for token in (t.subject, t.object)})
         return self._mask
 
     def step(self, action):
@@ -316,19 +296,6 @@ class ChainModule:
 class PolicyChain:
     modules: list[ChainModule] = field(default_factory=list)
     j_max: int = 0
-
-    def manifest(self):
-        return {
-            "j_max": self.j_max,
-            "modules": [
-                {"index": i,
-                 "launch_score": m.launch.score,
-                 "handoff_score": m.handoff_score,
-                 "length": len(m.actions),
-                 "actions": list(m.actions)}
-                for i, m in enumerate(self.modules)
-            ],
-        }
 
 
 CHAIN_VERSION = 1

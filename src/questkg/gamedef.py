@@ -40,7 +40,9 @@ Keys by section: meta ``name start max-score``; room ``name desc exit
 dark``; object ``name loc attrs text open-text``; event ``when reward``;
 death ``when text``.  Only ``exit`` repeats.  ``[meta]``, ``[templates]``
 and ``[dag]`` appear at most once, every other section once per id, and a
-template line at most once.
+template line at most once.  Room ids, object ids and attributes are
+their own ``normalize`` form (the graph holds that form), and a room name
+does not normalize to ``''``.
 
 Conditions are conjunctions of atoms separated by ``&``.  An atom is one of
 ``at <room>``, ``carrying <object>``, ``flag <flag>``, optionally negated
@@ -247,6 +249,14 @@ def _parse_exit(rest, line):
     return direction, Exit(target, condition, blocked.strip())
 
 
+def _check_normal(what, word, line):
+    """Graph triples hold normalized words, so an id or attribute that
+    normalize changes would never match the graph (or vanish)."""
+    if normalize(word) != word:
+        raise GameParseError(f"{what} {word!r} is not its normalized form "
+                             f"{normalize(word)!r}", line)
+
+
 def flag_names(objects):
     """Every flag the engine can set for the objects: <id>-open, <id>-lit."""
     return {f"{o}-{state}" for o in objects for state in ("open", "lit")}
@@ -322,6 +332,11 @@ def _fields(kind, body):
             raise GameParseError(f"unknown [{kind}] key {key!r}", no)
         if key in fields and key != "exit":
             raise GameParseError(f"repeated key {key!r}", no)
+        if kind == "room" and key == "name" and not normalize(rest):
+            raise GameParseError(f"room name {rest!r} normalizes to ''", no)
+        if key == "attrs":
+            for attr in rest.split():
+                _check_normal("attribute", attr, no)
         if key == "exit":
             direction, ex = _parse_exit(rest, no)
             exits = fields.setdefault("exit", {})
@@ -408,6 +423,8 @@ def load_game(def_text):
         if kind == "dag":
             dag = _build_dag(body)
             continue
+        if kind in ("room", "object"):
+            _check_normal(f"{kind} id", sid, no)
         fields = _fields(kind, body)
         if kind == "meta":
             meta = fields

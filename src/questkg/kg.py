@@ -54,16 +54,13 @@ def triple_digest(triple):
 
 
 class KnowledgeGraph:
-    """Mutable triple set with set semantics and an incremental XOR digest.
-    Its <you, in, *> triples are also kept apart, so apply_answers finds
-    the location to replace without scanning the set."""
+    """Mutable triple set with set semantics and an incremental XOR digest."""
 
-    __slots__ = ("triples", "_digest", "_located")
+    __slots__ = ("triples", "_digest")
 
     def __init__(self, triples=()):
         self.triples = set()
         self._digest = EMPTY_DIGEST
-        self._located = {}        # the <you, in, *> triples, as keys
         for t in triples:
             self.add(t)
 
@@ -71,8 +68,6 @@ class KnowledgeGraph:
         if triple not in self.triples:
             self.triples.add(triple)
             self._digest ^= triple_digest(triple)
-            if triple.subject == "you" and triple.relation == REL_IN:
-                self._located[triple] = None
             return True
         return False
 
@@ -80,8 +75,6 @@ class KnowledgeGraph:
         if triple in self.triples:
             self.triples.remove(triple)
             self._digest ^= triple_digest(triple)
-            if triple.subject == "you" and triple.relation == REL_IN:
-                self._located.pop(triple)
             return True
         return False
 
@@ -89,14 +82,7 @@ class KnowledgeGraph:
         clone = KnowledgeGraph()
         clone.triples = set(self.triples)
         clone._digest = self._digest
-        clone._located = dict(self._located)
         return clone
-
-    def locations(self):
-        """The <you, in, *> triples in the order the triple set iterates."""
-        if len(self._located) > 1:
-            return [t for t in self.triples if t in self._located]
-        return list(self._located)
 
     def __len__(self):
         return len(self.triples)
@@ -154,7 +140,8 @@ def apply_answers(graph, answers, movement=None):
     loc = normalize(answers.location) if answers.location else ""
     if loc:
         here = Triple.make("you", REL_IN, loc)
-        for t in [t for t in graph.locations() if t != here]:
+        for t in [t for t in graph.triples if t.subject == "you"
+                  and t.relation == REL_IN and t != here]:
             graph.discard(t)
             removed.append(t)
         put(here)

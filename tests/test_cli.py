@@ -88,11 +88,11 @@ def test_analyze_game_without_dag_fails(tmp_path):
 questgame 1
 [meta]
 name bare
-start a
+start hall
 max-score 0
-[room a]
-name A
-desc A.
+[room hall]
+name Hall
+desc A hall.
 [templates]
 wait
 """

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import questkg
+from questkg.exploration import ExplorationConfig
 
 SRC = Path(questkg.__file__).resolve().parents[1]
 DEMOS = SRC.parent / "demos"
@@ -27,10 +28,15 @@ def test_demo_runs(script, tmp_path):
     assert done.stdout.strip()
 
 
-def test_compare_agents_imports():
-    # its nine 40k-step trainings are too slow to run here
+def test_compare_agents_runs(monkeypatch, capsys):
+    # its nine 40k-step trainings are too slow to run here: cap each at 2k
     spec = importlib.util.spec_from_file_location(
         "compare_agents", DEMOS / "compare_agents.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    monkeypatch.setattr(module, "ExplorationConfig", lambda **kw: (
+        ExplorationConfig(**{**kw, "total_steps": 2_000})))
+    module.main()
+    out = capsys.readouterr().out
+    assert "Chain modules of the first mc+im run:" in out
+    assert "replayed to score" in out

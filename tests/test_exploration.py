@@ -43,7 +43,8 @@ def test_env_begin_absorbs_initial_observation(miniz):
     env.begin(game_start_launch(miniz))
     assert len(env.graph) > 0
     assert len(env.global_edges) == len(env.graph)
-    assert "mailbox" in env.entity_refs
+    fallback, off = env.mask()
+    assert not fallback and not off[miniz.entities.index("mailbox")]
 
 
 def test_env_rejects_terminal_launch(miniz):
@@ -206,9 +207,6 @@ def test_build_chain_segments_at_score_gains(miniz):
     handoffs = [m.handoff_score for m in chain.modules]
     assert handoffs == sorted(handoffs)
     assert handoffs[-1] == 50
-    manifest = chain.manifest()
-    assert manifest["j_max"] == 50
-    assert [m["handoff_score"] for m in manifest["modules"]] == handoffs
 
 
 def test_execute_chain_replays_exactly(miniz):
@@ -540,14 +538,14 @@ def test_mc_train_outputs_are_pinned(miniz, seed):
     assert (result.j_max, result.steps_used, result.backtracks) == (
         pin["j_max"], pin["steps_used"], pin["backtracks"])
     assert list(result.best_actions) == pin["best_actions"]
+    assert result.chain.j_max == pin["j_max"]
     modules, start = [], 0
-    for i, (launch, handoff, length) in enumerate(pin["modules"]):
-        modules.append({"index": i, "launch_score": launch,
-                        "handoff_score": handoff, "length": length,
-                        "actions": pin["best_actions"][start:start + length]})
+    for launch, handoff, length in pin["modules"]:
+        modules.append((launch, handoff,
+                        tuple(pin["best_actions"][start:start + length])))
         start += length
-    assert result.chain.manifest() == {"j_max": pin["j_max"],
-                                       "modules": modules}
+    assert [(m.launch.score, m.handoff_score, m.actions)
+            for m in result.chain.modules] == modules
     # (chain_digest, execute_chain hash), recorded before build_chain
     # became one walk
     digest, trajectory_hash = pin["chain"]
@@ -574,30 +572,41 @@ def test_vanilla_train_best_actions_are_pinned(miniz):
         "look", "go west"]
 
 
-# perfbench's vanilla_miniz and go_deceive workloads: strategy -> (train,
-# game, config overrides)
+# perfbench's workloads: strategy -> (train, game, total_steps, config
+# overrides)
 WORKLOAD_RUNS = {
-    "vanilla": (vanilla_train, "miniz", dict(alpha=0.0, patience=None)),
-    "go": (lambda game, cfg: go_train(game, cfg)[0], "deceive",
+    "mc": (mc_train, "miniz", 20_000, dict(alpha=2.0)),
+    "vanilla": (vanilla_train, "miniz", 4000, dict(alpha=0.0, patience=None)),
+    "go": (lambda game, cfg: go_train(game, cfg)[0], "deceive", 4000,
            dict(alpha=2.0, stop_at_max=False)),
 }
+
+# ROADMAP item 1: mc's graft joins an episode to the prefix of the launch
+# that is current when the episode ends, not of the one it began from
+GRAFT_BUG = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: j_max 15, 15 and 35, but the replay and execute_chain "
+    "reach only 5, 5 and 10"))
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("strategy", sorted(WORKLOAD_RUNS))
 def test_best_actions_replay_to_j_max(request, strategy, seed):
-    """The engine replay of result.best_actions reaches result.j_max.  mc is
-    left out: its graft joins an episode to the prefix of the launch that is
-    current when the episode ends, not of the one it began from."""
-    train, name, overrides = WORKLOAD_RUNS[strategy]
+    """The engine replay of result.best_actions reaches result.j_max, and
+    so does execute_chain of mc's chain."""
+    if strategy == "mc" and seed in (0, 1, 5):
+        request.applymarker(GRAFT_BUG)
+    train, name, total_steps, overrides = WORKLOAD_RUNS[strategy]
     game = request.getfixturevalue(name)
-    result = train(game, ExplorationConfig(
-        seed=seed, total_steps=4000, **{**BENCH, **overrides}))
+    config = ExplorationConfig(seed=seed, total_steps=total_steps,
+                               **{**BENCH, **overrides})
+    result = train(game, config)
     state = engine.reset(game)[0]
     for text in result.best_actions:
         state = engine.step_movement(state, engine.ground(game, text),
                                      game)[0]
     assert state.score == result.j_max
+    if strategy == "mc":
+        assert execute_chain(result.chain, game, config)[1] == result.j_max
 
 
 # mc_train runs that leave the main phase, recorded before _phase handed

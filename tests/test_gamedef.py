@@ -137,6 +137,27 @@ def test_malformed_fields_report_their_line(mutation, bad_line):
     assert exc.value.line == mutation.splitlines().index(bad_line) + 1
 
 
+@pytest.mark.parametrize("old, new", [
+    ("[object coin]", "[object a]"),
+    ("[object coin]", "[object the]"),
+    ("[object coin]", "[object Coin]"),
+    ("[room closet]", "[room Closet]"),
+    ("attrs portable", "attrs portable Shiny"),
+    ("attrs portable", "attrs an portable"),
+    ("name Closet", "name A"),
+    ("name Closet", "name The"),
+], ids=["object-article", "object-the", "object-case", "room-case",
+        "attr-case", "attr-article", "room-name-article", "room-name-the"])
+def test_words_that_normalize_breaks_are_rejected_at_their_line(old, new):
+    """The graph holds normalized words: an id or attribute that normalize
+    changes (or empties) would never reach the mask, and a room name that
+    normalizes to '' would make the location empty."""
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(GameParseError) as exc:
+        load_game(text)
+    assert exc.value.line == text.splitlines().index(new) + 1
+
+
 DAG_TAIL = """
 [dag]
 vertex hall loc=hall

@@ -237,7 +237,7 @@ def begun(env):
     """Everything begin builds, in a form compared bit for bit."""
     fallback, off = env.mask()
     return (env.graph.triples, kg.kg_hash(env.graph),
-            env.tracker.total.tobytes(), env.tracker.count, env.entity_refs,
+            env.tracker.total.tobytes(), env.tracker.count,
             fallback, off.tobytes(),
             env.feats().tobytes())
 
@@ -250,9 +250,8 @@ def entity_counts(graph):
 def assert_mask_is_fresh(env):
     fallback, off = env.mask()
     want_fallback, want_off = policy._mask_indices(env.game.entities,
-                                                   env.entity_refs)
+                                                   entity_counts(env.graph))
     assert fallback == want_fallback and np.array_equal(off, want_off)
-    assert env.entity_refs == entity_counts(env.graph)
 
 
 @PROPERTY

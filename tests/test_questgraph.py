@@ -182,14 +182,14 @@ def test_validate_flags_undefined_and_unreachable():
 questgame 1
 [meta]
 name broken
-start a
+start hall
 max-score 1
-[room a]
-name A
-desc A.
+[room hall]
+name Hall
+desc A hall.
 [object gem]
 name gem
-loc a
+loc hall
 attrs portable
 [templates]
 take ___
@@ -197,7 +197,7 @@ take ___
 when carrying gem
 reward 1
 [dag]
-vertex a loc=a
+vertex a loc=hall
 vertex ghost loc=nowhere
 edge a ghost
 """
