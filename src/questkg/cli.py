@@ -160,7 +160,8 @@ def run_experiment(config, out=sys.stdout):
 
     Returns the output directory.  Artifacts per seed: episode log
     (steps.log), per-episode CSV, score curve CSV, and the chain or
-    archive; plus the config echo and a cross-seed summary at the root.
+    archive; plus the config echo and a cross-seed summary at the root,
+    which also lists each seed's backtracks, give-up and mask fallbacks.
     """
     config = validate_config(config)
     game = games.load_path(config.game)
@@ -170,7 +171,7 @@ def run_experiment(config, out=sys.stdout):
     os.makedirs(root, exist_ok=True)
     _write(os.path.join(root, "config.json"), config.to_json())
 
-    finals = []
+    finals, backtracks, gave_up, fallbacks = [], [], [], []
     for seed in config.seeds:
         cfg = _exploration_config(config, seed)
         if config.strategy == "go":
@@ -196,12 +197,17 @@ def run_experiment(config, out=sys.stdout):
                    "score,visits\n"
                    + "".join(f"{s},{v}\n" for s, v in cells))
         finals.append(result.j_max)
+        backtracks.append(result.backtracks)
+        gave_up.append(result.gave_up)
+        fallbacks.append(result.fallbacks)
         print(f"seed {seed}: final best score {result.j_max} "
               f"({result.steps_used} steps)", file=out)
 
     summary = (f"game {game.name}\nstrategy {config.strategy}\n"
                f"seeds {list(config.seeds)}\nfinals {finals}\n"
-               f"median {statistics.median(finals)}\nmax {max(finals)}\n")
+               f"median {statistics.median(finals)}\nmax {max(finals)}\n"
+               f"backtracks {backtracks}\ngave_up {gave_up}\n"
+               f"fallbacks {fallbacks}\n")
     _write(os.path.join(root, "summary.txt"), summary)
     print(summary, end="", file=out)
     return root

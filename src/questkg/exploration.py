@@ -110,17 +110,42 @@ def launch_at(state, graph, actions=()):
                   state.score, tuple(actions))
 
 
+class RunMemo:
+    """What the envs of one training call build from a pure backend's
+    answers, shared by them all: each map's value is a function of its key
+    alone.
+
+    begins: id(launch) -> (launch, graph, tracker, mask, obs) as the first
+        begin from that launch built them; the launch is held, so its id is
+        not reused while the memo lives.  A Launch never changes, and its
+        actions run to hundreds of strings, so it is known by identity.
+    answers: state_hash -> kg.answer_triples of the backend's answers there.
+    masks: kg_hash -> the entity mask of a graph with those triples.
+
+    The arrays it hands out (mask and graph summary) are read-only."""
+
+    __slots__ = ("begins", "answers", "masks")
+
+    def __init__(self):
+        self.begins = {}
+        self.answers = {}
+        self.masks = {}
+
+
 class AgentEnv:
     """One environment instance with its knowledge graph and feature cache.
 
-    With a pure backend, begin() keeps what it built from its last launch
-    (one slot) and copies it when the same launch object comes again:
-    restoring a snapshot and asking a pure backend give the same graph,
-    summary and mask every time, and the global edge set already holds the
-    triples the miss absorbed.  An impure backend is asked on every begin.
+    A RunMemo, which its trainer gives it only with a pure backend, lets
+    begin() copy what an earlier begin from the same launch object built,
+    and step() and mask() reuse the answers of a state and the mask of a
+    graph that any env sharing the memo computed: restoring a snapshot,
+    asking a pure backend and masking a graph give the same bits every
+    time, and the global edge set already holds the triples the first
+    begin absorbed.  Without a memo every begin asks the backend.
     """
 
-    def __init__(self, game, encoder, backend, global_edges, config, index):
+    def __init__(self, game, encoder, backend, global_edges, config, index,
+                 memo=None):
         self.game = game
         self.encoder = encoder
         self.backend = backend
@@ -128,6 +153,7 @@ class AgentEnv:
         self.global_edges = global_edges
         self.config = config
         self.index = index
+        self.memo = memo
         self.state = None
         self.graph = None
         self.obs = None
@@ -138,15 +164,16 @@ class AgentEnv:
         self.stagnant = 0         # steps since the last globally new triple
         self._feats = None        # feats(), until the next begin or step
         self._mask = None         # mask(), until the graph changes
-        self._memo = None         # (launch, what begin built from it)
 
     def begin(self, launch):
         self._feats = None
         self.state = engine.restore(launch.snapshot)
         if not self.state.alive:
             raise ValueError("cannot launch an episode from a terminal state")
-        if self._memo is not None and self._memo[0] is launch:
-            _, graph, tracker, self._mask, self.obs = self._memo
+        memo = self.memo
+        built = memo.begins.get(id(launch)) if memo is not None else None
+        if built is not None:
+            _, graph, tracker, self._mask, self.obs = built
             self.graph = graph.copy()
             self.tracker = tracker.copy()
         else:
@@ -154,14 +181,15 @@ class AgentEnv:
             self.graph = kg.KnowledgeGraph(launch.graph_triples)
             self.obs = engine.observe(self.state, self.game)
             self.tracker = policy.PooledGraphTracker(self.encoder, self.graph)
-            answers = self.backend(self.state, self.obs)
-            added, removed = kg.apply_answers(self.graph, answers)
+            added, removed = kg.apply_answers(self.graph, kg.answer_triples(
+                self.backend(self.state, self.obs)))
             self._absorb_diff(added, removed)
             self.global_edges.absorb(added)
-            if self.pure:
-                self.tracker.summary()    # so that every hit shares it
-                self._memo = (launch, self.graph.copy(), self.tracker.copy(),
-                              self.mask(), self.obs)
+            if memo is not None:
+                policy._frozen(self.tracker.summary())  # shared by every hit
+                memo.begins[id(launch)] = (launch, self.graph.copy(),
+                                           self.tracker.copy(), self.mask(),
+                                           self.obs)
         self.launch = launch
         self.episode_actions = []
         self.episode_new = 0      # globally new triples found this episode
@@ -196,10 +224,35 @@ class AgentEnv:
         """The entity mask act and greedy_action take: _mask_indices of the
         tokens the graph's triples mention, kept until the graph changes."""
         if self._mask is None:
-            self._mask = policy._mask_indices(self.game.entities, {
-                token for t in self.graph.triples
-                for token in (t.subject, t.object)})
+            memo = self.memo
+            if memo is None:
+                self._mask = self._entity_mask()
+            else:
+                key = kg.kg_hash(self.graph)
+                mask = memo.masks.get(key)
+                if mask is None:
+                    mask = memo.masks[key] = self._entity_mask()
+                    policy._frozen(mask[1])
+                self._mask = mask
         return self._mask
+
+    def _entity_mask(self):
+        return policy._mask_indices(self.game.entities, {
+            token for t in self.graph.triples
+            for token in (t.subject, t.object)})
+
+    def _answer_triples(self):
+        """kg.answer_triples of the backend's answers at the state; from the
+        memo, by state hash, when there is one."""
+        memo = self.memo
+        if memo is None:
+            return kg.answer_triples(self.backend(self.state, self.obs))
+        key = engine.state_hash(self.state)
+        triples = memo.answers.get(key)
+        if triples is None:
+            triples = memo.answers[key] = kg.answer_triples(
+                self.backend(self.state, self.obs))
+        return triples
 
     def step(self, action):
         """Returns (r_game, r_im, r_shaped, done, truncated).
@@ -216,9 +269,8 @@ class AgentEnv:
         if self.pure and view is not None and self.state.view is view:
             r_im = 0
         else:
-            answers = self.backend(self.state, self.obs)
-            added, removed = kg.apply_answers(self.graph, answers,
-                                              movement=movement)
+            added, removed = kg.apply_answers(
+                self.graph, self._answer_triples(), movement=movement)
             self._absorb_diff(added, removed)
             r_im = self.global_edges.absorb(added)
         r_shaped = kg.shaped_reward(
@@ -243,7 +295,8 @@ _REPLAY_CONFIG = ExplorationConfig(alpha=0.0, horizon=10**9)
 
 def _replay_env(game, encoder):
     """An oracle AgentEnv that never truncates and pays no intrinsic
-    reward, for walking recorded actions."""
+    reward, for walking recorded actions.  It keeps no RunMemo: no walk
+    begins twice from one launch, and its lookups would miss."""
     return AgentEnv(game, encoder, extraction.make_backend("oracle", game),
                     kg.GlobalEdgeSet(), _REPLAY_CONFIG, 0)
 
@@ -584,6 +637,9 @@ class _Trainer:
             config.backend, game, seed=config.seed,
             p_drop=config.p_drop, p_swap=config.p_swap)
         self.global_edges = kg.GlobalEdgeSet()
+        # one memo for the call, shared by every env the trainer makes
+        self.memo = RunMemo() if getattr(self.backend, "pure", False) \
+            else None
         self.fresh_policy()
         self.blanks = {i: t.blanks for i, t in enumerate(game.templates)}
         # (template index, filler indices) -> GroundedAction, so that an
@@ -611,7 +667,7 @@ class _Trainer:
 
     def make_envs(self, count):
         return [AgentEnv(self.game, self.encoder, self.backend,
-                         self.global_edges, self.config, i)
+                         self.global_edges, self.config, i, self.memo)
                 for i in range(count)]
 
     def decide(self, envs):
@@ -635,7 +691,8 @@ class _Trainer:
 
     def act_and_step(self, env, result):
         """Take the action of result, env's decide result, and record the
-        transition."""
+        transition.  Returns env.step's tuple and the env's key() after
+        the step."""
         params = self.params
         feats = env.feats()
         mask = env.mask()
@@ -659,9 +716,10 @@ class _Trainer:
             next_feats=None if done else env.feats(),
         )
         self.transitions.append(transition)
+        key = env.key()
         self.hasher.record(env.index, action.text, r_game, env.state.score,
-                           *env.key())
-        return r_game, r_im, r_shaped, done, truncated
+                           *key)
+        return r_game, r_im, r_shaped, done, truncated, key
 
     def flush_update(self):
         if not self.transitions:
@@ -698,11 +756,12 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
     becomes the target, and the phase returns once trainer.at_max(target).
     Every finished episode logs one row.  get_launch is called whenever an
     instance starts an episode, so the caller may move the launch point
-    mid-phase.  on_step(env) sees every step, an episode's last included,
-    before the episode is judged; when it returns True the phase returns
-    ("splice", used).  With a patience the phase also returns (None, used)
-    at the end of a sweep in which at least STUCK_FRACTION of the envs have
-    gone patience steps without a globally new triple (AgentEnv.stagnant).
+    mid-phase.  on_step(env, key) sees every step, an episode's last
+    included, with the env's key() after it, before the episode is judged;
+    when it returns True the phase returns ("splice", used).  With a
+    patience the phase also returns (None, used) at the end of a sweep in
+    which at least STUCK_FRACTION of the envs have gone patience steps
+    without a globally new triple (AgentEnv.stagnant).
 
     Actions are decided for a run of envs at once (trainer.decide): at a
     sweep's start, and again at each env that begins an episode, for it and
@@ -726,10 +785,10 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
                         env.begin(get_launch())
                     decided = trainer.decide([env, *itertools.takewhile(
                         lambda e: not e.needs_reset, envs[i + 1:])])[::-1]
-                _, r_im, r_t, done, truncated = trainer.act_and_step(
+                _, r_im, r_t, done, truncated, key = trainer.act_and_step(
                     env, decided.pop())
                 used += 1
-                if on_step is not None and on_step(env):
+                if on_step is not None and on_step(env, key):
                     return "splice", used
                 if done or truncated:
                     final = env.state.score
@@ -859,7 +918,7 @@ def mc_train(game, config):
         entry_inv, entry_flags = _state_capability(entry_state)
         tried = set()
 
-        def try_splice(env):
+        def try_splice(env, key):
             # a dead state ends its episode, so it needs a reset
             if env.needs_reset or env.state.current_room != entry_room:
                 return False
@@ -868,10 +927,9 @@ def mc_train(game, config):
                       or flags > entry_flags)
             if not gained:
                 return False
-            key = engine.state_hash(env.state)
-            if key in tried:
+            if key[0] in tried:     # the state hash
                 return False
-            tried.add(key)
+            tried.add(key[0])
             walk = shorten_trajectory(
                 game, entry.actions + tuple(env.episode_actions) + suffix,
                 trainer.encoder)
@@ -1009,14 +1067,12 @@ def go_train(game, config):
     envs[0].begin(start)
     archive.insert(envs[0].key(), start)
 
-    def explore(env):
+    def explore(env, key):
         # the key holds the score, so a known key's cell stays as is
-        if env.state.alive:
-            key = env.key()
-            if key not in archive:
-                archive.insert(key, launch_at(
-                    env.state, env.graph,
-                    env.launch.actions + tuple(env.episode_actions)))
+        if env.state.alive and key not in archive:
+            archive.insert(key, launch_at(
+                env.state, env.graph,
+                env.launch.actions + tuple(env.episode_actions)))
 
     return _keep_best_episode(trainer, envs, lambda: archive.sample(rng_cells),
                               start.score, explore), archive

@@ -123,39 +123,49 @@ class GlobalEdgeSet:
         return triple in self.triples
 
 
-def apply_answers(graph, answers, movement=None):
-    """Apply the four update rules plus location-tracking to the graph.
+def answer_triples(answers):
+    """The triples an AnswerSet puts in the graph, in put order.  Rules:
+    room-has-item, object-is-attribute, you-have-item; the location gives
+    <you, in, room> and <room, visited, yes> first."""
+    make = Triple.make
+    triples = []
+    put = triples.append
+    loc = normalize(answers.location) if answers.location else ""
+    if loc:
+        put(make("you", REL_IN, loc))
+        put(make(loc, REL_VISITED, "yes"))
+        for item in answers.surroundings:
+            put(make(loc, REL_HAS, item))
+    for item in answers.inventory:
+        put(make("you", REL_HAVE, item))
+    for obj, attrs in sorted(answers.attributes.items()):
+        for attr in attrs:
+            put(make(obj, REL_IS, attr))
+    return tuple(triples)
 
-    Returns (added, removed) triple lists.  Rules: room-has-item,
-    object-is-attribute, you-have-item, room-direction-room on movement.
-    The <you, in, room> triple is replaced, never accumulated; visited-room
+
+def apply_answers(graph, triples, movement=None):
+    """Put answer_triples' triples in the graph, then the room-direction-room
+    triple of a movement.
+
+    Returns (added, removed) triple lists.  A <you, in, room> triple
+    replaces every other <you, in, *> triple, never accumulates; visited-room
     triples accumulate.
     """
     added, removed = [], []
-
-    def put(triple):
+    for triple in triples:
+        if triple.subject == "you" and triple.relation == REL_IN:
+            for t in [t for t in graph.triples if t.subject == "you"
+                      and t.relation == REL_IN and t != triple]:
+                graph.discard(t)
+                removed.append(t)
         if graph.add(triple):
             added.append(triple)
-
-    loc = normalize(answers.location) if answers.location else ""
-    if loc:
-        here = Triple.make("you", REL_IN, loc)
-        for t in [t for t in graph.triples if t.subject == "you"
-                  and t.relation == REL_IN and t != here]:
-            graph.discard(t)
-            removed.append(t)
-        put(here)
-        put(Triple.make(loc, REL_VISITED, "yes"))
-        for item in answers.surroundings:
-            put(Triple.make(loc, REL_HAS, item))
-    for item in answers.inventory:
-        put(Triple.make("you", REL_HAVE, item))
-    for obj, attrs in sorted(answers.attributes.items()):
-        for attr in attrs:
-            put(Triple.make(obj, REL_IS, attr))
     if movement is not None:
         origin, direction, target = movement
-        put(Triple.make(origin, f"{direction} of", target))
+        triple = Triple.make(origin, f"{direction} of", target)
+        if graph.add(triple):
+            added.append(triple)
     return added, removed
 
 

@@ -484,12 +484,18 @@ def _stack(rows, width):
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-def prepare_targets(params, transitions):
+def _states(params, transitions):
+    """The (N, F) matrix of the transitions' states, X."""
+    return _stack([tr.feats for tr in transitions], params.w_value.size)
+
+
+def prepare_targets(params, transitions, X=None):
     """(Q, A) arrays: Q = r + gamma*V(s') and A = Q - V(s), as detached
-    constants."""
+    constants.  X is _states(params, transitions), if the caller has it."""
     width = params.w_value.size
-    v = _stack([tr.feats for tr in transitions], width) @ params.w_value \
-        + params.b_value
+    if X is None:
+        X = _states(params, transitions)
+    v = X @ params.w_value + params.b_value
     live = [i for i, tr in enumerate(transitions) if tr.next_feats is not None]
     v_next = np.zeros(len(transitions))
     v_next[live] = _stack([transitions[i].next_feats for i in live],
@@ -519,9 +525,11 @@ def _head_loss_and_dlogits(log_p, chosen, advantage, entropy_coef):
     return loss, d_logits
 
 
-def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01):
+def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01,
+                       X=None):
     """Total loss and analytic gradients for a batch of transitions, with
-    targets = prepare_targets(params, transitions).
+    targets = prepare_targets(params, transitions); X is as for
+    prepare_targets.
 
     Loss per transition: -(log pi_T + sum log pi_O) * A
                          + VALUE_COEF * 0.5 * (Q - V)^2
@@ -533,8 +541,8 @@ def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01):
     loss gradient with respect to each row's logits.
     """
     target_q, advantage = targets
-    width = params.w_value.size
-    X = _stack([tr.feats for tr in transitions], width)
+    if X is None:
+        X = _states(params, transitions)
     chosen_t = np.array([tr.template_index for tr in transitions], dtype=int)
 
     # template head
@@ -577,9 +585,10 @@ def a2c_update(params, transitions, learning_rate=0.01, entropy_coef=0.01):
     """
     if not transitions:
         raise ValueError("empty trajectory")
+    X = _states(params, transitions)     # stacked once for both
     loss, grads = a2c_loss_and_grads(
-        params, transitions, prepare_targets(params, transitions),
-        entropy_coef)
+        params, transitions, prepare_targets(params, transitions, X),
+        entropy_coef, X)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name}")

@@ -269,6 +269,29 @@ def test_summary_statistics_match_episode_csv(tmp_path):
     assert f"max {max(finals)}" in summary
 
 
+def test_summary_lists_each_seeds_counts(tmp_path, monkeypatch):
+    """summary.txt carries each seed's backtracks, give-up and mask
+    fallbacks, as the seed's TrainResult holds them."""
+    results = []
+    real = exploration.mc_train
+
+    def mc_train(game, config):
+        results.append(real(game, config))
+        return results[-1]
+
+    monkeypatch.setattr(exploration, "mc_train", mc_train)
+    outdir = tmp_path / "exp"
+    code, _ = run_cli(["run", "--game", "miniz", "--strategy", "mc+im",
+                       "--alpha", "2.0", "--seeds", "0,1", "--budget", "600",
+                       "--batch-size", "4", "--horizon", "25",
+                       "--patience", "50", "--outdir", str(outdir)])
+    assert code == 0
+    lines = (outdir / "summary.txt").read_text().splitlines()
+    for name in ("backtracks", "gave_up", "fallbacks"):
+        assert f"{name} {[getattr(r, name) for r in results]}" in lines
+    assert sum(r.backtracks for r in results) > 0
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_VAR, str(tmp_path))
     code, _ = run_cli(["run", "--game", "chainworld", "--strategy", "go",

@@ -704,7 +704,7 @@ def test_a_phase_that_stops_mid_run_leaves_the_generator_of_per_env_acting(
 
         kwargs = {"budget": dict(budget=6),
                   "new-params": dict(budget=400, on_improvement=install),
-                  "splice": dict(budget=400, on_step=lambda env: (
+                  "splice": dict(budget=400, on_step=lambda env, key: (
                       env.index == 1 and trainer.steps > 4))}[stop]
         if lone:
             monkeypatch.setattr(exploration._Trainer, "decide",

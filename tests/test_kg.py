@@ -5,7 +5,8 @@ import pytest
 from questkg import kg
 from questkg.extraction import AnswerSet
 from questkg.kg import (EMPTY_DIGEST, GlobalEdgeSet, KnowledgeGraph, Triple,
-                        apply_answers, kg_hash, shaped_reward)
+                        answer_triples, apply_answers, kg_hash,
+                        shaped_reward)
 
 
 def test_triple_make_normalizes():
@@ -80,20 +81,29 @@ def test_apply_answers_update_rules():
                         surroundings=("mailbox", "north"),
                         inventory=("leaflet",),
                         attributes={"mailbox": ("openable", "container")})
-    added, removed = apply_answers(graph, answers)
+    added, removed = apply_answers(graph, answer_triples(answers))
     assert removed == []
     assert Triple("you", "in", "west of house") in graph
     assert Triple("west of house", "visited", "yes") in graph
     assert Triple("west of house", "has", "mailbox") in graph
     assert Triple("you", "have", "leaflet") in graph
     assert Triple("mailbox", "is", "openable") in graph
+    assert added == list(answer_triples(answers)) == [
+        Triple("you", "in", "west of house"),
+        Triple("west of house", "visited", "yes"),
+        Triple("west of house", "has", "mailbox"),
+        Triple("west of house", "has", "north"),
+        Triple("you", "have", "leaflet"),
+        Triple("mailbox", "is", "openable"),
+        Triple("mailbox", "is", "container")]
     assert len(added) == len(graph)
 
 
 def test_you_in_is_replaced_and_visited_accumulates():
     graph = KnowledgeGraph()
-    apply_answers(graph, AnswerSet(location="Hall"))
-    added, removed = apply_answers(graph, AnswerSet(location="Closet"))
+    apply_answers(graph, answer_triples(AnswerSet(location="Hall")))
+    added, removed = apply_answers(
+        graph, answer_triples(AnswerSet(location="Closet")))
     assert removed == [Triple("you", "in", "hall")]
     assert Triple("you", "in", "closet") in graph
     assert Triple("hall", "visited", "yes") in graph
@@ -117,7 +127,8 @@ def test_location_slot_replaces_what_a_scan_finds(rooms):
     built.discard(noise[3])
     for graph in (built, built.copy()):
         want = scanned_locations(graph, Triple("you", "in", "kitchen"))
-        added, removed = apply_answers(graph, AnswerSet(location="kitchen"))
+        added, removed = apply_answers(
+            graph, answer_triples(AnswerSet(location="kitchen")))
         assert removed == want
         assert [t for t in graph.triples
                 if t.subject == "you" and t.relation == "in"] == [
@@ -126,7 +137,7 @@ def test_location_slot_replaces_what_a_scan_finds(rooms):
 
 def test_movement_adds_directional_triple():
     graph = KnowledgeGraph()
-    apply_answers(graph, AnswerSet(location="Closet"),
+    apply_answers(graph, answer_triples(AnswerSet(location="Closet")),
                   movement=("hall", "north", "closet"))
     assert Triple("hall", "north of", "closet") in graph
 

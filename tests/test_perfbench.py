@@ -87,6 +87,11 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
     assert 0 < tracer.child_calls(
         "extraction.oracle_answer", "exploration.AgentEnv.step") < \
         tracer.child_calls("engine.step_movement", "exploration.AgentEnv.step")
+    # and a trainer's envs share the answers of each state they reach, so
+    # the backend is asked fewer times than the graph takes answers
+    assert 0 < tracer.child_calls(
+        "extraction.oracle_answer", "exploration.AgentEnv.step") < \
+        tracer.child_calls("kg.apply_answers", "exploration.AgentEnv.step")
 
 
 WORKLOADS = load("workloads").WORKLOADS

@@ -632,6 +632,36 @@ def test_a2c_update_moves_params_and_rejects_empty(miniz):
         a2c_update(params, [])
 
 
+def test_a2c_update_stacks_the_states_once_with_the_bits_of_two_stacks(
+        miniz, monkeypatch):
+    """a2c_update hands one stacked X to prepare_targets and
+    a2c_loss_and_grads; its step is bit for bit the one that the two
+    public calls, each stacking its own X, give."""
+    rng = np.random.default_rng(19)
+    params = random_params(miniz, rng)
+    encoder = small_encoder()
+    transitions = [random_transition(miniz, params, encoder, rng)
+                   for _ in range(8)]
+    loss, grads = a2c_loss_and_grads(params, transitions,
+                                     prepare_targets(params, transitions),
+                                     entropy_coef=0.05)
+    want = copy.deepcopy(params)
+    for name, g in grads.items():
+        getattr(want, name)[...] -= 0.05 / len(transitions) * g
+    stacks = []
+    real = policy._states
+
+    def states(*args):
+        stacks.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(policy, "_states", states)
+    assert a2c_update(params, transitions, learning_rate=0.05,
+                      entropy_coef=0.05) == loss
+    assert len(stacks) == 1
+    assert params.to_vector().tobytes() == want.to_vector().tobytes()
+
+
 def test_a2c_update_leaves_params_untouched_on_non_finite_gradient(
         miniz, monkeypatch):
     rng = np.random.default_rng(17)

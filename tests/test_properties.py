@@ -85,12 +85,13 @@ def restart_shorten(game, actions_from_reset):
         changed = False
         state, obs, _ = engine.reset(game)
         graph = kg.KnowledgeGraph()
-        kg.apply_answers(graph, backend(state, obs))
+        kg.apply_answers(graph, kg.answer_triples(backend(state, obs)))
         seen = {(engine.state_hash(state), kg.kg_hash(graph)): 0}
         for i, text in enumerate(actions):
             state, obs, _, done, movement = engine.step_movement(
                 state, engine.ground(game, text), game)
-            kg.apply_answers(graph, backend(state, obs), movement=movement)
+            kg.apply_answers(graph, kg.answer_triples(backend(state, obs)),
+                             movement=movement)
             key = (engine.state_hash(state), kg.kg_hash(graph))
             if key in seen:
                 del actions[seen[key]:i + 1]
@@ -117,13 +118,15 @@ def replay(game, launch, action_texts, backend=None):
     graph = None
     if backend is not None:
         graph = kg.KnowledgeGraph(launch.graph_triples)
-        kg.apply_answers(graph, backend(state, engine.observe(state, game)))
+        kg.apply_answers(graph, kg.answer_triples(
+            backend(state, engine.observe(state, game))))
     yield 0, state, graph
     for i, text in enumerate(action_texts, start=1):
         state, obs, _, done, movement = engine.step_movement(
             state, engine.ground(game, text), game)
         if graph is not None:
-            kg.apply_answers(graph, backend(state, obs), movement=movement)
+            kg.apply_answers(graph, kg.answer_triples(backend(state, obs)),
+                             movement=movement)
         yield i, state, graph
         if done:
             return
@@ -198,11 +201,11 @@ def launch_on(game, texts, cut):
     return launch, rest
 
 
-def make_env(game, backend=None):
+def make_env(game, backend=None, memo=None):
     config = ExplorationConfig(alpha=0.0, horizon=10**9)
     return AgentEnv(game, policy.StateEncoder(config.encoder),
                     backend or extraction.make_backend("oracle", game),
-                    kg.GlobalEdgeSet(), config, 0)
+                    kg.GlobalEdgeSet(), config, 0, memo)
 
 
 @PROPERTY
@@ -257,20 +260,51 @@ def assert_mask_is_fresh(env):
 @PROPERTY
 @given(walks(), st.integers(0, 40))
 def test_a_second_begin_from_a_launch_equals_a_fresh_begin(walk, cut):
+    """An env that shares the memo begins from a launch another env began
+    from without asking the backend, and holds what a memo-free begin
+    builds; the arrays the memo shares are read-only."""
     game, texts = walk
     launch, rest = launch_on(game, texts, cut)
     backend, calls = counted(extraction.make_backend("oracle", game))
-    env = make_env(game, backend)
+    memo = exploration.RunMemo()
+    env, second = make_env(game, backend, memo), make_env(game, backend, memo)
     env.begin(launch)
     for text in rest:
         if env.step(engine.ground(game, text))[3]:
             break
     asked = len(calls)
+    second.begin(launch)
     env.begin(launch)
-    assert len(calls) == asked      # the second begin asks no backend
+    assert len(calls) == asked      # neither begin asks the backend
     fresh_env = make_env(game)
     fresh_env.begin(launch)
-    assert begun(env) == begun(fresh_env)
+    assert begun(second) == begun(env) == begun(fresh_env)
+    assert not second.mask()[1].flags.writeable
+    assert not second.tracker.summary().flags.writeable
+
+
+@PROPERTY
+@given(walks(), st.integers(0, 40))
+def test_a_memoised_env_keeps_the_graph_and_mask_of_a_memo_free_one(walk,
+                                                                    cut):
+    """One env fills the memo along the walk, a second that shares it
+    walks again on what the first stored, and both hold what a memo-free
+    env holds after every step."""
+    game, texts = walk
+    launch, rest = launch_on(game, texts, cut)
+    memo = exploration.RunMemo()
+    for env in (make_env(game, memo=memo), make_env(game, memo=memo)):
+        plain = make_env(game)
+        env.begin(launch)
+        plain.begin(launch)
+        assert begun(env) == begun(plain)
+        for text in rest:
+            action = engine.ground(game, text)
+            done = env.step(action)[3]
+            assert plain.step(action)[3] == done
+            assert begun(env) == begun(plain)
+            if done:
+                break
 
 
 @PROPERTY
@@ -278,7 +312,7 @@ def test_a_second_begin_from_a_launch_equals_a_fresh_begin(walk, cut):
 def test_the_cached_mask_is_the_mask_of_the_graph(walk, cut):
     game, texts = walk
     launch, rest = launch_on(game, texts, cut)
-    env = make_env(game)
+    env = make_env(game, memo=exploration.RunMemo())
     for _ in range(2):          # a fresh begin, then one from the memo
         env.begin(launch)
         assert_mask_is_fresh(env)
@@ -460,22 +494,46 @@ def test_an_impure_backend_is_asked_on_every_begin(walk, cut):
         generator_of(twin).bit_generator.state
 
 
-def test_a_memo_that_hits_on_any_launch_moves_a_pinned_mc_hash(monkeypatch):
-    """Mutation check: the memo's key matters.  Relabelling the memo with
-    whatever launch comes next makes every begin a hit on a stale graph."""
-    real_begin = AgentEnv.begin
+class OneKey(dict):
+    """A memo map that files every key under one: once anything is stored,
+    every lookup hits."""
 
-    def begin(self, launch):
-        if self._memo is not None:
-            self._memo = (launch, *self._memo[1:])
-        real_begin(self, launch)
+    def get(self, key, default=None):
+        return super().get(None, default)
 
-    monkeypatch.setattr(AgentEnv, "begin", begin)
-    pin = MC_PINS[3]
+    def __setitem__(self, key, value):
+        super().__setitem__(None, value)
+
+
+def mc_hash_with_one_key(monkeypatch, name):
+    """The pinned MC run's trajectory hash with the RunMemo map `name`
+    keyed by one constant."""
+    real_init = exploration.RunMemo.__init__
+
+    def init(self):
+        real_init(self)
+        setattr(self, name, OneKey())
+
+    monkeypatch.setattr(exploration.RunMemo, "__init__", init)
     config = ExplorationConfig(seed=3, total_steps=20_000,
                                **{**BENCH, "alpha": 2.0})
-    result = mc_train(GAMES["miniz"], config)
-    assert result.trajectory_hash != pin["trajectory_hash"]
+    return mc_train(GAMES["miniz"], config).trajectory_hash
+
+
+def test_a_memo_that_hits_on_any_launch_moves_a_pinned_mc_hash(monkeypatch):
+    """Mutation check: the begins map's key matters.  Keyed by a constant,
+    every begin after the first is a hit on a stale graph."""
+    assert mc_hash_with_one_key(monkeypatch, "begins") != \
+        MC_PINS[3]["trajectory_hash"]
+
+
+@pytest.mark.parametrize("name", ["answers", "masks"])
+def test_a_memo_map_with_one_key_moves_a_pinned_mc_hash(monkeypatch, name):
+    """Mutation check: the answers and masks maps' keys matter.  Keyed by a
+    constant, every full step puts the first state's answers in the graph,
+    or every env acts on the first graph's mask."""
+    assert mc_hash_with_one_key(monkeypatch, name) != \
+        MC_PINS[3]["trajectory_hash"]
 
 
 def truncate_at_peak(game, launch, action_texts):
