@@ -13,9 +13,9 @@ takes a fast path: it counts the turn, skips both loops, reuses the cached
 view and keeps the same View object, so a caller can tell the step changed
 nothing by `state.view is view_before`.  This is exact because no condition
 reads the turn counter: every event that could fire has fired and no death
-rule held.  States from reset and restore are never settled, since their
-state may satisfy a death rule or an unfired event, so their first step runs
-in full.  Every write the engine makes runs the full step, which replaces
+rule held.  States from reset, restore and WorldState.copy are never
+settled, since their state may satisfy a death rule or an unfired event, so
+their first step runs in full.  Every write the engine makes runs the full step, which replaces
 the view.  Outside the engine only loop removal writes a WorldState: it
 renumbers the turn counter of its own walk, which no view or digest reads.
 """
@@ -72,6 +72,12 @@ class WorldState:
         self.alive = alive
         self.fired_events = fired_events if fired_events is not None else set()
         self.view = None
+
+    def copy(self):
+        """An independent copy of the world state, not settled."""
+        return WorldState(self.current_room, dict(self.object_locations),
+                          dict(self.flags), self.score, self.turn, self.alive,
+                          set(self.fired_events))
 
     def __eq__(self, other):
         return isinstance(other, WorldState) and snapshot(self) == snapshot(other)
@@ -323,7 +329,7 @@ def _apply_verb(state, game, action):
     fillers = action.fillers
     room = game.rooms[state.current_room]
 
-    if verb == "go" and len(words) == 2:
+    if words == ("go", BLANK):
         direction = fillers[0]
         ex = room.exits.get(direction)
         if ex is None:
@@ -492,53 +498,32 @@ def enumerate_grounded(game, entity_set):
     return count, gen()
 
 
-def admissible_actions(state, game):
-    """Grounded actions that change world state (test/oracle facility).
+def admissible_actions(state, game, templates=None):
+    """Grounded actions that change world state (test/oracle facility): the
+    groundings of templates (default: all the game's) whose _apply_verb
+    touches a copy of the state.
 
-    Computed from the engine rules directly; equivalence with exhaustive
-    step-and-compare is asserted in the test suite.
+    Every touching action names an exit of the room or an object carried or
+    visible in its first blank, so only those fill it, and a template
+    without blanks touches nothing; later blanks range over game.entities.
+    A probe that does not apply writes nothing, so a copy is only renewed
+    after a touching one.
     """
     if not state.alive:
         raise RuntimeError("dead state has no admissible actions")
+    firsts = [*game.rooms[state.current_room].exits,
+              *(o for o in game.object_ids
+                if state.object_locations[o] == INVENTORY),
+              *visible_objects(state, game)]
     out = set()
-    room = game.rooms[state.current_room]
-    lit = has_light(state, game)
-    visible = set(visible_objects(state, game)) if lit else set()
-    by_pattern = {t.pattern: t for t in game.templates}
-
-    def add(pattern, *fillers):
-        template = by_pattern.get(pattern)
-        if template is not None:
-            out.add(GroundedAction(template, fillers))
-
-    for direction, ex in room.exits.items():
-        if ex.condition is None or ex.condition.holds(state):
-            if ex.target != state.current_room:
-                add("go ___", direction)
-    for obj_id in game.object_ids:
-        obj = game.objects[obj_id]
-        loc = state.object_locations[obj_id]
-        carried = loc == INVENTORY
-        seen = carried or obj_id in visible
-        if not seen:
+    probe = state.copy()
+    for template in game.templates if templates is None else templates:
+        if not template.blanks:
             continue
-        if "openable" in obj.attrs:
-            if _is_open(state, obj_id):
-                add("close ___", obj_id)
-            else:
-                add("open ___", obj_id)
-        if obj.portable and not carried:
-            add("take ___", obj_id)
-        if carried:
-            add("drop ___", obj_id)
-            for cid in game.object_ids:
-                cobj = game.objects[cid]
-                if (cid != obj_id and "container" in cobj.attrs
-                        and cid in visible and _is_open(state, cid)):
-                    add("put ___ in ___", obj_id, cid)
-        if "lightable" in obj.attrs and carried:
-            if _is_lit_obj(state, obj_id):
-                add("extinguish ___", obj_id)
-            else:
-                add("light ___", obj_id)
+        rest = (game.entities,) * (template.blanks - 1)
+        for fillers in itertools.product(firsts, *rest):
+            action = GroundedAction(template, fillers)
+            if _apply_verb(probe, game, action)[2]:
+                out.add(action)
+                probe = state.copy()
     return out

@@ -162,11 +162,11 @@ class GameObject:
 class ActionTemplate:
     words: tuple[str, ...]
 
-    @property
+    @cached_property
     def verb(self):
         return self.words[0]
 
-    @property
+    @cached_property
     def blanks(self):
         return sum(1 for w in self.words if w == BLANK)
 

@@ -3,9 +3,11 @@
 Used for authoring-time checks and as the independent ground truth in tests:
 reachability of quest vertices, the true optimal score, and a walkthrough
 action sequence attaining it.  explore and walkthrough share one
-breadth-first walk, which deduplicates on state digests and skips purely
-regressive actions (drop/close/extinguish/put) that cannot unlock anything in
-the supported rule set; this keeps the explored graph small without losing
+breadth-first walk, which deduplicates on state digests.  It skips the
+regressive verbs (drop/close/extinguish/put) unless a condition lets them
+help: they only falsify carrying and flag atoms, which opens an exit or
+fires an event only through a negated atom and averts a death only through
+a positive one.  This keeps the explored graph small without losing
 reachability of score or dependencies.
 """
 
@@ -33,38 +35,49 @@ class SearchBudgetExceeded(RuntimeError):
     pass
 
 
-def _frontier_actions(state, game):
-    return sorted((a for a in engine.admissible_actions(state, game)
-                   if a.template.verb not in REGRESSIVE_VERBS),
-                  key=lambda a: a.text)
+def _expanded_templates(game):
+    """The game's templates, less the regressive verbs' unless a condition
+    lets them help (module docstring)."""
+    # (condition, whether an atom that lets them help is negated in it)
+    gates = [(ex.condition, True) for room in game.rooms.values()
+             for ex in room.exits.values() if ex.condition is not None]
+    gates += [(event.condition, True) for event in game.events]
+    gates += [(rule.condition, False) for rule in game.deaths]
+    if any(atom.kind != "at" and atom.negated == negated
+           for condition, negated in gates for atom in condition.atoms):
+        return game.templates
+    return tuple(t for t in game.templates if t.verb not in REGRESSIVE_VERBS)
 
 
 def _bfs(game):
     """Breadth-first walk over distinct state digests from the start state.
 
     Yields (digest, state, parent_digest, action) for every newly reached
-    state, the start state first with parent and action None.  Terminal
-    states are not expanded.  Raises SearchBudgetExceeded past MAX_STATES.
+    state, the start state first with parent and action None.  Each state
+    is expanded later from copies of it, so the caller must not change it.
+    Terminal states are not expanded.  Raises SearchBudgetExceeded past
+    MAX_STATES.
     """
+    templates = _expanded_templates(game)
     state, _, _ = engine.reset(game)
     digest = engine.state_hash(state)
     seen = {digest}
-    queue = deque([(digest, engine.snapshot(state))])
+    queue = deque([(digest, state)])
     yield digest, state, None, None
     while queue:
-        digest, snap = queue.popleft()
-        base = engine.restore(snap)
+        digest, base = queue.popleft()
         if not base.alive:
             continue
-        for action in _frontier_actions(base, game):
-            nxt = engine.step_movement(engine.restore(snap), action, game)[0]
+        for action in sorted(engine.admissible_actions(base, game, templates),
+                             key=lambda a: a.text):
+            nxt = engine.step_movement(base.copy(), action, game)[0]
             ndigest = engine.state_hash(nxt)
             if ndigest in seen:
                 continue
             if len(seen) >= MAX_STATES:
                 raise SearchBudgetExceeded(f"exceeded {MAX_STATES} states")
             seen.add(ndigest)
-            queue.append((ndigest, engine.snapshot(nxt)))
+            queue.append((ndigest, nxt))
             yield ndigest, nxt, digest, action
 
 

@@ -10,6 +10,120 @@ from questkg.engine import (GroundedAction, admissible_actions,
 from questkg.gamedef import load_game
 
 
+# Games whose rules the search oracle and the admissible actions must
+# follow beyond the bundled ones.  TOOLS has custom two-blank templates and
+# a "go" template without a blank; in DOOR and BRIDGE the boulder has to be
+# dropped to pass the vault's door or to cross the bridge.
+TOOLS = """\
+questgame 1
+[meta]
+name tools
+start hall
+max-score 5
+[room hall]
+name Hall
+desc A bare hall.
+exit north yard
+[room yard]
+name Yard
+desc An open yard.
+exit south hall
+[object box]
+name wooden box
+loc hall
+attrs openable container scenery
+[object key]
+name brass key
+loc in box
+attrs portable
+[templates]
+go ___
+go back
+open ___ with ___
+take ___ from ___
+[event key]
+when carrying key
+reward 5
+"""
+
+DOOR = """\
+questgame 1
+[meta]
+name door
+start hall
+max-score 5
+[room hall]
+name Hall
+desc A bare hall.
+exit north vault if !carrying boulder else The boulder does not fit.
+[room vault]
+name Vault
+desc A narrow vault.
+exit south hall
+[object boulder]
+name boulder
+loc inventory
+attrs portable
+[templates]
+go ___
+take ___
+drop ___
+[event vault]
+when at vault
+reward 5
+"""
+
+BRIDGE = """\
+questgame 1
+[meta]
+name bridge
+start hall
+max-score 5
+[room hall]
+name Hall
+desc A bare hall.
+exit north bridge
+[room bridge]
+name Rope Bridge
+desc A rope bridge sways over a gorge.
+exit north vault
+exit south hall
+[room vault]
+name Vault
+desc A narrow vault.
+exit south bridge
+[object boulder]
+name boulder
+loc inventory
+attrs portable
+[templates]
+go ___
+take ___
+drop ___
+[event vault]
+when at vault
+reward 5
+[death fall]
+when at bridge & carrying boulder
+text The bridge gives way under the boulder.
+"""
+
+
+@pytest.fixture(scope="module")
+def tools():
+    return load_game(TOOLS)
+
+
+@pytest.fixture(scope="module")
+def door():
+    return load_game(DOOR)
+
+
+@pytest.fixture(scope="module")
+def bridge():
+    return load_game(BRIDGE)
+
+
 def play(game, texts):
     state, obs, _ = reset(game)
     rewards = []
@@ -280,7 +394,7 @@ def _sample_states(game, limit):
     return states
 
 
-@pytest.mark.parametrize("name", ["miniz", "chainworld", "deceive"])
+@pytest.mark.parametrize("name", ["miniz", "chainworld", "deceive", "tools"])
 def test_admissible_actions_match_brute_force(name, request):
     game = request.getfixturevalue(name)
     for state in _sample_states(game, 40):
@@ -310,11 +424,15 @@ def test_explore_is_deterministic(chainworld):
     assert max(info.score for info in a) == 30
 
 
-@pytest.mark.parametrize("name", ["miniz", "chainworld", "deceive"])
+@pytest.mark.parametrize("name", ["miniz", "chainworld", "deceive", "tools",
+                                  "door", "bridge"])
 def test_walkthrough_length_is_the_shallowest_max_score_depth(name, request):
-    # explore and walkthrough share one breadth-first walk
+    # explore and walkthrough share one breadth-first walk, which reaches
+    # every room
     game = request.getfixturevalue(name)
     actions, score = search.walkthrough(game)
+    explored = search.explore(game)
     assert score == game.max_score
-    assert len(actions) == min(info.depth for info in search.explore(game)
+    assert len(actions) == min(info.depth for info in explored
                                if info.score == game.max_score)
+    assert {info.room for info in explored} == set(game.rooms)

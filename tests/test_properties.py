@@ -709,6 +709,20 @@ def test_admissible_actions_are_the_state_changing_groundings(walk):
         brute_force_admissible(state, game) == touched
 
 
+@PROPERTY
+@given(walks(), st.data())
+def test_admissible_actions_of_some_templates_are_the_full_set_filtered(
+        walk, data):
+    game, texts = walk
+    templates = data.draw(st.lists(st.sampled_from(game.templates),
+                                   unique=True))
+    for _, state, _ in replay(game, game_start_launch(game), texts):
+        if state.alive:
+            assert engine.admissible_actions(state, game, templates) == {
+                a for a in engine.admissible_actions(state, game)
+                if a.template in templates}
+
+
 def fresh(state):
     """A copy of the state with nothing cached."""
     return engine.restore(engine.snapshot(state))
