@@ -15,9 +15,17 @@ nothing by `state.view is view_before`.  This is exact because no condition
 reads the turn counter: every event that could fire has fired and no death
 rule held.  States from reset, restore and WorldState.copy are never
 settled, since their state may satisfy a death rule or an unfired event, so
-their first step runs in full.  Every write the engine makes runs the full step, which replaces
-the view.  Outside the engine only loop removal writes a WorldState: it
-renumbers the turn counter of its own walk, which no view or digest reads.
+their first step runs in full.  Every write the engine makes runs the full
+step, which replaces the view.  Outside the engine only loop removal writes
+a WorldState: it renumbers the turn counter of its own walk, which no view
+or digest reads.
+
+Feedback None from _apply_verb means the room description: look and go
+(a move or a self-loop exit) leave the rendering to step_movement, which
+renders the look once per full step and uses it as both the observation's
+desc and its feedback, before any score or death text; the fast path uses
+the cached view's desc.  This is exact because events and deaths change
+nothing that render_look reads.
 """
 
 from __future__ import annotations
@@ -234,22 +242,24 @@ def has_light(state, game):
     return False
 
 
+def _is_visible(state, game, obj_id):
+    """True when the object is in the current room, or in an open container
+    that is, and the room has light."""
+    here = ("room", state.current_room)
+    loc = state.object_locations[obj_id]
+    if loc != here:
+        if loc[0] != "in":
+            return False
+        container = loc[1]
+        if (state.object_locations.get(container) != here
+                or not _is_open(state, container)):
+            return False
+    return has_light(state, game)
+
+
 def visible_objects(state, game):
     """Object ids visible from the current room, in stable order."""
-    if not has_light(state, game):
-        return []
-    here = ("room", state.current_room)
-    out = []
-    for obj_id in game.object_ids:
-        loc = state.object_locations[obj_id]
-        if loc == here:
-            out.append(obj_id)
-        elif loc[0] == "in":
-            container = loc[1]
-            if (state.object_locations.get(container) == here
-                    and _is_open(state, container)):
-                out.append(obj_id)
-    return out
+    return [o for o in game.object_ids if _is_visible(state, game, o)]
 
 
 def render_look(state, game):
@@ -317,8 +327,10 @@ def reset(game):
 
 def _apply_verb(state, game, action):
     """Apply the action's effect. Returns (feedback, movement, touched):
-    movement is (from, direction, to) when the room changed, else None, and
-    touched says whether the world state changed.
+    feedback None means the room description (look and go, whether it moves
+    or takes a self-loop exit), which the caller renders once; movement is
+    (from, direction, to) when the room changed, else None; and touched
+    says whether the world state changed.
 
     World state is only touched when the action applies; otherwise the
     feedback explains the failure and the state is left unchanged.
@@ -338,12 +350,12 @@ def _apply_verb(state, game, action):
             return ex.blocked_text, None, False
         origin = state.current_room
         if ex.target == origin:     # a self-loop exit moves nowhere
-            return render_look(state, game), None, False
+            return None, None, False
         state.current_room = ex.target
-        return render_look(state, game), (origin, direction, ex.target), True
+        return None, (origin, direction, ex.target), True
 
     if verb == "look" and len(words) == 1:
-        return render_look(state, game), None, False
+        return None, None, False
     if verb == "inventory" and len(words) == 1:
         return render_inventory(state, game), None, False
     if verb == "wait" and len(words) == 1:
@@ -357,7 +369,7 @@ def _apply_verb(state, game, action):
     carried = obj is not None and state.object_locations.get(obj_id) == INVENTORY
     # open, close, take and read need it; in the dark nothing is visible
     visible = verb in ("open", "close", "take", "read") and obj is not None \
-        and (carried or obj_id in visible_objects(state, game))
+        and (carried or _is_visible(state, game, obj_id))
 
     if verb == "open":
         if not visible or "openable" not in obj.attrs:
@@ -405,7 +417,7 @@ def _apply_verb(state, game, action):
         if not carried:
             return "You aren't carrying that.", None, False
         if (container is None or "container" not in container.attrs
-                or container_id not in visible_objects(state, game)
+                or not _is_visible(state, game, container_id)
                 or not _is_open(state, container_id)):
             return "You can't put it there.", None, False
         state.object_locations[obj_id] = ("in", container_id)
@@ -448,9 +460,15 @@ def step_movement(state, action, game):
     state.turn += 1
     view = state.view
     if view is not None and not touched:
+        if feedback is None:
+            feedback = view.desc
         return (state, Observation(view.desc, feedback, view.inv, action.text),
                 0, False, None)
 
+    # events and deaths change nothing render_look reads
+    desc = render_look(state, game)
+    if feedback is None:
+        feedback = desc
     reward = 0
     for event in game.events:
         if event.id in state.fired_events:
@@ -470,9 +488,9 @@ def step_movement(state, action, game):
             feedback += f"\n{rule.text}"
             break
 
-    obs = observe(state, game, feedback, action.text)
-    state.view = View(obs.desc, obs.inv)
-    return state, obs, reward, done, movement
+    view = state.view = View(desc, render_inventory(state, game))
+    return (state, Observation(desc, feedback, view.inv, action.text),
+            reward, done, movement)
 
 
 # --- action space ---------------------------------------------------------

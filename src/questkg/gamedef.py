@@ -39,10 +39,11 @@ A game file is a line-oriented text format with a versioned header::
 Keys by section: meta ``name start max-score``; room ``name desc exit
 dark``; object ``name loc attrs text open-text``; event ``when reward``;
 death ``when text``.  Only ``exit`` repeats.  ``[meta]``, ``[templates]``
-and ``[dag]`` appear at most once, every other section once per id, and a
-template line at most once.  Room ids, object ids and attributes are
-their own ``normalize`` form (the graph holds that form), and a room name
-does not normalize to ``''``.
+and ``[dag]`` appear at most once, every other section once per id, and no
+two templates can read as the same action text (a blank reads as any
+object id or direction).  An event's ``reward`` is not negative.  Room
+ids, object ids and attributes are their own ``normalize`` form (the graph
+holds that form), and a room name does not normalize to ``''``.
 
 Conditions are conjunctions of atoms separated by ``&``.  An atom is one of
 ``at <room>``, ``carrying <object>``, ``flag <flag>``, optionally negated
@@ -347,6 +348,10 @@ def _fields(kind, body):
             fields[key] = parse_condition(rest, no)
         elif key in ("max-score", "reward"):
             fields[key] = _parse_int(rest, key, no)
+            # archives weight cells by score + 1, and max-score is the most
+            # a game can give only when no reward takes points away
+            if key == "reward" and fields[key] < 0:
+                raise GameParseError(f"reward {rest} is negative", no)
         elif key == "loc" and rest == "inventory":
             fields[key] = INVENTORY
         elif key == "loc" and rest.startswith("in "):
@@ -399,6 +404,23 @@ def _build_dag(body):
     return DependencyGraph(vertices=vertices, edges=frozenset(edges))
 
 
+def _check_unambiguous(templates, lines, vocabulary):
+    """Reject a template that can read as the same text as an earlier one,
+    at its line, so that ground finds the template that made any action:
+    the two have the same length and at each position the same word, or a
+    blank and a word of the vocabulary (a blank's fillers)."""
+    def same(a, b):
+        return (a == b or (a == BLANK and b in vocabulary)
+                or (b == BLANK and a in vocabulary))
+
+    for j, later in enumerate(templates):
+        for earlier in templates[:j]:
+            if (len(earlier.words) == len(later.words)
+                    and all(map(same, earlier.words, later.words))):
+                raise GameParseError(f"template {later.pattern!r} can read as "
+                                     f"{earlier.pattern!r}", lines[j])
+
+
 def load_game(def_text):
     """Parse and validate a game definition, returning a GameDef.
 
@@ -407,18 +429,16 @@ def load_game(def_text):
     concern checked separately by questgraph.validate_against_game.
     """
     meta, rooms, objects, events, deaths = {}, {}, {}, [], []
-    templates, dag = [], None
+    templates, template_lines, dag = [], [], None
     for (kind, sid), (no, body) in _sections(def_text).items():
         if kind == "templates":
             for line, payload in body:
                 template = ActionTemplate(tuple(payload.split()))
-                if template in templates:
-                    raise GameParseError(
-                        f"template {template.pattern!r} repeats", line)
                 if template.blanks > 2:
                     raise GameParseError("template has more than two blanks",
                                          line)
                 templates.append(template)
+                template_lines.append(line)
             continue
         if kind == "dag":
             dag = _build_dag(body)
@@ -456,6 +476,9 @@ def load_game(def_text):
                 raise GameParseError(f"death {sid!r} needs a when", no)
             deaths.append(DeathRule(sid, fields["when"],
                                     fields.get("text", "You have died.")))
+
+    entities = tuple(sorted(objects)) + DIRECTIONS
+    _check_unambiguous(templates, template_lines, set(entities))
 
     for key in ("name", "start", "max-score"):
         if key not in meta:
@@ -508,7 +531,6 @@ def load_game(def_text):
         from .questgraph import topological_levels
         topological_levels(dag)  # raises on cycles
 
-    entities = tuple(sorted(objects)) + DIRECTIONS
     attr_vocab = sorted({a for o in objects.values() for a in o.attrs}
                         | {"open", "lit"})
     return GameDef(

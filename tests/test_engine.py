@@ -260,6 +260,30 @@ def test_movement_reported_on_room_change(miniz):
     assert movement == ("west-of-house", "south", "south-of-house")
 
 
+def test_a_step_renders_the_look_at_most_once(miniz, monkeypatch):
+    """A moving step, and a look, render the room once: the render is both
+    the observation's desc and its feedback."""
+    actions, _ = search.walkthrough(miniz)
+    renders = []
+    real = engine.render_look
+
+    def counted(state, game):
+        renders.append(state.current_room)
+        return real(state, game)
+
+    monkeypatch.setattr(engine, "render_look", counted)
+    state, _, _ = reset(miniz)
+    moves = 0
+    for action in [*actions, ground(miniz, "look")]:
+        renders.clear()
+        state, _, _, _, movement = step_movement(state, action, miniz)
+        if movement is not None:
+            moves += 1
+            assert len(renders) == 1
+        assert len(renders) <= 1
+    assert moves > 0
+
+
 def test_container_hides_contents_until_opened(miniz):
     state, _, _ = reset(miniz)
     assert "leaflet" not in engine.visible_objects(state, miniz)

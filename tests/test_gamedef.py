@@ -128,9 +128,13 @@ def test_malformed_games_are_rejected(mutation, error):
     (MINIMAL.replace("reward 5", "reward 5\nreward 3"), "reward 3"),
     (MINIMAL.replace("loc closet", "loc closet\nexit north hall"),
      "exit north hall"),
+    # a penalty: archives weight cells by score + 1, and max-score would
+    # sit below the reachable score
+    (MINIMAL.replace("max-score 5", "max-score 3")
+     + "\n[event trap]\nwhen at hall\nreward -2\n", "reward -2"),
 ], ids=["header", "max-score", "event-reward", "vertex-id", "vertex-reward",
         "meta-id", "templates-id", "room-id", "unknown-key", "repeated-key",
-        "repeated-reward", "object-exit"])
+        "repeated-reward", "object-exit", "negative-reward"])
 def test_malformed_fields_report_their_line(mutation, bad_line):
     with pytest.raises(GameParseError) as exc:
         load_game(mutation)
@@ -190,6 +194,36 @@ def test_duplicate_ids_report_the_repeat_line(text, bad_line):
         load_game(text)
     lines = text.splitlines()
     assert exc.value.line == len(lines) - lines[::-1].index(bad_line)
+
+
+@pytest.mark.parametrize("lines", [
+    "go ___\ngo north",
+    "go north\ngo ___",
+    "take ___\ntake coin",
+    "take ___ from ___\ntake coin from ___",
+    "take ___ from ___\ntake ___ from coin",
+    "put ___ in ___\nput coin in north",
+    "put ___ in ___\nput ___ ___ coin",
+], ids=["blank-then-direction", "direction-then-blank", "object",
+        "first-blank", "second-blank", "both-blanks", "blank-for-in"])
+def test_templates_that_read_as_one_text_are_rejected_at_the_later(lines):
+    """ground takes the first template that matches a text, so a recorded
+    action of the later template would replay as the earlier one."""
+    text = MINIMAL.replace("go ___\ntake ___", lines)
+    with pytest.raises(GameParseError) as exc:
+        load_game(text)
+    later = lines.splitlines()[1]
+    assert exc.value.line == text.splitlines().index(later) + 1
+
+
+@pytest.mark.parametrize("lines", [
+    "go ___\ngo back",       # 'back' is no direction or object id
+    "take ___\ntake ___ ___",
+    "take ___ from ___\nopen ___ with ___",
+    "put ___ in ___\nput coin on ___",
+])
+def test_templates_that_never_read_as_one_text_load(lines):
+    load_game(MINIMAL.replace("go ___\ntake ___", lines))
 
 
 def test_object_in_non_container_rejected():

@@ -777,6 +777,66 @@ def test_a_step_reports_what_a_fresh_copy_renders_and_hashes(walk):
             (obs, reward, done, movement)
 
 
+def reference_visible_objects(state, game):
+    """The visible objects as a list, built the way the engine once did."""
+    if not engine.has_light(state, game):
+        return []
+    here = ("room", state.current_room)
+    out = []
+    for obj_id in game.object_ids:
+        loc = state.object_locations[obj_id]
+        if loc == here:
+            out.append(obj_id)
+        elif loc[0] == "in":
+            container = loc[1]
+            if (state.object_locations.get(container) == here
+                    and engine._is_open(state, container)):
+                out.append(obj_id)
+    return out
+
+
+def look_text(state, game, reward, done):
+    """The feedback of a look or go step that ends in the state: the room
+    description, then the score and death text the step adds."""
+    text = engine.render_look(state, game)
+    if reward:
+        text += f" [Your score has just gone up by {reward} points.]"
+    if done:
+        text += "\n" + next(rule.text for rule in game.deaths
+                            if rule.condition.holds(state))
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_every_searched_state_sees_and_looks_as_the_reference(name):
+    """Over every state the search reaches (deterministic and exhaustive):
+    the one-object visibility test is membership in the visible list, and
+    a look or a go that passes an exit has the room description as its
+    feedback, from an unsettled copy (full step) and from a copy that keeps
+    the state's view (the fast path of an untouched step)."""
+    game = GAMES[name]
+    for _, state, _, _ in list(search._bfs(game)):
+        visible = reference_visible_objects(state, game)
+        assert engine.visible_objects(state, game) == visible
+        for obj_id in game.object_ids:
+            assert engine._is_visible(state, game, obj_id) == \
+                (obj_id in visible)
+        if not state.alive:
+            continue
+        room = game.rooms[state.current_room]
+        texts = ["look", *(f"go {d}" for d, ex in sorted(room.exits.items())
+                           if ex.condition is None or ex.condition.holds(state))]
+        for text in texts:
+            action = engine.ground(game, text)
+            for view in {None, state.view}:
+                probe = state.copy()
+                probe.view = view
+                after, obs, reward, done, _ = engine.step_movement(
+                    probe, action, game)
+                assert obs.desc == engine.render_look(after, game)
+                assert obs.feedback == look_text(after, game, reward, done)
+
+
 # tokens a mutation may put in place of a word of a game file
 ODD_TOKENS = ("[", "]", "[]", "[ ]", "#", "=", "&", "!", "if", "else", "-1",
               "x", "___", "vertex", "edge", "exit", "when", "reward", "loc")
