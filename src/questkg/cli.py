@@ -113,9 +113,10 @@ def validate_config(config):
         raise ConfigError("strategy 'mc+im' requires alpha > 0")
     if config.budget < 0:
         raise ConfigError("budget must be non-negative")
-    for name in ("batch_size", "horizon", "patience", "buffer_size"):
-        if getattr(config, name) < 1:
-            raise ConfigError(f"{name} must be at least 1")
+    try:    # the sizes' rules are ExplorationConfig's
+        _exploration_config(config, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not config.seeds:
         raise ConfigError("at least one seed is required")
     return config
@@ -191,7 +192,7 @@ def run_experiment(config, out=sys.stdout):
             _write(os.path.join(seed_dir, "chain.json"),
                    exploration.save_chain(result.chain))
         if config.strategy == "go":
-            cells = sorted((c.score, archive.visits[k])
+            cells = sorted((c.state.score, archive.visits[k])
                            for k, c in archive.cells.items())
             _write(os.path.join(seed_dir, "archive.csv"),
                    "score,visits\n"

@@ -18,7 +18,7 @@ settled, since their state may satisfy a death rule or an unfired event, so
 their first step runs in full.  Every write the engine makes runs the full
 step, which replaces the view.  Outside the engine only loop removal writes
 a WorldState: it renumbers the turn counter of its own walk, which no view
-or digest reads.
+or digest reads.  Launches hold copies that nothing writes.
 
 Feedback None from _apply_verb means the room description: look and go
 (a move or a self-loop exit) leave the rendering to step_movement, which
@@ -86,9 +86,6 @@ class WorldState:
         return WorldState(self.current_room, dict(self.object_locations),
                           dict(self.flags), self.score, self.turn, self.alive,
                           set(self.fired_events))
-
-    def __eq__(self, other):
-        return isinstance(other, WorldState) and snapshot(self) == snapshot(other)
 
     def __repr__(self):
         return (f"WorldState(room={self.current_room!r}, score={self.score}, "
@@ -291,16 +288,11 @@ def render_inventory(state, game):
     return "You are carrying: " + ", ".join(f"a {c}" for c in carried)
 
 
-def observe(state, game, feedback=None, prev_action=""):
-    """Observation of a state.  Without feedback (e.g. after a restore) the
-    feedback is the room description."""
+def observe(state, game):
+    """Observation of a state no step led to: the feedback is the room
+    description and there is no previous action."""
     desc = render_look(state, game)
-    return Observation(
-        desc=desc,
-        feedback=desc if feedback is None else feedback,
-        inv=render_inventory(state, game),
-        prev_action=prev_action,
-    )
+    return Observation(desc, desc, render_inventory(state, game), "")
 
 
 # --- reset / step ---------------------------------------------------------

@@ -6,18 +6,20 @@ environment instances round-robin; they share policy parameters and a
 run-level global edge set, and _phase decides the actions of the envs that
 act next in one policy.act_batch call, with the picks of per-env acting.
 The strategies differ in where episodes begin (the game start, a buffer
-entry, a sampled cell: each a Launch with the actions that reach it) and in
-the hooks that do their bookkeeping (buffers, chain, archive) between steps;
-each AgentEnv counts its own stagnant steps and keeps the launch it began
-from.  Recorded actions are replayed with a graph in one kind of oracle
-AgentEnv (_replay_env), which loop removal and the chain layer share; the
-walk that removes loops also yields the state buffer and the frontier, and
-a detour splice is judged by the end state of the walk it would adopt.
-A best trajectory joins a launch's actions to an episode's (mc_train
-removes its loops); vanilla_train and go_train read theirs off the
-improving episode (up to AgentEnv.last_gain), without a replay.  Action
-sampling reads a dedicated stream of uniforms (policy.Uniforms) so that
-deterministic bookkeeping never perturbs trajectories.
+entry, a sampled cell: each a Launch with its world state and the actions
+that reach it) and in the hooks that do their bookkeeping (buffers, chain,
+archive) between steps; each AgentEnv counts its own stagnant steps and
+keeps the launch it began from.  Recorded actions are replayed with a graph
+in one kind of oracle AgentEnv (_replay_env), which loop removal and the
+chain layer share; the walk that removes loops also yields the state
+buffer and the frontier, and a detour splice is judged by the end state of
+the walk it would adopt.  A best trajectory joins a launch's actions to an
+episode's (mc_train removes its loops); vanilla_train and go_train read
+theirs off the improving episode (up to AgentEnv.last_gain), without a
+replay.  Action sampling reads a dedicated stream of uniforms
+(policy.Uniforms) so that deterministic bookkeeping never perturbs
+trajectories.  Engine snapshot bytes exist only where a chain meets a
+file: save_chain writes them and load_chain restores them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ class ExplorationConfig:
     stop_at_max: bool = True
     encoder: policy.EncoderConfig = field(default_factory=policy.EncoderConfig)
 
+    def __post_init__(self):
+        for name in ("batch_size", "horizon", "patience", "buffer_size"):
+            value = getattr(self, name)
+            if (value is not None or name != "patience") and value < 1:
+                raise ValueError(f"{name} must be at least 1")
+
 
 @dataclass
 class LogRow:
@@ -89,14 +97,13 @@ class TrajectoryHasher:
 # --- per-instance environment wrapper ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Launch:
-    """Episode start point: engine snapshot, the agent's graph there and the
-    actions from game reset that reach it (none for a chain module's launch).
-    Never changes: AgentEnv.begin knows a launch by identity."""
-    snapshot: bytes
+    """Episode start point: a private world state that nothing writes, the
+    agent's graph there and the actions from game reset that reach it (none
+    for a chain module's launch).  Equal to itself alone, hashed by id."""
+    state: engine.WorldState
     graph_triples: frozenset
-    score: int
     actions: tuple[str, ...] = ()
 
 
@@ -106,8 +113,7 @@ def game_start_launch(game):
 
 def launch_at(state, graph, actions=()):
     """The Launch at state with graph, reached by actions."""
-    return Launch(engine.snapshot(state), frozenset(graph.triples),
-                  state.score, tuple(actions))
+    return Launch(state.copy(), frozenset(graph.triples), tuple(actions))
 
 
 class RunMemo:
@@ -115,10 +121,8 @@ class RunMemo:
     answers, shared by them all: each map's value is a function of its key
     alone.
 
-    begins: id(launch) -> (launch, graph, tracker, mask, obs) as the first
-        begin from that launch built them; the launch is held, so its id is
-        not reused while the memo lives.  A Launch never changes, and its
-        actions run to hundreds of strings, so it is known by identity.
+    begins: launch -> (graph, tracker, mask, obs) as the first begin from
+        that launch built them.
     answers: state_hash -> kg.answer_triples of the backend's answers there.
     masks: kg_hash -> the entity mask of a graph with those triples.
 
@@ -138,7 +142,7 @@ class AgentEnv:
     A RunMemo, which its trainer gives it only with a pure backend, lets
     begin() copy what an earlier begin from the same launch object built,
     and step() and mask() reuse the answers of a state and the mask of a
-    graph that any env sharing the memo computed: restoring a snapshot,
+    graph that any env sharing the memo computed: copying a launch's state,
     asking a pure backend and masking a graph give the same bits every
     time, and the global edge set already holds the triples the first
     begin absorbed.  Without a memo every begin asks the backend.
@@ -167,13 +171,13 @@ class AgentEnv:
 
     def begin(self, launch):
         self._feats = None
-        self.state = engine.restore(launch.snapshot)
+        self.state = launch.state.copy()
         if not self.state.alive:
             raise ValueError("cannot launch an episode from a terminal state")
         memo = self.memo
-        built = memo.begins.get(id(launch)) if memo is not None else None
+        built = memo.begins.get(launch) if memo is not None else None
         if built is not None:
-            _, graph, tracker, self._mask, self.obs = built
+            graph, tracker, self._mask, self.obs = built
             self.graph = graph.copy()
             self.tracker = tracker.copy()
         else:
@@ -181,15 +185,11 @@ class AgentEnv:
             self.graph = kg.KnowledgeGraph(launch.graph_triples)
             self.obs = engine.observe(self.state, self.game)
             self.tracker = policy.PooledGraphTracker(self.encoder, self.graph)
-            added, removed = kg.apply_answers(self.graph, kg.answer_triples(
-                self.backend(self.state, self.obs)))
-            self._absorb_diff(added, removed)
-            self.global_edges.absorb(added)
+            self._absorb_answers()
             if memo is not None:
                 policy._frozen(self.tracker.summary())  # shared by every hit
-                memo.begins[id(launch)] = (launch, self.graph.copy(),
-                                           self.tracker.copy(), self.mask(),
-                                           self.obs)
+                memo.begins[launch] = (self.graph.copy(), self.tracker.copy(),
+                                       self.mask(), self.obs)
         self.launch = launch
         self.episode_actions = []
         self.episode_new = 0      # globally new triples found this episode
@@ -197,10 +197,15 @@ class AgentEnv:
         self.last_gain = 0        # actions up to the last score gain
         self.needs_reset = False
 
-    def _absorb_diff(self, added, removed):
+    def _absorb_answers(self, movement=None):
+        """Put the answers at the state in the graph; returns how many of
+        the triples it added are globally new."""
+        added, removed = kg.apply_answers(
+            self.graph, self._answer_triples(), movement=movement)
         self.tracker.apply(added, removed)
         if added or removed:
             self._mask = None
+        return self.global_edges.absorb(added)
 
     def key(self):
         """The (state hash, graph hash) pair: where the env is."""
@@ -269,10 +274,7 @@ class AgentEnv:
         if self.pure and view is not None and self.state.view is view:
             r_im = 0
         else:
-            added, removed = kg.apply_answers(
-                self.graph, self._answer_triples(), movement=movement)
-            self._absorb_diff(added, removed)
-            r_im = self.global_edges.absorb(added)
+            r_im = self._absorb_answers(movement)
         r_shaped = kg.shaped_reward(
             r_game, self.state.score, self.game.max_score, r_im,
             alpha=cfg.alpha, eps=cfg.eps)
@@ -362,10 +364,11 @@ def save_chain(chain):
         "modules": [
             {"params": base64.b64encode(
                  policy.save_params(m.params)).decode(),
-             "snapshot": base64.b64encode(m.launch.snapshot).decode(),
+             "snapshot": base64.b64encode(
+                 engine.snapshot(m.launch.state)).decode(),
              "graph": sorted([t.subject, t.relation, t.object]
                              for t in m.launch.graph_triples),
-             "launch_score": m.launch.score,
+             "launch_score": m.launch.state.score,
              "handoff_score": m.handoff_score,
              "length": len(m.actions),
              "actions": list(m.actions)}
@@ -376,7 +379,7 @@ def save_chain(chain):
 
 
 def load_chain(blob):
-    """Inverse of save_chain.  Raises ValueError for anything else."""
+    """Inverse of save_chain; raises SnapshotError or another ValueError."""
     try:
         doc = json.loads(blob.decode())
     except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError
@@ -397,14 +400,19 @@ def load_chain(blob):
                         for x in t)):
                     raise ValueError(f"module {i} graph entry {t!r} is not "
                                      f"three non-empty normalized strings")
+            state = engine.restore(base64.b64decode(m["snapshot"]))
+            if m["launch_score"] != state.score:
+                raise ValueError(f"module {i} launch_score is not its "
+                                 f"snapshot's score {state.score}")
             modules.append(ChainModule(
                 params=policy.load_params(base64.b64decode(m["params"])),
-                launch=Launch(base64.b64decode(m["snapshot"]),
-                              frozenset(kg.Triple(*t) for t in m["graph"]),
-                              m["launch_score"]),
+                launch=Launch(state, frozenset(
+                    kg.Triple(*t) for t in m["graph"])),
                 handoff_score=m["handoff_score"],
                 actions=actions))
         return PolicyChain(modules=modules, j_max=doc["j_max"])
+    except engine.SnapshotError:
+        raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed chain checkpoint: {exc!r}") from None
 
@@ -435,7 +443,7 @@ def shorten_trajectory(game, actions_from_reset, encoder):
 
     Returns (kept actions, path, end state).  path holds a Launch per pair
     on the kept path, in order, whose actions are the kept actions before it
-    and whose snapshot turn is their number, as in a replay of the kept
+    and whose state's turn is their number, as in a replay of the kept
     actions; the walk stops at the end state.
     """
     actions = list(actions_from_reset)
@@ -533,8 +541,7 @@ def execute_chain(chain, game, config=None):
     lacks, holds other objects than the game's, names an event, a flag or an
     object's place the game lacks, or is terminal, or if any
     module fails to reproduce its recorded handoff score (which would
-    indicate nondeterminism).  A launch snapshot that does not restore
-    raises engine.SnapshotError.  Each module steps once per recorded action
+    indicate nondeterminism).  Each module steps once per recorded action
     at most.
     """
     config = config or ExplorationConfig()
@@ -562,7 +569,7 @@ def execute_chain(chain, game, config=None):
             if have != need:
                 raise ChainExecutionError(f"module {i}: {name} has shape "
                                           f"{have}, the encoder needs {need}")
-        state = engine.restore(module.launch.snapshot)
+        state = module.launch.state
         if state.current_room not in game.rooms or \
                 state.object_locations.keys() != game.objects.keys():
             raise ChainExecutionError(
@@ -820,7 +827,7 @@ def _phase(trainer, envs, get_launch, budget, j_target, patience=None,
 def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
               max_total, tie_guard, make_splice):
     """Search backwards through the best-trajectory buffer for a better
-    policy.  A fresh policy is trained from every snapshot, latest first,
+    policy.  A fresh policy is trained from every entry, latest first,
     for at most per_snapshot_budget steps and max_total steps in all.
 
     Trains in trainer.params.  Returns (entry, params, improvement, steps
@@ -855,16 +862,16 @@ def mc_train(game, config):
     cfg = config
     envs = trainer.make_envs(cfg.batch_size)
     start = game_start_launch(game)
-    j_max = start.score
+    j_max = start.state.score
     best_actions = []
     backtracks = 0
     gave_up = False
-    # steps per backtrack snapshot: a batch of full episodes, or 2% of
+    # steps per backtrack entry: a batch of full episodes, or 2% of
     # the run's budget when that is larger
     n_backtrack = max(cfg.horizon * cfg.batch_size, cfg.total_steps // 50)
     buffer_entries = [start]    # episodes launch from the last entry
 
-    frontier = _state_capability(engine.restore(start.snapshot))
+    frontier = _state_capability(start.state)
 
     def tie_guard(state):
         """Ties must keep every carried item and every set flag, so a
@@ -910,12 +917,11 @@ def mc_train(game, config):
         end of its loop-removal walk has a higher score, or an equal score
         with strictly more items or flags.  This is how missed latent
         dependencies (the egg, the lamp) get inserted without ever beating
-        the raw high score directly from an old snapshot.
+        the raw high score directly from an old entry.
         """
         suffix = tuple(best_actions[len(entry.actions):])
-        entry_state = engine.restore(entry.snapshot)
-        entry_room = entry_state.current_room
-        entry_inv, entry_flags = _state_capability(entry_state)
+        entry_room = entry.state.current_room
+        entry_inv, entry_flags = _state_capability(entry.state)
         tried = set()
 
         def try_splice(env, key):
@@ -923,7 +929,7 @@ def mc_train(game, config):
             if env.needs_reset or env.state.current_room != entry_room:
                 return False
             inv, flags = _state_capability(env.state)
-            gained = (env.state.score > entry.score or inv > entry_inv
+            gained = (env.state.score > entry.state.score or inv > entry_inv
                       or flags > entry_flags)
             if not gained:
                 return False
@@ -983,7 +989,7 @@ def mc_train(game, config):
             graft(entry, improvement)
             break
         if not advanced:
-            gave_up = True      # exhausted every snapshot; give up
+            gave_up = True      # exhausted every entry; give up
             break
 
     trainer.flush_update()
@@ -1017,7 +1023,7 @@ def vanilla_train(game, config):
     trainer = _Trainer(game, config)
     start = game_start_launch(game)
     return _keep_best_episode(trainer, trainer.make_envs(config.batch_size),
-                              lambda: start, start.score)
+                              lambda: start, start.state.score)
 
 
 # --- Go-Explore --------------------------------------------------------------
@@ -1037,7 +1043,7 @@ class CellArchive:
     def sample(self, rng):
         """Score-weighted choice, weight = score + 1, counted as a visit."""
         keys = list(self.cells)
-        weights = np.array([self.cells[k].score + 1.0 for k in keys])
+        weights = np.array([self.cells[k].state.score + 1.0 for k in keys])
         key = keys[int(rng.choice(len(keys), p=weights / weights.sum()))]
         self.visits[key] += 1
         return self.cells[key]
@@ -1075,4 +1081,4 @@ def go_train(game, config):
                 env.launch.actions + tuple(env.episode_actions)))
 
     return _keep_best_episode(trainer, envs, lambda: archive.sample(rng_cells),
-                              start.score, explore), archive
+                              start.state.score, explore), archive

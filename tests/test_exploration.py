@@ -38,6 +38,18 @@ def walkthrough_texts(game):
     return [a.text for a in actions]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -1), ("horizon", 0), ("patience", 0),
+    ("buffer_size", 0)])
+def test_sizes_below_one_are_config_errors(field, value):
+    # a batch of 0 kept vanilla_train looping forever, and crashed mc_train
+    # and go_train; a buffer of 0 kept the whole path
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+        ExplorationConfig(**{field: value})
+    assert ExplorationConfig(batch_size=1, horizon=1, buffer_size=1,
+                             patience=None).patience is None
+
+
 def test_env_begin_absorbs_initial_observation(miniz):
     env = make_env(miniz)
     env.begin(game_start_launch(miniz))
@@ -52,7 +64,7 @@ def test_env_rejects_terminal_launch(miniz):
     state, _, _ = engine.reset(miniz)
     state.alive = False
     with pytest.raises(ValueError):
-        env.begin(Launch(engine.snapshot(state), frozenset(), 0))
+        env.begin(Launch(state, frozenset()))
 
 
 def test_env_step_pays_im_only_for_new_triples(miniz):
@@ -168,8 +180,7 @@ def test_state_buffer_dedups_and_skips_death(miniz):
     entries = build_state_buffer(path, end, 10)
     assert not end.alive
     assert entries == path[:-1]
-    final = engine.restore(entries[-1].snapshot)
-    assert final.alive
+    assert entries[-1].state.alive
 
 
 def test_state_buffer_capacity_keeps_latest(miniz):
@@ -405,11 +416,13 @@ def test_act_sees_features_of_the_current_state(chainworld, monkeypatch,
 def test_archive_insert_keeps_the_first_cell(chainworld):
     archive = CellArchive()
     launch = game_start_launch(chainworld)
-    cell = Launch(launch.snapshot, launch.graph_triples, launch.score)
+    cell = Launch(launch.state, launch.graph_triples)
     assert archive.insert("k", cell) is cell
-    higher = Launch(launch.snapshot, launch.graph_triples, 5, ("x",))
-    assert archive.insert("k", higher) is cell
-    assert archive.cells == {"k": cell} and cell.score == 0
+    higher = launch.state.copy()
+    higher.score = 5
+    assert archive.insert("k", Launch(higher, launch.graph_triples, ("x",))) \
+        is cell
+    assert archive.cells == {"k": cell} and cell.state.score == 0
 
 
 def test_backends_mark_only_the_oracle_pure(miniz):
@@ -445,10 +458,11 @@ def test_untouched_steps_skip_the_backend_and_keep_the_graph(miniz):
 
 def test_archive_sampling_is_score_weighted():
     archive = CellArchive()
-    archive.insert("low", Launch(b"", frozenset(), 0))
-    archive.insert("high", Launch(b"", frozenset(), 9))
+    archive.insert("low", Launch(engine.WorldState("a", {}, {}), frozenset()))
+    archive.insert("high", Launch(engine.WorldState("a", {}, {}, score=9),
+                                  frozenset()))
     rng = np.random.default_rng(0)
-    picks = [archive.sample(rng).score for _ in range(2000)]
+    picks = [archive.sample(rng).state.score for _ in range(2000)]
     high = sum(1 for s in picks if s == 9)
     assert high / len(picks) == pytest.approx(0.9, abs=0.03)
 
@@ -463,11 +477,11 @@ def test_go_explore_clears_chainworld(chainworld):
 
 def assert_reached_by_its_actions(game, launch):
     """Replaying launch.actions from the game start reaches the state hash
-    and score of launch's snapshot."""
+    and score of launch's state."""
     state = engine.reset(game)[0]
     for text in launch.actions:
         state = engine.step_movement(state, engine.ground(game, text), game)[0]
-    there = engine.restore(launch.snapshot)
+    there = launch.state
     assert (engine.state_hash(state), state.score) == (
         engine.state_hash(there), there.score)
 
@@ -544,7 +558,7 @@ def test_mc_train_outputs_are_pinned(miniz, seed):
         modules.append((launch, handoff,
                         tuple(pin["best_actions"][start:start + length])))
         start += length
-    assert [(m.launch.score, m.handoff_score, m.actions)
+    assert [(m.launch.state.score, m.handoff_score, m.actions)
             for m in result.chain.modules] == modules
     # (chain_digest, execute_chain hash), recorded before build_chain
     # became one walk
@@ -664,12 +678,12 @@ def test_phase_hands_over_the_improving_env(chainworld):
     envs = trainer.make_envs(FAST.batch_size)
     launch = build_state_buffer(*shorten_trajectory(
         chainworld, ["go east"], trainer.encoder)[1:], 1)[-1]
-    assert launch.score > 0
+    assert launch.state.score > 0
     env, used = exploration._phase(trainer, envs, lambda: launch, 2000,
-                                   launch.score)
+                                   launch.state.score)
     assert 0 < used < 2000
     assert any(env is e for e in envs)
-    assert env.state.score > launch.score
+    assert env.state.score > launch.state.score
     from test_properties import replay
     *_, (_, end, _) = replay(chainworld, launch,
                              env.episode_actions[:env.last_useful])
@@ -712,7 +726,7 @@ def test_a_phase_that_stops_mid_run_leaves_the_generator_of_per_env_acting(
         try:
             stopped, used = exploration._phase(
                 trainer, trainer.make_envs(4), lambda: launch,
-                j_target=launch.score, **kwargs)
+                j_target=launch.state.score, **kwargs)
         finally:
             monkeypatch.undo()
         if isinstance(stopped, AgentEnv):
@@ -959,12 +973,21 @@ def test_load_chain_rejects_a_length_other_than_the_action_count(
     assert "module 0 length" in capsys.readouterr().err
 
 
+def test_load_chain_rejects_a_launch_score_other_than_the_restored_one(
+        chainworld):
+    doc = json.loads(save_chain(walkthrough_chain(chainworld)))
+    doc["modules"][1]["launch_score"] += 1
+    with pytest.raises(ValueError, match="module 1 launch_score is not its "
+                                         "snapshot's score"):
+        load_chain(json.dumps(doc).encode())
+
+
 def test_execute_chain_names_a_terminal_launch(chainworld, tmp_path, capsys):
     chain = walkthrough_chain(chainworld)
     launch = chain.modules[1].launch
-    state = engine.restore(launch.snapshot)
+    state = launch.state.copy()
     state.alive = False
-    chain.modules[1].launch = replace(launch, snapshot=engine.snapshot(state))
+    chain.modules[1].launch = replace(launch, state=state)
     message = "module 1: launch is a terminal state"
     with pytest.raises(ChainExecutionError, match=message):
         execute_chain(chain, chainworld)

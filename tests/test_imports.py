@@ -123,3 +123,52 @@ def test_every_module_level_name_is_used_by_a_program():
     assert names_no_program_uses(MODULES, PROGRAMS) == TEST_ONLY
     # and each test-only name by a test
     assert names_no_program_uses(MODULES, PROGRAMS + TESTS) == []
+
+
+# --- snapshot bytes only where a chain meets a file -------------------------
+
+SNAPSHOT_FORMAT = ("snapshot", "restore")
+
+
+def snapshot_format_uses(tree):
+    """(qualified name of the enclosing def or class, or None at module
+    level; engine function) for each reference to engine.snapshot or
+    engine.restore in the tree, as engine's attribute or imported by name."""
+    uses = []
+    stack = [(tree, None)]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name if where is None else f"{where}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr in SNAPSHOT_FORMAT
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "engine"):
+            uses.append((where, node.attr))
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "engine"):
+            uses += [(where, a.name) for a in node.names
+                     if a.name in SNAPSHOT_FORMAT]
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return sorted(uses, key=lambda use: (use[0] or "", use[1]))
+
+
+def test_snapshot_format_uses_are_found():
+    source = ("from .engine import restore as load, reset\n"
+              "from . import engine\n"
+              "class Env:\n    def begin(self, blob):\n"
+              "        return engine.restore(blob)\n"
+              "def save(state):\n    write = engine.snapshot\n"
+              "    return write(state), engine.state_hash(state)\n")
+    assert snapshot_format_uses(ast.parse(source)) == [
+        (None, "restore"), ("Env.begin", "restore"), ("save", "snapshot")]
+
+
+def test_only_the_chain_file_functions_use_the_snapshot_format():
+    """Launches hold world states; snapshot bytes are written and read only
+    where a chain meets a file."""
+    uses = [(path.name, where, name) for path in MODULES
+            if path.name != "engine.py"
+            for where, name in snapshot_format_uses(
+                ast.parse(path.read_text()))]
+    assert sorted(uses) == [("exploration.py", "load_chain", "restore"),
+                            ("exploration.py", "save_chain", "snapshot")]

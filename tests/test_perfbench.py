@@ -44,6 +44,9 @@ def test_tracer_wraps_every_layer_without_changing_trajectories(chainworld):
         run.install(tracer)
         traced = exploration.mc_train(chainworld, CONFIG)
         exploration.execute_chain(traced.chain, chainworld, CONFIG)
+        # the snapshot and restore spans: only a chain file round trip
+        # calls them, since launches hold world states
+        exploration.load_chain(exploration.save_chain(traced.chain))
         # short runs that give every other hook, observers included, calls
         tracer.run_id = 1
         miniz = games.load_bundled("miniz")

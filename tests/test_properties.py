@@ -114,7 +114,7 @@ def replay(game, launch, action_texts, backend=None):
     reference for the oracle env that exploration walks recorded actions
     in, which skips the backend after a step that changed nothing.
     """
-    state = engine.restore(launch.snapshot)
+    state = engine.restore(engine.snapshot(launch.state))
     graph = None
     if backend is not None:
         graph = kg.KnowledgeGraph(launch.graph_triples)
@@ -486,7 +486,7 @@ def test_an_impure_backend_is_asked_on_every_begin(walk, cut):
     env = make_env(game, noisy)
     env.begin(launch)
     env.begin(launch)
-    state = engine.restore(launch.snapshot)
+    state = launch.state.copy()
     obs = engine.observe(state, game)
     twin(state, obs)
     twin(state, obs)
@@ -541,13 +541,13 @@ def truncate_at_peak(game, launch, action_texts):
     with the final score, or the launch score when nothing was gained: the
     replay vanilla_train once ran on every improving episode, and the
     reference for AgentEnv.last_gain."""
-    last_gain, score = 0, launch.score
+    last_gain, score = 0, launch.state.score
     for i, state, _ in replay(game, launch, action_texts):
         if state.score > score:
             last_gain = i
         score = state.score
     return list(action_texts[:last_gain]), score if last_gain else \
-        launch.score
+        launch.state.score
 
 
 @PROPERTY
@@ -560,7 +560,7 @@ def test_last_gain_is_where_a_replay_of_the_episode_peaks(walk, cut):
     for text in rest:
         done = env.step(engine.ground(game, text))[3]
         gained = env.episode_actions[:env.last_gain]
-        final = env.state.score if env.last_gain else launch.score
+        final = env.state.score if env.last_gain else launch.state.score
         assert (gained, final) == truncate_at_peak(game, launch,
                                                    env.episode_actions)
         if done:
@@ -568,7 +568,8 @@ def test_last_gain_is_where_a_replay_of_the_episode_peaks(walk, cut):
 
 
 def rows(entries):
-    return [(e.snapshot, e.graph_triples, e.score, len(e.actions))
+    return [(engine.snapshot(e.state), e.graph_triples, e.state.score,
+             len(e.actions))
             for e in entries]
 
 
@@ -959,8 +960,8 @@ def mutated_chain_files(draw):
 @example(("chainworld", chain_with("chainworld", 1, "objects",
                                    ["room", "nowhere"], "pebble")))
 def test_mutated_chain_files_raise_typed_errors(case):
-    """load_chain raises only ValueError, and execute_chain on what it
-    loads only ChainExecutionError or SnapshotError."""
+    """load_chain raises only ValueError (a SnapshotError among them), and
+    execute_chain on what it loads only ChainExecutionError."""
     name, blob = case
     try:
         chain = exploration.load_chain(blob)
@@ -968,8 +969,20 @@ def test_mutated_chain_files_raise_typed_errors(case):
         return
     try:
         exploration.execute_chain(chain, GAMES[name])
-    except (exploration.ChainExecutionError, engine.SnapshotError):
+    except exploration.ChainExecutionError:
         pass
+
+
+@pytest.mark.parametrize("field, value, key, named", [
+    ("room", ["a"], None, "room"), ("score", "1", None, "score"),
+    ("fired", [1.5], None, "fired"), ("flags", {"x": "y"}, None, "flags.x"),
+    ("objects", [], "pebble", "objects.pebble")])
+def test_load_chain_raises_the_snapshot_error_naming_the_field(field, value,
+                                                               key, named):
+    with pytest.raises(engine.SnapshotError) as raised:
+        exploration.load_chain(chain_with("chainworld", 1, field, value, key))
+    assert type(raised.value) is engine.SnapshotError
+    assert str(raised.value).startswith(f"snapshot field {named}: ")
 
 
 def test_execute_chain_names_what_the_game_lacks():
