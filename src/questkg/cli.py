@@ -89,14 +89,13 @@ def validate_config(config):
             raise ConfigError(f"{name} must be an integer")
     if any(type(seed) is not int for seed in config.seeds):
         raise ConfigError("every seed must be an integer")
-    for name in ("alpha", "eps", "gamma", "learning_rate", "entropy_coef",
-                 "p_drop", "p_swap"):
+    for name in ("gamma", "learning_rate", "entropy_coef", "p_drop",
+                 "p_swap"):
         if not math.isfinite(getattr(config, name)):
             raise ConfigError(f"{name} must be finite")
-    if min(config.alpha, config.eps, config.learning_rate,
-           config.entropy_coef) < 0:
-        raise ConfigError("alpha, eps, learning_rate and entropy_coef must "
-                          "be non-negative")
+    if min(config.learning_rate, config.entropy_coef) < 0:
+        raise ConfigError("learning_rate and entropy_coef must be "
+                          "non-negative")
     if not 0 <= config.gamma <= 1:
         raise ConfigError("gamma must lie in [0, 1]")
     if not (0 <= config.p_drop <= 1 and 0 <= config.p_swap <= 1):
@@ -113,7 +112,7 @@ def validate_config(config):
         raise ConfigError("strategy 'mc+im' requires alpha > 0")
     if config.budget < 0:
         raise ConfigError("budget must be non-negative")
-    try:    # the sizes' rules are ExplorationConfig's
+    try:    # the sizes', alpha's and eps's rules are ExplorationConfig's
         _exploration_config(config, 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -28,6 +28,7 @@ import base64
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -64,6 +65,12 @@ class ExplorationConfig:
             value = getattr(self, name)
             if (value is not None or name != "patience") and value < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # with these, a step without reward has shaped reward 0.0 exactly
+        for name in ("alpha", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {value!r}")
 
 
 @dataclass
@@ -82,15 +89,29 @@ class LogRow:
 
 
 class TrajectoryHasher:
+    """blake2b of one line per recorded step.  The lines reach the hash
+    `block` at a time and the rest at hexdigest; blake2b is a stream, so
+    the digest is that of one update per line."""
+
+    block = 1024
+
     def __init__(self):
         self._h = hashlib.blake2b(digest_size=16)
+        self._lines = []
 
     def record(self, instance, action_text, reward, score, shash, kghash):
-        self._h.update(
-            f"{instance}|{action_text}|{reward}|{score}|{shash}|{kghash}\n"
-            .encode())
+        lines = self._lines
+        lines.append(
+            f"{instance}|{action_text}|{reward}|{score}|{shash}|{kghash}\n")
+        if len(lines) >= self.block:
+            self._feed()
+
+    def _feed(self):
+        self._h.update("".join(self._lines).encode())
+        self._lines.clear()
 
     def hexdigest(self):
+        self._feed()
         return self._h.hexdigest()
 
 
@@ -264,7 +285,9 @@ class AgentEnv:
 
         When the engine keeps the state's view the step changed nothing, so
         a pure backend would give the answers the graph already holds: the
-        backend and the graph update are skipped and r_im is 0.
+        backend and the graph update are skipped and r_im is 0.  A step with
+        r_game and r_im both 0 gets r_shaped 0.0 without a kg.shaped_reward
+        call, which returns that for every config and game a trainer takes.
         """
         cfg = self.config
         self._feats = None
@@ -275,9 +298,12 @@ class AgentEnv:
             r_im = 0
         else:
             r_im = self._absorb_answers(movement)
-        r_shaped = kg.shaped_reward(
-            r_game, self.state.score, self.game.max_score, r_im,
-            alpha=cfg.alpha, eps=cfg.eps)
+        if r_game or r_im:
+            r_shaped = kg.shaped_reward(
+                r_game, self.state.score, self.game.max_score, r_im,
+                alpha=cfg.alpha, eps=cfg.eps)
+        else:
+            r_shaped = 0.0
         self.episode_actions.append(action.text)
         # every step is one turn
         truncated = not done and len(self.episode_actions) >= cfg.horizon
@@ -388,9 +414,21 @@ def load_chain(blob):
     if version != CHAIN_VERSION:
         raise ValueError(f"chain checkpoint version {version!r}")
     try:
+        if type(doc["j_max"]) is not int:     # a bool is not one
+            raise ValueError(f"chain j_max {doc['j_max']!r} is not an "
+                             f"integer")
         modules = []
         for i, m in enumerate(doc["modules"]):
-            actions = tuple(m["actions"])
+            for name in ("launch_score", "handoff_score", "length"):
+                if type(m[name]) is not int:
+                    raise ValueError(f"module {i} {name} {m[name]!r} is not "
+                                     f"an integer")
+            actions = m["actions"]
+            if type(actions) is not list or any(type(a) is not str
+                                                for a in actions):
+                raise ValueError(f"module {i} actions {actions!r} is not a "
+                                 f"list of strings")
+            actions = tuple(actions)
             if m["length"] != len(actions):
                 raise ValueError(f"module {i} length {m['length']!r} is not "
                                  f"its {len(actions)} actions")
@@ -637,6 +675,10 @@ class _Trainer:
     """Shared machinery for the vanilla / MC / GO loops."""
 
     def __init__(self, game, config):
+        if game.max_score <= 0:     # kg.shaped_reward divides by it
+            raise ValueError(f"game {game.name!r} has max_score "
+                             f"{game.max_score}; training needs a positive "
+                             f"one")
         self.game = game
         self.config = config
         self.encoder = policy.shared_encoder(config.encoder)
@@ -661,11 +703,12 @@ class _Trainer:
         self.fallbacks = 0
 
     def fresh_policy(self):
-        """Install a new zero-initialized acting policy, drop the
-        transitions the old one gathered, and return the new params."""
+        """Install a new zero-initialized acting policy, start an empty
+        rollout in place of the steps the old one gathered, and return the
+        new params."""
         self.params = policy.init_params(self.game, self.config.encoder,
                                          gamma=self.config.gamma)
-        self.transitions = []
+        self.rollout = policy.Rollout()
         return self.params
 
     def at_max(self, score):
@@ -697,9 +740,9 @@ class _Trainer:
         self.rng.rewind(sum(1 + len(r.filler_indices) for r in unused))
 
     def act_and_step(self, env, result):
-        """Take the action of result, env's decide result, and record the
-        transition.  Returns env.step's tuple and the env's key() after
-        the step."""
+        """Take the action of result, env's decide result, and append the
+        step to the rollout.  Returns env.step's tuple and the env's key()
+        after the step."""
         params = self.params
         feats = env.feats()
         mask = env.mask()
@@ -713,28 +756,21 @@ class _Trainer:
                 tuple(params.entities[f] for f in result.filler_indices))
         r_game, r_im, r_shaped, done, truncated = env.step(action)
         self.steps += 1
-        transition = policy.Transition(
-            feats=feats,
-            template_index=result.template_index,
-            filler_indices=result.filler_indices,
-            contexts=result.contexts,
-            off=mask[1],
-            reward=r_shaped,
-            next_feats=None if done else env.feats(),
-        )
-        self.transitions.append(transition)
+        self.rollout.append(feats, result.template_index,
+                            result.filler_indices, result.contexts, mask[1],
+                            r_shaped, None if done else env.feats())
         key = env.key()
         self.hasher.record(env.index, action.text, r_game, env.state.score,
                            *key)
         return r_game, r_im, r_shaped, done, truncated, key
 
     def flush_update(self):
-        if not self.transitions:
+        if not self.rollout:
             return
-        policy.a2c_update(self.params, self.transitions,
+        policy.a2c_update(self.params, self.rollout,
                           learning_rate=self.config.learning_rate,
                           entropy_coef=self.config.entropy_coef)
-        self.transitions = []
+        self.rollout = policy.Rollout()
 
     def log_row(self, env, r_im, r_t, flags=""):
         self.log.append(LogRow(self.steps, env.index, env.state.score,
@@ -847,7 +883,7 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
             min(per_snapshot_budget, max_total - total), j_target,
             tie_guard=tie_guard, on_step=make_splice(entry))
         total += used
-        trainer.transitions = []
+        trainer.rollout = policy.Rollout()
         if improvement is not None:
             return entry, fresh, improvement, total
     trainer.params = main

@@ -7,18 +7,19 @@ observation components.  The learnable parameters are three linear heads:
 template logits, entity logits (shared across blank positions with a
 position indicator and partial-decode context), and a scalar critic.
 
-The A2C learner works on a whole transition batch with matrix products:
-the N states are stacked into X and the entity contexts the actor built
-for its blanks into C, with each blank's recorded off-mask row pinning its
-logits to NEG_INF; each head's loss gradient with respect to its logits is
-one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.  act_batch is
-the one sampling decoder (act is its one-row case): it decides a list of
-states at once, with one stacked matrix-vector product per head and
-row-wise cdfs, and picks each index as Generator.choice would, from a
-Uniforms stream that holds the doubles successive rng.random() calls
-return.  The states take their uniforms in stream order, so a batch picks
-what its states picked one call each.  greedy_action is the argmax decode
-of frozen chain modules.
+The A2C learner works on a whole transition batch, a Rollout the trainer
+appends each step to as columns, with matrix products: the N states are
+stacked into X and the entity contexts the actor built for its blanks into
+C, each from one column, with each blank's recorded off-mask row pinning
+its logits to NEG_INF; each head's loss gradient with respect to its
+logits is one matrix D, and the weight gradients are Dᵀ X and Dᵀ C.
+act_batch is the one sampling decoder (act is its one-row case): it
+decides a list of states at once, with one stacked matrix-vector product
+per head and row-wise cdfs, and picks each index as Generator.choice
+would, from a Uniforms stream that holds the doubles successive
+rng.random() calls return.  The states take their uniforms in stream
+order, so a batch picks what its states picked one call each.
+greedy_action is the argmax decode of frozen chain modules.
 
 All analytic gradients are verified against central finite differences in
 the test suite; everything is float64.
@@ -468,15 +469,40 @@ def greedy_action(params, feats, mask, encoder, template_blanks):
 
 # --- A2C update --------------------------------------------------------------
 
-@dataclass
-class Transition:
-    feats: np.ndarray
-    template_index: int
-    filler_indices: tuple[int, ...]
-    contexts: tuple[np.ndarray, ...]  # ActResult.contexts
-    off: np.ndarray               # entities off the mask at act time
-    reward: float
-    next_feats: np.ndarray | None  # None at terminal (V(s') = 0)
+class Rollout:
+    """A transition batch held as columns, in step order.
+
+    Per step: feats (the state features), templates (the template index),
+    blanks (the blank count), offs (the entities off the mask at act time)
+    and rewards (the shaped reward).  Per blank, in blank order: fillers
+    (the entity index) and contexts (the entity context act built, as on
+    ActResult.contexts).  Per live step, one that did not end the episode:
+    next_feats (the next state's features) and live (the step's index); a
+    terminal step has V(s') = 0."""
+
+    __slots__ = ("feats", "templates", "blanks", "offs", "rewards",
+                 "fillers", "contexts", "next_feats", "live")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+    def __len__(self):
+        return len(self.feats)
+
+    def append(self, feats, template_index, filler_indices, contexts, off,
+               reward, next_feats):
+        """Record one step; next_feats is None at a terminal step."""
+        self.feats.append(feats)
+        self.templates.append(template_index)
+        self.blanks.append(len(filler_indices))
+        self.offs.append(off)
+        self.rewards.append(reward)
+        self.fillers.extend(filler_indices)
+        self.contexts.extend(contexts)
+        if next_feats is not None:
+            self.live.append(len(self.feats) - 1)
+            self.next_feats.append(next_feats)
 
 
 def _stack(rows, width):
@@ -484,24 +510,22 @@ def _stack(rows, width):
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-def _states(params, transitions):
-    """The (N, F) matrix of the transitions' states, X."""
-    return _stack([tr.feats for tr in transitions], params.w_value.size)
+def _states(params, rollout):
+    """The (N, F) matrix of the rollout's states, X."""
+    return _stack(rollout.feats, params.w_value.size)
 
 
-def prepare_targets(params, transitions, X=None):
+def prepare_targets(params, rollout, X=None):
     """(Q, A) arrays: Q = r + gamma*V(s') and A = Q - V(s), as detached
-    constants.  X is _states(params, transitions), if the caller has it."""
-    width = params.w_value.size
+    constants.  X is _states(params, rollout), if the caller has it."""
     if X is None:
-        X = _states(params, transitions)
+        X = _states(params, rollout)
     v = X @ params.w_value + params.b_value
-    live = [i for i, tr in enumerate(transitions) if tr.next_feats is not None]
-    v_next = np.zeros(len(transitions))
-    v_next[live] = _stack([transitions[i].next_feats for i in live],
-                          width) @ params.w_value + params.b_value
-    rewards = np.array([tr.reward for tr in transitions], dtype=float)
-    target_q = rewards + params.gamma * v_next
+    v_next = np.zeros(len(rollout))
+    v_next[rollout.live] = _stack(rollout.next_feats, params.w_value.size) \
+        @ params.w_value + params.b_value
+    target_q = np.array(rollout.rewards, dtype=float) \
+        + params.gamma * v_next
     return target_q, target_q - v
 
 
@@ -525,11 +549,9 @@ def _head_loss_and_dlogits(log_p, chosen, advantage, entropy_coef):
     return loss, d_logits
 
 
-def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01,
-                       X=None):
-    """Total loss and analytic gradients for a batch of transitions, with
-    targets = prepare_targets(params, transitions); X is as for
-    prepare_targets.
+def a2c_loss_and_grads(params, rollout, targets, entropy_coef=0.01, X=None):
+    """Total loss and analytic gradients for a Rollout, with targets =
+    prepare_targets(params, rollout); X is as for prepare_targets.
 
     Loss per transition: -(log pi_T + sum log pi_O) * A
                          + VALUE_COEF * 0.5 * (Q - V)^2
@@ -542,8 +564,8 @@ def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01,
     """
     target_q, advantage = targets
     if X is None:
-        X = _states(params, transitions)
-    chosen_t = np.array([tr.template_index for tr in transitions], dtype=int)
+        X = _states(params, rollout)
+    chosen_t = np.array(rollout.templates, dtype=int)
 
     # template head
     log_pt = _log_softmax_rows(X @ params.w_template.T + params.b_template)
@@ -551,16 +573,12 @@ def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01,
                                          entropy_coef)
 
     # entity head: one row per blank, off-mask logits pinned to NEG_INF
-    blanks = [len(tr.filler_indices) for tr in transitions]
-    C = _stack([x for tr in transitions for x in tr.contexts],
-               params.w_entity.shape[1])
-    off = np.repeat([tr.off for tr in transitions], blanks, axis=0)
+    C = _stack(rollout.contexts, params.w_entity.shape[1])
+    off = np.repeat(rollout.offs, rollout.blanks, axis=0)
     logits_e = np.where(off, NEG_INF, C @ params.w_entity.T + params.b_entity)
-    chosen_e = np.array([e for tr in transitions for e in tr.filler_indices],
-                        dtype=int)
     loss_e, d_e = _head_loss_and_dlogits(
-        _log_softmax_rows(logits_e), chosen_e, np.repeat(advantage, blanks),
-        entropy_coef)
+        _log_softmax_rows(logits_e), np.array(rollout.fillers, dtype=int),
+        np.repeat(advantage, rollout.blanks), entropy_coef)
 
     # critic
     delta = target_q - (X @ params.w_value + params.b_value)
@@ -578,21 +596,20 @@ def a2c_loss_and_grads(params, transitions, targets, entropy_coef=0.01,
     return float(total_loss), grads
 
 
-def a2c_update(params, transitions, learning_rate=0.01, entropy_coef=0.01):
-    """One semi-gradient A2C step over a trajectory batch (in place).
+def a2c_update(params, rollout, learning_rate=0.01, entropy_coef=0.01):
+    """One semi-gradient A2C step over a Rollout (in place).
 
     Raises on non-finite gradients, leaving params untouched.
     """
-    if not transitions:
+    if not rollout:
         raise ValueError("empty trajectory")
-    X = _states(params, transitions)     # stacked once for both
+    X = _states(params, rollout)     # stacked once for both
     loss, grads = a2c_loss_and_grads(
-        params, transitions, prepare_targets(params, transitions, X),
-        entropy_coef, X)
+        params, rollout, prepare_targets(params, rollout, X), entropy_coef, X)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name}")
-    scale = learning_rate / len(transitions)
+    scale = learning_rate / len(rollout)
     for name, g in grads.items():
         arr = getattr(params, name)
         arr -= scale * g

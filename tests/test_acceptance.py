@@ -20,7 +20,8 @@ from questkg.exploration import ExplorationConfig, execute_chain
 from questkg.gamedef import ActionTemplate
 from questkg.questgraph import bottlenecks
 
-from test_policy import SMALL, random_params, random_transition, small_encoder
+from test_policy import (SMALL, random_params, random_transition, rollout_of,
+                         small_encoder)
 from test_questgraph import make_graph, naive_bottlenecks
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -175,10 +176,10 @@ def test_gradients_match_finite_differences_within_time_budget(miniz):
     worst = 0.0
     for _ in range(200):
         params = random_params(miniz, rng)
-        transitions = [random_transition(miniz, params, encoder, rng)
-                       for _ in range(int(rng.integers(1, 4)))]
-        targets = policy.prepare_targets(params, transitions)
-        _, grads = policy.a2c_loss_and_grads(params, transitions, targets,
+        rollout = rollout_of(random_transition(miniz, params, encoder, rng)
+                             for _ in range(int(rng.integers(1, 4))))
+        targets = policy.prepare_targets(params, rollout)
+        _, grads = policy.a2c_loss_and_grads(params, rollout, targets,
                                              entropy_coef=0.01)
         vec = params.to_vector()
         flat = np.concatenate([grads[n].ravel() for n in params.ARRAYS])
@@ -187,11 +188,11 @@ def test_gradients_match_finite_differences_within_time_budget(miniz):
             bumped = vec.copy()
             bumped[k] += h
             probe.from_vector(bumped)
-            up, _ = policy.a2c_loss_and_grads(probe, transitions, targets,
+            up, _ = policy.a2c_loss_and_grads(probe, rollout, targets,
                                               entropy_coef=0.01)
             bumped[k] -= 2 * h
             probe.from_vector(bumped)
-            down, _ = policy.a2c_loss_and_grads(probe, transitions, targets,
+            down, _ = policy.a2c_loss_and_grads(probe, rollout, targets,
                                                 entropy_coef=0.01)
             fd = (up - down) / (2 * h)
             an = flat[k]

@@ -50,6 +50,60 @@ def test_sizes_below_one_are_config_errors(field, value):
                              patience=None).patience is None
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", float("inf")), ("alpha", float("nan")), ("alpha", -1.0),
+    ("eps", float("inf")), ("eps", float("nan")), ("eps", -0.5)])
+def test_a_non_finite_or_negative_alpha_or_eps_is_a_config_error(field,
+                                                                  value):
+    # a step without reward skips kg.shaped_reward, which is exact only for
+    # these; alpha=inf made NaN rewards that a2c_update refused
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be finite and non-negative"):
+        ExplorationConfig(**{field: value})
+
+
+NO_REWARD_GAME = """\
+questgame 1
+[meta]
+name bare
+start hall
+max-score 0
+[room hall]
+name Hall
+desc A hall.
+[templates]
+wait
+"""
+
+
+@pytest.mark.parametrize("train", [mc_train, vanilla_train, go_train])
+def test_training_a_game_without_reward_fails_before_any_step(train):
+    with pytest.raises(ValueError, match="game 'bare' has max_score 0"):
+        train(load_game(NO_REWARD_GAME), replace(FAST, total_steps=0))
+
+
+def test_trajectory_hasher_digest_is_that_of_one_update_per_line():
+    """The hasher feeds blake2b a block of lines at a time; across block
+    boundaries its digest is that of the joined lines and of one update
+    per line, a second hexdigest returns the same, and recording goes on
+    after one."""
+    hasher = exploration.TrajectoryHasher()
+    per_line = hashlib.blake2b(digest_size=16)
+    lines = []
+    for i in range(2 * hasher.block + 7):
+        if i == hasher.block + 3:
+            assert hasher.hexdigest() == per_line.hexdigest()
+        fields = (i % 3, f"take \u00e9gg {i}", i % 2, i, i * 7, i * 11)
+        hasher.record(*fields)
+        lines.append("|".join(map(str, fields)) + "\n")
+        per_line.update(lines[-1].encode())
+    digest = hasher.hexdigest()
+    assert digest == hashlib.blake2b("".join(lines).encode(),
+                                     digest_size=16).hexdigest()
+    assert digest == per_line.hexdigest()
+    assert hasher.hexdigest() == digest
+
+
 def test_env_begin_absorbs_initial_observation(miniz):
     env = make_env(miniz)
     env.begin(game_start_launch(miniz))
@@ -971,6 +1025,36 @@ def test_load_chain_rejects_a_length_other_than_the_action_count(
     assert cli.main(["replay-chain", str(tmp_path / "chain.json"), "--game",
                      "chainworld"]) == 1
     assert "module 0 length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("j_max", "30", "chain j_max '30' is not an integer"),
+    ("j_max", True, "chain j_max True is not an integer"),
+    ("handoff_score", "5", "module 0 handoff_score '5' is not an integer"),
+    ("handoff_score", 5.0, "module 0 handoff_score 5.0 is not an integer"),
+    ("launch_score", False, "module 0 launch_score False is not an integer"),
+    ("length", True, "module 0 length True is not an integer"),
+    ("actions", "xxx", "module 0 actions 'xxx' is not a list of strings"),
+    ("actions", [0, 1, 2],
+     r"module 0 actions \[0, 1, 2\] is not a list of strings"),
+])
+def test_load_chain_checks_exact_types(chainworld, tmp_path, capsys, field,
+                                       value, message):
+    # "j_max": "50" used to load, and replay-chain then failed with
+    # "replay score 50 != recorded J_max 50"; "xxx" loaded as the actions
+    # ('x', 'x', 'x')
+    doc = json.loads(save_chain(walkthrough_chain(chainworld)))
+    if field == "j_max":
+        doc[field] = value
+    else:
+        doc["modules"][0][field] = value
+    blob = json.dumps(doc).encode()
+    with pytest.raises(ValueError, match=message):
+        load_chain(blob)
+    (tmp_path / "chain.json").write_bytes(blob)
+    assert cli.main(["replay-chain", str(tmp_path / "chain.json"), "--game",
+                     "chainworld"]) == 1
+    assert "is not a" in capsys.readouterr().err
 
 
 def test_load_chain_rejects_a_launch_score_other_than_the_restored_one(

@@ -1,6 +1,9 @@
+import math
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from questkg import kg
 from questkg.extraction import AnswerSet
@@ -160,6 +163,19 @@ def test_shaped_reward_alpha_zero_is_raw():
 def test_shaped_reward_scales_by_cumulative_score():
     shaped = shaped_reward(5, 20, 50, 2, alpha=1.0, eps=1.0)
     assert shaped == pytest.approx(5 + 2 * (20 + 1) / 50)
+
+
+@given(score=st.integers(-10**6, 10**6),
+       r_max=st.integers(1, 10**6),
+       alpha=st.floats(0, 1e300) | st.integers(0, 10**6),
+       eps=st.floats(0, 1e300) | st.integers(0, 10**6))
+def test_shaped_reward_without_reward_is_positive_zero(score, r_max, alpha,
+                                                       eps):
+    """AgentEnv.step skips the call and uses 0.0 when both rewards are 0;
+    the call gives that value for every input ExplorationConfig accepts."""
+    shaped = shaped_reward(0, score, r_max, 0, alpha=alpha, eps=eps)
+    assert shaped == 0.0 and math.copysign(1.0, shaped) == 1.0
+    assert type(shaped) is float
 
 
 def test_shaped_reward_validates_inputs():

@@ -1,14 +1,15 @@
 import copy
 import hashlib
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import per_row_actor
 from questkg import engine, exploration, kg, policy
-from questkg.policy import (EncoderConfig, PooledGraphTracker, StateEncoder,
-                            Transition, a2c_loss_and_grads, a2c_update, act,
+from questkg.policy import (EncoderConfig, PooledGraphTracker, Rollout,
+                            StateEncoder, a2c_loss_and_grads, a2c_update, act,
                             greedy_action, init_params, load_params,
                             prepare_targets, save_params)
 
@@ -25,6 +26,28 @@ def random_params(game, rng, scale=0.5):
         arr = getattr(params, name)
         arr += rng.normal(0, scale, arr.shape)
     return params
+
+
+@dataclass
+class Transition:
+    """One step as a record, for building batches and for the per-transition
+    reference loop; rollout_of appends records to a Rollout."""
+    feats: np.ndarray
+    template_index: int
+    filler_indices: tuple[int, ...]
+    contexts: tuple[np.ndarray, ...]  # ActResult.contexts
+    off: np.ndarray               # entities off the mask at act time
+    reward: float
+    next_feats: np.ndarray | None  # None at terminal (V(s') = 0)
+
+
+def rollout_of(transitions):
+    """The Rollout the trainer records for these steps, in order."""
+    rollout = Rollout()
+    for tr in transitions:
+        rollout.append(tr.feats, tr.template_index, tr.filler_indices,
+                       tr.contexts, tr.off, tr.reward, tr.next_feats)
+    return rollout
 
 
 def decode_contexts(params, encoder, tr):
@@ -279,7 +302,7 @@ def test_prepare_targets_semantics(miniz):
     params = random_params(miniz, rng)
     tr = random_transition(miniz, params, small_encoder(), rng)
     tr.next_feats = None
-    (target_q,), (advantage,) = prepare_targets(params, [tr])
+    (target_q,), (advantage,) = prepare_targets(params, rollout_of([tr]))
     v = float(params.w_value @ tr.feats + params.b_value)
     assert target_q == tr.reward
     assert advantage == pytest.approx(tr.reward - v)
@@ -293,10 +316,10 @@ def test_analytic_gradients_match_finite_differences(miniz):
     worst = 0.0
     for _ in range(200):
         params = random_params(miniz, rng)
-        transitions = [random_transition(miniz, params, encoder, rng)
-                       for _ in range(int(rng.integers(1, 4)))]
-        targets = prepare_targets(params, transitions)
-        _, grads = a2c_loss_and_grads(params, transitions, targets,
+        rollout = rollout_of(random_transition(miniz, params, encoder, rng)
+                             for _ in range(int(rng.integers(1, 4))))
+        targets = prepare_targets(params, rollout)
+        _, grads = a2c_loss_and_grads(params, rollout, targets,
                                       entropy_coef=0.01)
         vec = params.to_vector()
         flat = np.concatenate([grads[n].ravel() for n in params.ARRAYS])
@@ -305,11 +328,11 @@ def test_analytic_gradients_match_finite_differences(miniz):
             bumped = vec.copy()
             bumped[k] += h
             probe.from_vector(bumped)
-            up, _ = a2c_loss_and_grads(probe, transitions, targets,
+            up, _ = a2c_loss_and_grads(probe, rollout, targets,
                                        entropy_coef=0.01)
             bumped[k] -= 2 * h
             probe.from_vector(bumped)
-            down, _ = a2c_loss_and_grads(probe, transitions, targets,
+            down, _ = a2c_loss_and_grads(probe, rollout, targets,
                                          entropy_coef=0.01)
             fd = (up - down) / (2 * h)
             an = flat[k]
@@ -398,17 +421,52 @@ def test_batched_loss_and_grads_match_reference_loop(miniz):
             tr.contexts = decode_contexts(params, encoder, tr)
         transitions[-1].off = np.zeros(n_entities, dtype=bool)
         transitions[0].next_feats = None
-        targets = prepare_targets(params, transitions)
-        loss, grads = a2c_loss_and_grads(params, transitions, targets,
-                                         entropy_coef=0.05)
-        ref_loss, ref_grads = reference_loss_and_grads(
-            params, transitions, targets, encoder, value_coef=0.5,
-            entropy_coef=0.05)
-        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
-        for name in params.ARRAYS:
-            assert grads[name].shape == getattr(params, name).shape
-            np.testing.assert_allclose(grads[name], ref_grads[name],
-                                       rtol=1e-12, atol=1e-12)
+        assert_batch_matches_reference_loop(params, transitions, encoder)
+
+
+def assert_batch_matches_reference_loop(params, transitions, encoder):
+    rollout = rollout_of(transitions)
+    targets = prepare_targets(params, rollout)
+    loss, grads = a2c_loss_and_grads(params, rollout, targets,
+                                     entropy_coef=0.05)
+    ref_loss, ref_grads = reference_loss_and_grads(
+        params, transitions, targets, encoder, value_coef=0.5,
+        entropy_coef=0.05)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+    for name in params.ARRAYS:
+        assert grads[name].shape == getattr(params, name).shape
+        np.testing.assert_allclose(grads[name], ref_grads[name],
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_a_batch_without_blanks_matches_reference_loop(miniz):
+    """Every step takes a template without a blank, so C has no rows."""
+    rng = np.random.default_rng(20)
+    encoder = small_encoder()
+    bare = [i for i, t in enumerate(miniz.templates) if not t.blanks]
+    for _ in range(10):
+        params = random_params(miniz, rng, scale=1.0)
+        transitions = [random_transition(miniz, params, encoder, rng)
+                       for _ in range(int(rng.integers(1, 12)))]
+        for tr in transitions:
+            tr.template_index = int(bare[rng.integers(len(bare))])
+            tr.filler_indices = tr.contexts = ()
+        assert rollout_of(transitions).contexts == []
+        assert_batch_matches_reference_loop(params, transitions, encoder)
+
+
+def test_a_batch_without_live_steps_matches_reference_loop(miniz):
+    """Every step ends its episode, so no next features are stacked."""
+    rng = np.random.default_rng(21)
+    encoder = small_encoder()
+    for _ in range(10):
+        params = random_params(miniz, rng, scale=1.0)
+        transitions = [random_transition(miniz, params, encoder, rng)
+                       for _ in range(int(rng.integers(1, 12)))]
+        for tr in transitions:
+            tr.next_feats = None
+        assert rollout_of(transitions).live == []
+        assert_batch_matches_reference_loop(params, transitions, encoder)
 
 
 def test_prepare_targets_matches_per_transition_values(miniz):
@@ -417,8 +475,8 @@ def test_prepare_targets_matches_per_transition_values(miniz):
     encoder = small_encoder()
     transitions = [random_transition(miniz, params, encoder, rng)
                    for _ in range(25)]
-    for tr, target_q, advantage in zip(transitions,
-                                       *prepare_targets(params, transitions)):
+    for tr, target_q, advantage in zip(
+            transitions, *prepare_targets(params, rollout_of(transitions))):
         v_next = 0.0 if tr.next_feats is None else \
             float(params.w_value @ tr.next_feats + params.b_value)
         v = float(params.w_value @ tr.feats + params.b_value)
@@ -622,14 +680,14 @@ def test_a2c_update_moves_params_and_rejects_empty(miniz):
     rng = np.random.default_rng(13)
     params = random_params(miniz, rng)
     encoder = small_encoder()
-    transitions = [random_transition(miniz, params, encoder, rng)
-                   for _ in range(8)]
+    rollout = rollout_of(random_transition(miniz, params, encoder, rng)
+                         for _ in range(8))
     before = params.to_vector()
-    a2c_update(params, transitions, learning_rate=0.05)
+    a2c_update(params, rollout, learning_rate=0.05)
     assert not np.array_equal(params.to_vector(), before)
     assert np.isfinite(params.to_vector()).all()
     with pytest.raises(ValueError):
-        a2c_update(params, [])
+        a2c_update(params, Rollout())
 
 
 def test_a2c_update_stacks_the_states_once_with_the_bits_of_two_stacks(
@@ -640,14 +698,14 @@ def test_a2c_update_stacks_the_states_once_with_the_bits_of_two_stacks(
     rng = np.random.default_rng(19)
     params = random_params(miniz, rng)
     encoder = small_encoder()
-    transitions = [random_transition(miniz, params, encoder, rng)
-                   for _ in range(8)]
-    loss, grads = a2c_loss_and_grads(params, transitions,
-                                     prepare_targets(params, transitions),
+    rollout = rollout_of(random_transition(miniz, params, encoder, rng)
+                         for _ in range(8))
+    loss, grads = a2c_loss_and_grads(params, rollout,
+                                     prepare_targets(params, rollout),
                                      entropy_coef=0.05)
     want = copy.deepcopy(params)
     for name, g in grads.items():
-        getattr(want, name)[...] -= 0.05 / len(transitions) * g
+        getattr(want, name)[...] -= 0.05 / len(rollout) * g
     stacks = []
     real = policy._states
 
@@ -656,7 +714,7 @@ def test_a2c_update_stacks_the_states_once_with_the_bits_of_two_stacks(
         return real(*args)
 
     monkeypatch.setattr(policy, "_states", states)
-    assert a2c_update(params, transitions, learning_rate=0.05,
+    assert a2c_update(params, rollout, learning_rate=0.05,
                       entropy_coef=0.05) == loss
     assert len(stacks) == 1
     assert params.to_vector().tobytes() == want.to_vector().tobytes()
@@ -667,8 +725,8 @@ def test_a2c_update_leaves_params_untouched_on_non_finite_gradient(
     rng = np.random.default_rng(17)
     params = random_params(miniz, rng)
     encoder = small_encoder()
-    transitions = [random_transition(miniz, params, encoder, rng)
-                   for _ in range(4)]
+    rollout = rollout_of(random_transition(miniz, params, encoder, rng)
+                         for _ in range(4))
     real = policy.a2c_loss_and_grads
 
     def last_gradient_nan(*args, **kwargs):
@@ -679,5 +737,5 @@ def test_a2c_update_leaves_params_untouched_on_non_finite_gradient(
     monkeypatch.setattr(policy, "a2c_loss_and_grads", last_gradient_nan)
     before = params.to_vector()
     with pytest.raises(FloatingPointError):
-        a2c_update(params, transitions)
+        a2c_update(params, rollout)
     assert np.array_equal(params.to_vector(), before)
