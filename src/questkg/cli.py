@@ -89,6 +89,10 @@ def validate_config(config):
             raise ConfigError(f"{name} must be an integer")
     if any(type(seed) is not int for seed in config.seeds):
         raise ConfigError("every seed must be an integer")
+    for name in ("alpha", "eps", "gamma", "learning_rate", "entropy_coef",
+                 "p_drop", "p_swap"):
+        if type(getattr(config, name)) not in (int, float):  # nor a bool
+            raise ConfigError(f"{name} must be a number")
     for name in ("gamma", "learning_rate", "entropy_coef", "p_drop",
                  "p_swap"):
         if not math.isfinite(getattr(config, name)):

@@ -5,20 +5,26 @@ always produces the same (state, observation, reward) sequence.  Inapplicable
 actions consume a turn and return failure feedback without touching world
 state.
 
-A state is settled when its last step ran the event and death loops; that
-step leaves its rendered look and inventory text, and later its state_hash,
-cached in `state.view`.  A step from a settled state whose action touches
+A state is settled when the event and death loops have run on its
+contents: every event that holds there has fired, and it is dead exactly
+when a death rule holds.  Its rendered look and inventory text, and later
+its state_hash, are cached in `state.view`.  Settled are the state after a
+step, the state of a reset where no death rule holds (its event loop has
+fired every event that holds, and events set no flags) and a copy of a
+settled state, which gets a View of its own.  Not settled are the states
+from restore, hand-built states and a reset where a death rule holds:
+their state may satisfy a death rule or an unfired event, so their first
+step runs in full.  A step from a settled state whose action touches
 nothing (a failed action, a self-loop exit, look, inventory, wait or read)
 takes a fast path: it counts the turn, skips both loops, reuses the cached
 view and keeps the same View object, so a caller can tell the step changed
 nothing by `state.view is view_before`.  This is exact because no condition
-reads the turn counter: every event that could fire has fired and no death
-rule held.  States from reset, restore and WorldState.copy are never
-settled, since their state may satisfy a death rule or an unfired event, so
-their first step runs in full.  Every write the engine makes runs the full
-step, which replaces the view.  Outside the engine only loop removal writes
-a WorldState: it renumbers the turn counter of its own walk, which no view
-or digest reads.  Launches hold copies that nothing writes.
+reads the turn counter.  Every write the engine makes runs the full step,
+which replaces the view.  Any write to a WorldState outside step_movement
+must drop its view (set it to None), as the probes of admissible_actions
+start without one; the one write outside the engine, loop removal's
+renumbering of the turn counter of its own walk, changes nothing a view or
+digest reads.  Launches hold copies that nothing writes.
 
 Feedback None from _apply_verb means the room description: look and go
 (a move or a self-loop exit) leave the rendering to step_movement, which
@@ -49,21 +55,21 @@ class SnapshotError(ValueError):
 
 
 class View:
-    """What the last full step rendered for a state, and its state_hash
-    once something asks for it."""
+    """What a settled state renders (its look and inventory text), and its
+    state_hash once something asks for it."""
 
     __slots__ = ("desc", "inv", "digest")
 
-    def __init__(self, desc, inv):
+    def __init__(self, desc, inv, digest=None):
         self.desc = desc
         self.inv = inv
-        self.digest = None
+        self.digest = digest
 
 
 class WorldState:
     """Mutable simulation state; step_movement() mutates it in place.
 
-    view is the View of the last full step, or None while the state is not
+    view is the View of a settled state, or None while the state is not
     settled (see the module docstring).
     """
 
@@ -82,10 +88,16 @@ class WorldState:
         self.view = None
 
     def copy(self):
-        """An independent copy of the world state, not settled."""
-        return WorldState(self.current_room, dict(self.object_locations),
+        """An independent copy of the world state.  A copy of a settled
+        state is settled, with its own View of the same desc, inv and
+        digest."""
+        copy = WorldState(self.current_room, dict(self.object_locations),
                           dict(self.flags), self.score, self.turn, self.alive,
                           set(self.fired_events))
+        view = self.view
+        if view is not None:
+            copy.view = View(view.desc, view.inv, view.digest)
+        return copy
 
     def __repr__(self):
         return (f"WorldState(room={self.current_room!r}, score={self.score}, "
@@ -290,9 +302,12 @@ def render_inventory(state, game):
 
 def observe(state, game):
     """Observation of a state no step led to: the feedback is the room
-    description and there is no previous action."""
-    desc = render_look(state, game)
-    return Observation(desc, desc, render_inventory(state, game), "")
+    description and there is no previous action.  A settled state's is read
+    from its view; any other state is rendered."""
+    view = state.view
+    if view is None:
+        view = View(render_look(state, game), render_inventory(state, game))
+    return Observation(view.desc, view.desc, view.inv, "")
 
 
 # --- reset / step ---------------------------------------------------------
@@ -301,7 +316,8 @@ def reset(game):
     """Fresh state at the authored start room.
 
     Reward events already satisfied by the initial state fire here and are
-    reported as initial_score (typically 0).
+    reported as initial_score (typically 0).  The state is settled unless a
+    death rule holds there, so that its first step runs the death loop.
     """
     state = WorldState(
         current_room=game.start,
@@ -314,6 +330,9 @@ def reset(game):
             state.fired_events.add(event.id)
             initial += event.points
     state.score = initial
+    if not any(rule.condition.holds(state) for rule in game.deaths):
+        state.view = View(render_look(state, game),
+                          render_inventory(state, game))
     return state, observe(state, game), initial
 
 
@@ -517,7 +536,8 @@ def admissible_actions(state, game, templates=None):
     visible in its first blank, so only those fill it, and a template
     without blanks touches nothing; later blanks range over game.entities.
     A probe that does not apply writes nothing, so a copy is only renewed
-    after a touching one.
+    after a touching one.  _apply_verb writes outside step_movement, so the
+    probes are copies without a view.
     """
     if not state.alive:
         raise RuntimeError("dead state has no admissible actions")
@@ -526,7 +546,9 @@ def admissible_actions(state, game, templates=None):
                 if state.object_locations[o] == INVENTORY),
               *visible_objects(state, game)]
     out = set()
-    probe = state.copy()
+    base = state.copy()
+    base.view = None
+    probe = base.copy()
     for template in game.templates if templates is None else templates:
         if not template.blanks:
             continue
@@ -535,5 +557,5 @@ def admissible_actions(state, game, templates=None):
             action = GroundedAction(template, fillers)
             if _apply_verb(probe, game, action)[2]:
                 out.add(action)
-                probe = state.copy()
+                probe = base.copy()
     return out

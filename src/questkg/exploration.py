@@ -191,6 +191,11 @@ class AgentEnv:
         self._mask = None         # mask(), until the graph changes
 
     def begin(self, launch):
+        """Start an episode at a copy of the launch's state, and put the
+        backend's answers there in the launch's graph.  A copy of a settled
+        state is settled (see engine), so the observation comes from its
+        view and the episode's first step can take the engine's fast path;
+        the view keeps the digest an archive's key() computed."""
         self._feats = None
         self.state = launch.state.copy()
         if not self.state.alive:
@@ -284,10 +289,12 @@ class AgentEnv:
         """Returns (r_game, r_im, r_shaped, done, truncated).
 
         When the engine keeps the state's view the step changed nothing, so
-        a pure backend would give the answers the graph already holds: the
-        backend and the graph update are skipped and r_im is 0.  A step with
-        r_game and r_im both 0 gets r_shaped 0.0 without a kg.shaped_reward
-        call, which returns that for every config and game a trainer takes.
+        a pure backend would give the answers the graph already holds (the
+        last step or, on an episode's first step, begin put them there):
+        the backend and the graph update are skipped and r_im is 0.  A step
+        with r_game and r_im both 0 gets r_shaped 0.0 without a
+        kg.shaped_reward call, which returns that for every config and game
+        a trainer takes.
         """
         cfg = self.config
         self._feats = None
@@ -1067,20 +1074,47 @@ def vanilla_train(game, config):
 
 class CellArchive:
     """Map from (state digest, graph digest) to its cell, the first launch
-    inserted under that key, and to the episodes begun there (visits)."""
+    inserted under that key, and to the episodes begun there (visits).
+
+    Beside the cells it keeps their keys and weights (score + 1) in
+    insertion order, appended at insert, so that sample draws without
+    rebuilding them.  insert checks what Generator.choice would check of
+    the probabilities: every weight is finite and at least 1."""
 
     def __init__(self):
         self.cells = {}           # key -> Launch, insertion-ordered
         self.visits = Counter()   # key -> episodes begun at its cell
+        self._keys = []
+        self._weights = np.empty(64)
 
     def insert(self, key, cell):
-        return self.cells.setdefault(key, cell)
+        known = self.cells.get(key)
+        if known is not None:
+            return known
+        weight = cell.state.score + 1.0
+        if not 1.0 <= weight < math.inf:
+            raise ValueError(f"cell {key!r} has score {cell.state.score!r}; "
+                             f"a cell's score must be finite and "
+                             f"non-negative")
+        n = len(self._keys)
+        if n == len(self._weights):     # room for n more
+            self._weights = np.concatenate([self._weights, np.empty(n)])
+        self._weights[n] = weight
+        self._keys.append(key)
+        self.cells[key] = cell
+        return cell
 
     def sample(self, rng):
-        """Score-weighted choice, weight = score + 1, counted as a visit."""
-        keys = list(self.cells)
-        weights = np.array([self.cells[k].state.score + 1.0 for k in keys])
-        key = keys[int(rng.choice(len(keys), p=weights / weights.sum()))]
+        """Score-weighted choice, weight = score + 1, counted as a visit: the
+        pick, and the draw from rng, of rng.choice(n, p=w / w.sum()), the
+        same steps without its checks of p."""
+        keys = self._keys
+        if not keys:
+            raise ValueError("cannot sample an empty archive")
+        w = self._weights[:len(keys)]
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        key = keys[int(cdf.searchsorted(rng.random(), side="right"))]
         self.visits[key] += 1
         return self.cells[key]
 

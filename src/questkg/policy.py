@@ -510,6 +510,14 @@ def _stack(rows, width):
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
+def _blank_offs(offs, blanks, width):
+    """The (M, width) off-mask rows of M blanks, each its step's row of
+    offs: the steps' rows joined by one concatenate, then repeated by
+    blanks, the blank counts as an array."""
+    return np.concatenate(offs).reshape(len(offs), width).repeat(blanks,
+                                                                  axis=0)
+
+
 def _states(params, rollout):
     """The (N, F) matrix of the rollout's states, X."""
     return _stack(rollout.feats, params.w_value.size)
@@ -574,11 +582,12 @@ def a2c_loss_and_grads(params, rollout, targets, entropy_coef=0.01, X=None):
 
     # entity head: one row per blank, off-mask logits pinned to NEG_INF
     C = _stack(rollout.contexts, params.w_entity.shape[1])
-    off = np.repeat(rollout.offs, rollout.blanks, axis=0)
+    blanks = np.array(rollout.blanks)
+    off = _blank_offs(rollout.offs, blanks, params.w_entity.shape[0])
     logits_e = np.where(off, NEG_INF, C @ params.w_entity.T + params.b_entity)
     loss_e, d_e = _head_loss_and_dlogits(
         _log_softmax_rows(logits_e), np.array(rollout.fillers, dtype=int),
-        np.repeat(advantage, rollout.blanks), entropy_coef)
+        np.repeat(advantage, blanks), entropy_coef)
 
     # critic
     delta = target_q - (X @ params.w_value + params.b_value)

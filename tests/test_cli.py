@@ -208,6 +208,36 @@ def test_non_integer_settings_are_config_errors(field, value, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"strategy": "mc+im", "alpha": "x"}, "alpha"),
+    ({"gamma": "x"}, "gamma"),
+    ({"gamma": True}, "gamma"),
+    ({"eps": None}, "eps"),
+    ({"learning_rate": "0.01"}, "learning_rate"),
+    ({"entropy_coef": False}, "entropy_coef"),
+    ({"strategy": "mc+im", "backend": "noisy", "p_drop": None}, "p_drop"),
+    ({"p_swap": [0.1]}, "p_swap"),
+])
+def test_non_number_real_settings_are_config_errors(fields, name, tmp_path,
+                                                     capsys):
+    # alpha "x" used to fail with "'<=' not supported between instances of
+    # 'str' and 'int'", gamma "x" with "must be real number, not str", and
+    # gamma true trained with gamma = True
+    outdir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"budget": 150, "seeds": [0],
+                                    "outdir": str(outdir), **fields}))
+    code, _ = run_cli(["run", "--config", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {name} must be a " \
+                                      f"number\n"
+    assert not outdir.exists()
+    # an integer is a number
+    validate_config(RunConfig(strategy="mc+im", alpha=2, eps=1, gamma=1,
+                              learning_rate=0, entropy_coef=0, p_drop=0,
+                              p_swap=1))
+
+
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_every_strategy_runs_with_default_flags(strategy, tmp_path,
                                                  monkeypatch):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from questkg import (cli, engine, exploration, extraction, games, kg, policy,
                      search)
@@ -485,29 +487,65 @@ def test_backends_mark_only_the_oracle_pure(miniz):
     assert pure == {"oracle": True, "rule": False, "noisy": False}
 
 
-def test_untouched_steps_skip_the_backend_and_keep_the_graph(miniz):
+def untouched_step_run(game, launch):
+    """The prev_action of each observation a pure-marked oracle is asked
+    about, and the graph after each step, of an env begun at launch that
+    takes a fixed miniz walk."""
     calls = []
-    oracle = extraction.make_backend("oracle", miniz)
+    oracle = extraction.make_backend("oracle", game)
 
     def counted(state, obs):
         calls.append(obs.prev_action)
         return oracle(state, obs)
     counted.pure = True
-    env = AgentEnv(miniz, policy.StateEncoder(FAST.encoder), counted,
+    env = AgentEnv(game, policy.StateEncoder(FAST.encoder), counted,
                    kg.GlobalEdgeSet(), FAST, 0)
-    env.begin(game_start_launch(miniz))
+    env.begin(launch)
     texts = ["go up", "go south", "go up", "look", "wait", "open mailbox",
              "go east"]
     graphs = []
     for text in texts:
-        env.step(engine.ground(miniz, text))
+        env.step(engine.ground(game, text))
         graphs.append(set(env.graph.triples))
-    # the first step from a restored launch runs in full; after the move
-    # the failed "go up", look, wait and the out-of-reach mailbox change
-    # nothing
-    assert calls == ["", "go up", "go south", "go east"]
     assert graphs[1] == graphs[2] == graphs[3] == graphs[4] == graphs[5]
     assert graphs[6] != graphs[5]
+    return calls, graphs
+
+
+def test_untouched_steps_skip_the_backend_and_keep_the_graph(miniz):
+    # the game start's launch is settled, so the failed first "go up"
+    # takes the fast path; after the move the failed "go up", look, wait
+    # and the out-of-reach mailbox change nothing
+    calls, graphs = untouched_step_run(miniz, game_start_launch(miniz))
+    assert calls == ["", "go south", "go east"]
+    # the first step from a restored launch runs in full, and ends with the
+    # graph of the settled one
+    start = game_start_launch(miniz)
+    restored = Launch(engine.restore(engine.snapshot(start.state)),
+                      start.graph_triples)
+    assert restored.state.view is None
+    calls, restored_graphs = untouched_step_run(miniz, restored)
+    assert calls == ["", "go up", "go south", "go east"]
+    assert restored_graphs == graphs
+
+
+def test_a_begin_from_an_archived_cell_reuses_its_key_digest(miniz):
+    """key() hashes the state once; the cell built from it, and every env
+    begun there, carry that digest in views of their own, and an untouched
+    first step keeps it."""
+    env = make_env(miniz)
+    env.begin(game_start_launch(miniz))
+    env.step(engine.ground(miniz, "go south"))
+    key = env.key()
+    cell = exploration.launch_at(env.state, env.graph, ("go south",))
+    assert cell.state.view is not env.state.view
+    assert cell.state.view.digest == key[0]
+    other = make_env(miniz)
+    other.begin(cell)
+    view = other.state.view
+    assert view is not cell.state.view and view.digest == key[0]
+    other.step(engine.ground(miniz, "wait"))
+    assert other.state.view is view and other.key() == key
 
 
 def test_archive_sampling_is_score_weighted():
@@ -519,6 +557,40 @@ def test_archive_sampling_is_score_weighted():
     picks = [archive.sample(rng).state.score for _ in range(2000)]
     high = sum(1 for s in picks if s == 9)
     assert high / len(picks) == pytest.approx(0.9, abs=0.03)
+
+
+def score_cell(score):
+    return Launch(engine.WorldState("a", {}, {}, score=score), frozenset())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=300),
+       st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_archive_sampling_is_generator_choice(scores, seed, draws):
+    """sample picks what rng.choice(n, p=w / w.sum()) picks, and leaves
+    the generator where choice leaves it."""
+    archive = CellArchive()
+    cells = [score_cell(s) for s in scores]
+    for i, cell in enumerate(cells):
+        archive.insert(i, cell)
+    w = np.array(scores) + 1.0
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert archive.sample(ours) is cells[int(theirs.choice(
+            len(w), p=w / w.sum()))]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert sum(archive.visits.values()) == draws
+
+
+def test_archive_insert_rejects_a_negative_score():
+    archive = CellArchive()
+    archive.insert("k", score_cell(0))
+    with pytest.raises(ValueError, match="score -1"):
+        archive.insert("bad", score_cell(-1))
+    assert list(archive.cells) == ["k"] and len(archive) == 1
+    assert archive.sample(np.random.default_rng(0)) is archive.cells["k"]
+    with pytest.raises(ValueError, match="empty"):
+        CellArchive().sample(np.random.default_rng(0))
 
 
 def test_go_explore_clears_chainworld(chainworld):

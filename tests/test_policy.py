@@ -455,6 +455,53 @@ def test_a_batch_without_blanks_matches_reference_loop(miniz):
         assert_batch_matches_reference_loop(params, transitions, encoder)
 
 
+def captured_rollout(game, monkeypatch):
+    """The first rollout a2c_update takes in a short vanilla run, and the
+    params it takes them with."""
+    got = []
+    real = policy.a2c_update
+
+    def capture(params, rollout, **kwargs):
+        got.append((copy.deepcopy(params), rollout))
+        return real(params, rollout, **kwargs)
+    monkeypatch.setattr(policy, "a2c_update", capture)
+    exploration.vanilla_train(game, exploration.ExplorationConfig(
+        seed=0, total_steps=128, **{**BENCH, "alpha": 0.0}))
+    monkeypatch.undo()
+    return got[0]
+
+
+def test_blank_offs_are_np_repeat_of_the_step_rows(miniz, monkeypatch):
+    """On a captured rollout, and on its steps without a blank alone, the
+    off-mask rows a2c_loss_and_grads builds are those np.repeat gives, and
+    so are its loss and gradients, bit for bit."""
+    params, captured = captured_rollout(miniz, monkeypatch)
+    bare = Rollout()
+    for i, blanks in enumerate(captured.blanks):
+        if not blanks:
+            bare.append(captured.feats[i], captured.templates[i], (), (),
+                        captured.offs[i], captured.rewards[i], None)
+    assert len(bare) and sum(captured.blanks) > 0
+    assert len({id(off) for off in captured.offs}) < len(captured)
+    width = len(params.entities)
+    for rollout in (captured, bare):
+        want = np.repeat(rollout.offs, rollout.blanks, axis=0)
+        got = policy._blank_offs(rollout.offs, np.array(rollout.blanks),
+                                 width)
+        assert got.dtype == want.dtype and got.shape == (sum(rollout.blanks),
+                                                         width)
+        assert np.array_equal(got, want)
+        targets = prepare_targets(params, rollout)
+        loss, grads = a2c_loss_and_grads(params, rollout, targets, 0.05)
+        monkeypatch.setattr(policy, "_blank_offs", lambda offs, blanks, _: (
+            np.repeat(offs, blanks, axis=0)))
+        assert a2c_loss_and_grads(params, rollout, targets, 0.05)[0] == loss
+        for name, g in a2c_loss_and_grads(params, rollout, targets,
+                                          0.05)[1].items():
+            assert g.tobytes() == grads[name].tobytes()
+        monkeypatch.undo()
+
+
 def test_a_batch_without_live_steps_matches_reference_loop(miniz):
     """Every step ends its episode, so no next features are stacked."""
     rng = np.random.default_rng(21)

@@ -678,8 +678,9 @@ text Something in the pit eats you.
 
 
 def test_a_start_state_that_satisfies_a_death_rule_dies_on_its_first_step():
-    """reset and restore leave states unsettled: the death loop runs on
-    their first step even when the action touches nothing."""
+    """reset leaves a start state where a death rule holds unsettled, as
+    restore leaves every state: the death loop runs on its first step even
+    when the action touches nothing."""
     game = load_game(PITFALL)
     wait = engine.ground(game, "wait")
     state = engine.reset(game)[0]
@@ -693,6 +694,86 @@ def test_a_start_state_that_satisfies_a_death_rule_dies_on_its_first_step():
     env.begin(game_start_launch(game))
     assert env.step(wait)[3]
     assert env.needs_reset and not env.state.alive
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_reset_settles_a_start_state_where_no_death_rule_holds(name):
+    game = GAMES[name]
+    state, obs, _ = engine.reset(game)
+    view = state.view
+    assert view is not None and view.digest is None
+    assert (view.desc, view.inv) == (engine.render_look(state, game),
+                                     engine.render_inventory(state, game))
+    assert obs == engine.observe(fresh(state), game)
+    assert engine.reset(load_game(PITFALL))[0].view is None
+
+
+def assert_settled_copy(state, game):
+    """A copy of a settled state is settled, with a View of its own that
+    equals the state's, and its untouched steps return what the full step
+    from a fresh copy returns."""
+    copy = state.copy()
+    assert copy.view is not state.view
+    assert (copy.view.desc, copy.view.inv, copy.view.digest) == (
+        state.view.desc, state.view.inv, state.view.digest)
+    for action in engine.enumerate_grounded(game, game.entities)[1]:
+        if engine._apply_verb(fresh(state), game, action)[2]:
+            continue
+        probe = state.copy()
+        view = probe.view
+        got = engine.step_movement(probe, action, game)
+        assert probe.view is view
+        full = fresh(state)
+        assert got[1:] == engine.step_movement(full, action, game)[1:]
+        assert engine.state_hash(probe) == engine.state_hash(full)
+
+
+@PROPERTY
+@given(walks(max_len=12))
+def test_a_copy_of_a_settled_state_is_settled(walk):
+    game, texts = walk
+    state = engine.reset(game)[0]
+    assert_settled_copy(state, game)
+    for text in alive_prefix(game, texts):
+        engine.step_movement(state, engine.ground(game, text), game)
+        if not state.alive:
+            break
+        if len(state.fired_events) % 2:     # a digest, or none, to copy
+            engine.state_hash(state)
+        assert_settled_copy(state, game)
+
+
+@PROPERTY
+@given(walks())
+def test_admissible_actions_keep_the_view_and_probe_without_one(walk):
+    """admissible_actions leaves the state's view, its text and digest,
+    and its state_hash those of a fresh copy, and hands _apply_verb only
+    probes without a view."""
+    game, texts = walk
+    state = engine.reset(game)[0]
+    for text in alive_prefix(game, texts):
+        engine.step_movement(state, engine.ground(game, text), game)
+    if not state.alive:
+        return
+    engine.state_hash(state)
+    view = state.view
+    probes = []
+    real = engine._apply_verb
+
+    def recorded(probe, *args):
+        probes.append(probe.view)
+        return real(probe, *args)
+    engine._apply_verb = recorded
+    try:
+        engine.admissible_actions(state, game)
+    finally:
+        engine._apply_verb = real
+    assert all(v is None for v in probes)
+    copy = fresh(state)
+    assert state.view is view
+    assert (view.desc, view.inv) == (engine.render_look(copy, game),
+                                     engine.render_inventory(copy, game))
+    assert view.digest == engine.state_hash(state) == engine.state_hash(copy)
 
 
 @PROPERTY
