@@ -67,6 +67,9 @@ class RunConfig:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file must hold a JSON object, got "
+                              f"{type(doc).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -116,12 +119,13 @@ def validate_config(config):
         raise ConfigError("strategy 'mc+im' requires alpha > 0")
     if config.budget < 0:
         raise ConfigError("budget must be non-negative")
-    try:    # the sizes', alpha's and eps's rules are ExplorationConfig's
-        _exploration_config(config, 0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if not config.seeds:
         raise ConfigError("at least one seed is required")
+    try:    # seeds, sizes, alpha and eps follow ExplorationConfig's rules
+        for seed in config.seeds:
+            _exploration_config(config, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 
@@ -321,7 +325,11 @@ def _build_run_config(args):
         if value is None:
             continue
         if f.name == "seeds":
-            value = tuple(int(s) for s in value.split(","))
+            try:
+                value = tuple(int(s) for s in value.split(","))
+            except ValueError:
+                raise ConfigError(f"seeds must be comma-separated integers, "
+                                  f"got {value!r}") from None
         overrides[f.name] = value
     return validate_config(replace(config, **overrides))
 
@@ -355,11 +363,14 @@ def main(argv=None, out=sys.stdout):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            try:
-                config = _build_run_config(args)
-            except (ConfigError, TypeError, ValueError, OSError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
+            config = _build_run_config(args)
+        elif args.command == "emit-dataset" and args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    except (ConfigError, TypeError, ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        if args.command == "run":
             run_experiment(config, out=out)
         elif args.command == "analyze":
             analyze_game(args.game, out=out)

@@ -24,7 +24,25 @@ which replaces the view.  Any write to a WorldState outside step_movement
 must drop its view (set it to None), as the probes of admissible_actions
 start without one; the one write outside the engine, loop removal's
 renumbering of the turn counter of its own walk, changes nothing a view or
-digest reads.  Launches hold copies that nothing writes.
+digest reads.  Launches hold copies that nothing writes but the digest
+cache of their view.
+
+A touched step from a settled state whose view holds its digest takes the
+memo path when the caller passes a memo: the outcome of the full step (the
+events it fires, its reward and death, the successor's look, inventory
+text and digest, and the feedback) is stored under (digest, action) on a
+miss and applied on a hit to the state _apply_verb has moved, skipping
+both renders, both loops and the successor's state_hash.  This is exact
+because that outcome is a function of the state's contents and the
+action, and the digest covers every content a condition, a render or
+_apply_verb reads (room, object places, set flags, fired events, score
+and alive; a flag set to False reads as an unset one) and leaves out only
+the turn counter, which none of them reads.  _apply_verb still runs on
+every step, so a hit writes the flags and places its verb writes.  The
+key is the GroundedAction (template words and fillers), not its text, so
+templates that read alike never share an entry.  Unsettled states and
+settled ones whose digest nobody asked for step in full and store
+nothing, and an untouched step makes no lookup.
 
 Feedback None from _apply_verb means the room description: look and go
 (a move or a self-loop exit) leave the rendering to step_movement, which
@@ -368,7 +386,9 @@ def _apply_verb(state, game, action):
     if verb == "look" and len(words) == 1:
         return None, None, False
     if verb == "inventory" and len(words) == 1:
-        return render_inventory(state, game), None, False
+        view = state.view       # a probe of admissible_actions has none
+        return (view.inv if view is not None
+                else render_inventory(state, game)), None, False
     if verb == "wait" and len(words) == 1:
         return "Time passes.", None, False
 
@@ -457,12 +477,20 @@ def _apply_verb(state, game, action):
     return "Nothing happens.", None, False
 
 
-def step_movement(state, action, game):
+def step_movement(state, action, game, memo=None):
     """Advance one turn.  Returns (state, observation, step_reward, done,
     movement), movement (from, direction, to) or None when the room did not
     change.  The state is mutated in place; stepping a dead or terminal
     state is a contract violation.  The one step implementation, with the
-    fast path for untouched steps from settled states (module docstring).
+    fast path for untouched steps from settled states and the memo path
+    for touched ones (module docstring).
+
+    memo is a dict that the caller keeps for one game, or None.  A touched
+    step from a settled state whose view holds its digest looks up
+    (digest, action) there: a hit applies the stored outcome (the events
+    fired, the reward, the death, the successor's look, inventory text and
+    digest, and the feedback) to the state _apply_verb has moved; a miss
+    runs the full step, hashes the successor and stores its outcome.
     """
     if not state.alive:
         raise RuntimeError("cannot step a dead/terminal state")
@@ -470,22 +498,37 @@ def step_movement(state, action, game):
     feedback, movement, touched = _apply_verb(state, game, action)
     state.turn += 1
     view = state.view
-    if view is not None and not touched:
-        if feedback is None:
-            feedback = view.desc
-        return (state, Observation(view.desc, feedback, view.inv, action.text),
-                0, False, None)
+    key = None
+    if view is not None:
+        if not touched:
+            if feedback is None:
+                feedback = view.desc
+            return (state, Observation(view.desc, feedback, view.inv,
+                                       action.text), 0, False, None)
+        if memo is not None and view.digest is not None:
+            key = (view.digest, action)
+            outcome = memo.get(key)
+            if outcome is not None:
+                fired, reward, done, desc, inv, feedback, digest = outcome
+                state.fired_events.update(fired)
+                state.score += reward
+                state.alive = not done
+                state.view = View(desc, inv, digest)
+                return (state, Observation(desc, feedback, inv, action.text),
+                        reward, done, movement)
 
     # events and deaths change nothing render_look reads
     desc = render_look(state, game)
     if feedback is None:
         feedback = desc
     reward = 0
+    fired = []
     for event in game.events:
         if event.id in state.fired_events:
             continue
         if event.condition.holds(state):
             state.fired_events.add(event.id)
+            fired.append(event.id)
             reward += event.points
     if reward:
         state.score += reward
@@ -500,6 +543,9 @@ def step_movement(state, action, game):
             break
 
     view = state.view = View(desc, render_inventory(state, game))
+    if key is not None:
+        memo[key] = (tuple(fired), reward, done, desc, view.inv, feedback,
+                     state_hash(state))
     return (state, Observation(desc, feedback, view.inv, action.text),
             reward, done, movement)
 

@@ -61,6 +61,8 @@ class ExplorationConfig:
     encoder: policy.EncoderConfig = field(default_factory=policy.EncoderConfig)
 
     def __post_init__(self):
+        if self.seed < 0:       # numpy's generators take none
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("batch_size", "horizon", "patience", "buffer_size"):
             value = getattr(self, name)
             if (value is not None or name != "patience") and value < 1:
@@ -120,9 +122,10 @@ class TrajectoryHasher:
 
 @dataclass(frozen=True, eq=False)
 class Launch:
-    """Episode start point: a private world state that nothing writes, the
-    agent's graph there and the actions from game reset that reach it (none
-    for a chain module's launch).  Equal to itself alone, hashed by id."""
+    """Episode start point: a private world state that nothing writes but
+    the digest cache of its view (engine.state_hash), the agent's graph
+    there and the actions from game reset that reach it (none for a chain
+    module's launch).  Equal to itself alone, hashed by id."""
     state: engine.WorldState
     graph_triples: frozenset
     actions: tuple[str, ...] = ()
@@ -133,28 +136,36 @@ def game_start_launch(game):
 
 
 def launch_at(state, graph, actions=()):
-    """The Launch at state with graph, reached by actions."""
-    return Launch(state.copy(), frozenset(graph.triples), tuple(actions))
+    """The Launch at state with graph, reached by actions.  Its private
+    copy is hashed once, so a settled one's view holds the digest and so
+    does every copy begin makes (the key of a step memo lookup)."""
+    state = state.copy()
+    engine.state_hash(state)
+    return Launch(state, frozenset(graph.triples), tuple(actions))
 
 
 class RunMemo:
-    """What the envs of one training call build from a pure backend's
-    answers, shared by them all: each map's value is a function of its key
-    alone.
+    """What the envs of one training call with a pure backend build from
+    its answers and the engine's steps, shared by them all: each map's
+    value is a function of its key alone.
 
     begins: launch -> (graph, tracker, mask, obs) as the first begin from
         that launch built them.
     answers: state_hash -> kg.answer_triples of the backend's answers there.
     masks: kg_hash -> the entity mask of a graph with those triples.
+    steps: (state_hash, GroundedAction) -> the outcome of a touched engine
+        step from a settled state with that digest (engine.step_movement's
+        memo).
 
     The arrays it hands out (mask and graph summary) are read-only."""
 
-    __slots__ = ("begins", "answers", "masks")
+    __slots__ = ("begins", "answers", "masks", "steps")
 
     def __init__(self):
         self.begins = {}
         self.answers = {}
         self.masks = {}
+        self.steps = {}
 
 
 class AgentEnv:
@@ -162,11 +173,12 @@ class AgentEnv:
 
     A RunMemo, which its trainer gives it only with a pure backend, lets
     begin() copy what an earlier begin from the same launch object built,
-    and step() and mask() reuse the answers of a state and the mask of a
-    graph that any env sharing the memo computed: copying a launch's state,
-    asking a pure backend and masking a graph give the same bits every
-    time, and the global edge set already holds the triples the first
-    begin absorbed.  Without a memo every begin asks the backend.
+    and step() and mask() reuse the outcome of a touched engine step, the
+    answers of a state and the mask of a graph that any env sharing the
+    memo computed: copying a launch's state, stepping the engine, asking a
+    pure backend and masking a graph give the same bits every time, and
+    the global edge set already holds the triples the first begin
+    absorbed.  Without a memo every begin asks the backend.
     """
 
     def __init__(self, game, encoder, backend, global_edges, config, index,
@@ -194,8 +206,8 @@ class AgentEnv:
         """Start an episode at a copy of the launch's state, and put the
         backend's answers there in the launch's graph.  A copy of a settled
         state is settled (see engine), so the observation comes from its
-        view and the episode's first step can take the engine's fast path;
-        the view keeps the digest an archive's key() computed."""
+        view and the episode's first step can take the engine's fast path
+        or its memo path: the view keeps the digest launch_at computed."""
         self._feats = None
         self.state = launch.state.copy()
         if not self.state.alive:
@@ -299,8 +311,10 @@ class AgentEnv:
         cfg = self.config
         self._feats = None
         view = self.state.view
+        memo = self.memo
         self.state, self.obs, r_game, done, movement = engine.step_movement(
-            self.state, action, self.game)
+            self.state, action, self.game,
+            None if memo is None else memo.steps)
         if self.pure and view is not None and self.state.view is view:
             r_im = 0
         else:

@@ -124,6 +124,58 @@ def test_negative_alpha_or_eps_is_a_config_error(flags, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("seeds", ["-1", "0,-2"])
+def test_a_negative_seed_is_a_config_error(seeds, tmp_path, capsys):
+    # -1 used to write config.json, then exit 1 with numpy's "expected
+    # non-negative integer"
+    outdir = tmp_path / "out"
+    code, _ = run_cli(["run", "--strategy", "vanilla", "--seeds", seeds,
+                       "--budget", "50", "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: seed must be non-negative, got -")
+    assert not outdir.exists()
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        exploration.ExplorationConfig(seed=-1)
+
+
+def test_emit_dataset_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "data.qa"
+    code, _ = run_cli(["emit-dataset", "miniz", "--seed", "-1",
+                       "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_a_seed_list_that_is_not_integers_names_the_seeds(tmp_path,
+                                                          capsys):
+    # it used to report "invalid literal for int() with base 10: ''"
+    outdir = tmp_path / "out"
+    code, _ = run_cli(["run", "--seeds", "0,,1", "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: seeds must be " \
+        "comma-separated integers, got '0,,1'\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("doc, kind", [([1, 2], "list"), ("x", "str"),
+                                       (3, "int"), (None, "NoneType")])
+def test_a_config_file_that_is_not_an_object_is_rejected(doc, kind,
+                                                         tmp_path, capsys):
+    # [1, 2] used to report "unknown config field 1", and "x" "unknown
+    # config field 'x'"
+    message = f"config file must hold a JSON object, got {kind}"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_json(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code, _ = run_cli(["run", "--config", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--strategy", "vanilla", "--batch-size", "0"],
     ["--strategy", "mc+im", "--batch-size", "0"],

@@ -284,6 +284,28 @@ def test_a_step_renders_the_look_at_most_once(miniz, monkeypatch):
     assert moves > 0
 
 
+def test_inventory_from_a_settled_state_reads_its_view(miniz, monkeypatch):
+    """The inventory verb answers with a settled state's cached inventory
+    text and renders it only for a state without a view."""
+    state = play(miniz, ["go west", "go up", "take egg"])[0]
+    assert state.view is not None
+    text = engine.render_inventory(state, miniz)
+    assert "egg" in text
+    renders = []
+    real = engine.render_inventory
+
+    def counted(state, game):
+        renders.append(state.current_room)
+        return real(state, game)
+    monkeypatch.setattr(engine, "render_inventory", counted)
+    inventory = ground(miniz, "inventory")
+    obs = step_movement(state, inventory, miniz)[1]
+    assert renders == [] and obs.feedback == obs.inv == text
+    unsettled = restore(snapshot(state))
+    assert step_movement(unsettled, inventory, miniz)[1].feedback == text
+    assert renders
+
+
 def test_container_hides_contents_until_opened(miniz):
     state, _, _ = reset(miniz)
     assert "leaflet" not in engine.visible_objects(state, miniz)

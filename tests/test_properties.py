@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from questkg.gamedef import (GameDef, GameParseError, GameValidationError,
 from questkg.exploration import (AgentEnv, ExplorationConfig,
                                  build_state_buffer, game_start_launch,
                                  launch_at, mc_train, shorten_trajectory)
-from test_engine import brute_force_admissible
+from test_engine import BRIDGE, DOOR, TOOLS, brute_force_admissible
 from test_exploration import (BENCH, MC_PINS,
                               assert_reached_by_its_actions)
 
@@ -42,10 +43,11 @@ ENCODER = policy.StateEncoder(ExplorationConfig().encoder)
 
 
 @st.composite
-def walks(draw, max_len=40, names=tuple(sorted(GAMES))):
-    """(game, action texts) from reset, on one of the named games."""
+def walks(draw, max_len=40, names=tuple(sorted(GAMES)), pool=GAMES):
+    """(game, action texts) from reset, on one of the named games of
+    pool."""
     name = draw(st.sampled_from(names))
-    game = GAMES[name]
+    game = pool[name]
     state = engine.reset(game)[0]
     texts = list(draw(st.sampled_from(LEADS.get(name, ((),)))))
     for text in texts:
@@ -527,13 +529,48 @@ def test_a_memo_that_hits_on_any_launch_moves_a_pinned_mc_hash(monkeypatch):
         MC_PINS[3]["trajectory_hash"]
 
 
-@pytest.mark.parametrize("name", ["answers", "masks"])
+@pytest.mark.parametrize("name", ["answers", "masks", "steps"])
 def test_a_memo_map_with_one_key_moves_a_pinned_mc_hash(monkeypatch, name):
-    """Mutation check: the answers and masks maps' keys matter.  Keyed by a
-    constant, every full step puts the first state's answers in the graph,
-    or every env acts on the first graph's mask."""
+    """Mutation check: the answers, masks and steps maps' keys matter.
+    Keyed by a constant, every full step puts the first state's answers in
+    the graph, every env acts on the first graph's mask, or every touched
+    step takes the first touched step's outcome."""
     assert mc_hash_with_one_key(monkeypatch, name) != \
         MC_PINS[3]["trajectory_hash"]
+
+
+def test_a_training_call_renders_each_touched_transition_once(
+        monkeypatch):
+    """Over the steps of a training call's envs (those that share its
+    RunMemo; the replay walks keep none), engine.render_look runs at most
+    once per distinct (digest, action) of a touched step."""
+    renders = []
+    real_render = engine.render_look
+
+    def counted(state, game):
+        renders.append(state.current_room)
+        return real_render(state, game)
+    monkeypatch.setattr(engine, "render_look", counted)
+    rendered = Counter()
+    real_step = AgentEnv.step
+
+    def step(env, action):
+        before = len(renders)
+        digest = engine.state_hash(fresh(env.state))
+        out = real_step(env, action)
+        if env.memo is not None:
+            rendered[digest, action] += len(renders) - before
+        return out
+    monkeypatch.setattr(AgentEnv, "step", step)
+    config = ExplorationConfig(seed=1, total_steps=3000,
+                               **{**BENCH, "alpha": 2.0})
+    for train in (lambda: mc_train(GAMES["miniz"], config),
+                  lambda: exploration.vanilla_train(
+                      GAMES["miniz"], replace(config, alpha=0.0)),
+                  lambda: exploration.go_train(GAMES["deceive"], config)):
+        rendered.clear()
+        train()
+        assert max(rendered.values()) == 1
 
 
 def truncate_at_peak(game, launch, action_texts):
@@ -917,6 +954,127 @@ def test_every_searched_state_sees_and_looks_as_the_reference(name):
                     probe, action, game)
                 assert obs.desc == engine.render_look(after, game)
                 assert obs.feedback == look_text(after, game, reward, done)
+
+
+# the bundled games and test_engine's, whose rules go beyond them
+MEMO_GAMES = {**GAMES, **{game.name: game for game in map(
+    load_game, (TOOLS, DOOR, BRIDGE))}}
+
+
+def contents(state):
+    """Everything a WorldState holds, its view's text and digest included."""
+    view = state.view
+    return (state.current_room, dict(state.object_locations),
+            dict(state.flags), state.score, state.turn, state.alive,
+            set(state.fired_events), view.desc, view.inv, view.digest)
+
+
+def memo_walk(game, texts, memo):
+    """(contents after, step_movement's result but the state) for each step
+    of the alive prefix of a walk from reset, stepped with memo; every
+    state is hashed, as _Trainer.act_and_step's key() hashes it."""
+    state = engine.reset(game)[0]
+    engine.state_hash(state)
+    for text in alive_prefix(game, texts):
+        result = engine.step_movement(state, engine.ground(game, text), game,
+                                      memo)
+        engine.state_hash(state)
+        yield contents(state), result[1:]
+
+
+def assert_a_filled_memo_changes_no_step(game, filler, texts):
+    """Stepping texts with a memo that stepping filler filled first gives
+    what stepping them without one gives."""
+    memo = {}
+    for _ in memo_walk(game, filler, memo):
+        pass
+    assert list(memo_walk(game, texts, memo)) == \
+        list(memo_walk(game, texts, None))
+
+
+@st.composite
+def walk_pairs(draw):
+    """(game, filler texts, texts): two walks on one game of MEMO_GAMES."""
+    name = draw(st.sampled_from(sorted(MEMO_GAMES)))
+    game, filler = draw(walks(names=(name,), pool=MEMO_GAMES))
+    return game, filler, draw(walks(names=(name,), pool=MEMO_GAMES))[1]
+
+
+@PROPERTY
+@given(walk_pairs())
+def test_a_step_memo_that_another_walk_filled_changes_no_step(pair):
+    assert_a_filled_memo_changes_no_step(*pair)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_GAMES))
+def test_a_step_memo_replays_a_walkthrough_without_rendering(name,
+                                                             monkeypatch):
+    """Once the walkthrough has filled a memo, every touched step of the
+    walkthrough is a hit: it renders nothing, fires the events the full
+    step fires and scores the maximum."""
+    game = MEMO_GAMES[name]
+    texts = [a.text for a in search.walkthrough(game)[0]]
+    assert_a_filled_memo_changes_no_step(game, texts, texts)
+    memo = {}
+    for _ in memo_walk(game, texts, memo):
+        pass
+    state = engine.reset(game)[0]
+    engine.state_hash(state)
+    renders = []
+    real = engine.render_look
+
+    def counted(state, game):
+        renders.append(state.current_room)
+        return real(state, game)
+    monkeypatch.setattr(engine, "render_look", counted)
+    for text in texts:
+        engine.step_movement(state, engine.ground(game, text), game, memo)
+        engine.state_hash(state)
+    assert renders == []
+    assert state.score == game.max_score
+    assert state.fired_events == {e.id for e in game.events}
+
+
+class LookupLog(dict):
+    """A step memo that records the keys it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = []
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+
+@PROPERTY
+@given(walks(names=tuple(sorted(MEMO_GAMES)), pool=MEMO_GAMES), st.data())
+def test_the_step_memo_serves_touched_steps_from_hashed_settled_states(
+        walk, data):
+    """step_movement looks up and stores (digest, action) for a touched
+    step from a settled state whose view holds its digest, and for no
+    other step: not from an unsettled state, nor from a settled one whose
+    digest nobody asked for, nor on an untouched step."""
+    game, texts = walk
+    memo = LookupLog()
+    state = engine.reset(game)[0]
+    for text in alive_prefix(game, texts):
+        action = engine.ground(game, text)
+        touched = engine._apply_verb(fresh(state), game, action)[2]
+        digest = engine.state_hash(fresh(state))
+        kind = data.draw(st.sampled_from(("hashed", "settled", "unsettled")))
+        if kind == "hashed":
+            engine.state_hash(state)
+        elif kind == "settled":
+            state.view.digest = None
+        else:
+            state.view = None
+        memo.lookups.clear()
+        keys = set(memo)
+        engine.step_movement(state, action, game, memo)
+        served = [(digest, action)] if touched and kind == "hashed" else []
+        assert memo.lookups == served
+        assert set(memo) == keys | set(served)
 
 
 # tokens a mutation may put in place of a word of a game file
