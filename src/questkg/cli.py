@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import statistics
 import sys
@@ -31,7 +30,6 @@ STRATEGIES = ("vanilla", "mc", "mc+im", "go")
 # alpha when the config leaves it unset: intrinsic motivation is what mc+im
 # and go add, and vanilla and mc reject it
 DEFAULT_ALPHA = {"vanilla": 0.0, "mc": 0.0, "mc+im": 1.0, "go": 1.0}
-BACKENDS = ("oracle", "rule", "noisy")
 
 
 class ConfigError(ValueError):
@@ -39,24 +37,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(exploration.TrainingSettings):
     """Everything a `run` needs; round-trips through its JSON file form."""
     game: str = "miniz"              # bundled name or path to a .game file
     strategy: str = "mc+im"          # vanilla | mc | mc+im | go
-    backend: str = "oracle"          # oracle | rule | noisy
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     budget: int = 100_000            # total env steps per seed
-    batch_size: int = 16
-    horizon: int = 50
-    patience: int = 3000
-    buffer_size: int = 40
     alpha: float | None = None       # None: DEFAULT_ALPHA[strategy]
-    eps: float = 1.0
-    gamma: float = 0.9
-    learning_rate: float = 0.05
-    entropy_coef: float = 0.01
-    p_drop: float = 0.1
-    p_swap: float = 0.05
     outdir: str = ""                 # empty: <output root>/<strategy>-<game>
 
     def to_json(self):
@@ -80,36 +67,26 @@ class RunConfig:
 
 
 def validate_config(config):
-    """Check a RunConfig; returns it with an unset alpha filled in."""
+    """Check a RunConfig's own rules, then build every seed's
+    ExplorationConfig; returns the config with an unset alpha filled in."""
     if config.strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, "
                           f"got {config.strategy!r}")
     if config.alpha is None:
         config = replace(config, alpha=DEFAULT_ALPHA[config.strategy])
-    for name in ("budget", "batch_size", "horizon", "patience",
-                 "buffer_size"):
-        if type(getattr(config, name)) is not int:      # a bool is not one
-            raise ConfigError(f"{name} must be an integer")
-    if any(type(seed) is not int for seed in config.seeds):
-        raise ConfigError("every seed must be an integer")
-    for name in ("alpha", "eps", "gamma", "learning_rate", "entropy_coef",
-                 "p_drop", "p_swap"):
-        if type(getattr(config, name)) not in (int, float):  # nor a bool
-            raise ConfigError(f"{name} must be a number")
-    for name in ("gamma", "learning_rate", "entropy_coef", "p_drop",
-                 "p_swap"):
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigError(f"{name} must be finite")
-    if min(config.learning_rate, config.entropy_coef) < 0:
-        raise ConfigError("learning_rate and entropy_coef must be "
-                          "non-negative")
-    if not 0 <= config.gamma <= 1:
-        raise ConfigError("gamma must lie in [0, 1]")
-    if not (0 <= config.p_drop <= 1 and 0 <= config.p_swap <= 1):
-        raise ConfigError("p_drop and p_swap must lie in [0, 1]")
-    if config.backend not in BACKENDS:
-        raise ConfigError(f"backend must be one of {BACKENDS}, "
-                          f"got {config.backend!r}")
+    if type(config.budget) is not int:      # a bool is not one
+        raise ConfigError("budget must be an integer")
+    if config.budget < 0:
+        raise ConfigError("budget must be non-negative")
+    if config.patience is None:     # "off" has no --patience flag value
+        raise ConfigError("patience must be an integer")
+    if not config.seeds:
+        raise ConfigError("at least one seed is required")
+    try:
+        for seed in config.seeds:
+            _exploration_config(config, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.strategy == "vanilla" and config.alpha > 0:
         raise ConfigError("alpha > 0 with strategy 'vanilla': intrinsic "
                           "motivation requires mc, mc+im, or go")
@@ -117,28 +94,14 @@ def validate_config(config):
         raise ConfigError("alpha > 0 with strategy 'mc': use mc+im")
     if config.strategy == "mc+im" and config.alpha <= 0:
         raise ConfigError("strategy 'mc+im' requires alpha > 0")
-    if config.budget < 0:
-        raise ConfigError("budget must be non-negative")
-    if not config.seeds:
-        raise ConfigError("at least one seed is required")
-    try:    # seeds, sizes, alpha and eps follow ExplorationConfig's rules
-        for seed in config.seeds:
-            _exploration_config(config, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return config
-
-
-# RunConfig fields that ExplorationConfig takes under the same name
-SHARED_FIELDS = tuple(
-    f.name for f in fields(exploration.ExplorationConfig)
-    if f.name in {g.name for g in fields(RunConfig)})
 
 
 def _exploration_config(config, seed):
     return exploration.ExplorationConfig(
         seed=seed, total_steps=config.budget,
-        **{name: getattr(config, name) for name in SHARED_FIELDS})
+        **{f.name: getattr(config, f.name)
+           for f in fields(exploration.TrainingSettings)})
 
 
 def _episodes_csv(log):

@@ -42,9 +42,9 @@ STUCK_FRACTION = 0.75   # share of the batch that must stagnate to backtrack
 
 
 @dataclass(frozen=True)
-class ExplorationConfig:
-    seed: int = 0
-    total_steps: int = 100_000       # summed over the instance batch
+class TrainingSettings:
+    """The settings a training call shares with `questkg run`'s config."""
+    backend: str = "oracle"          # one of extraction.BACKENDS
     batch_size: int = 16
     horizon: int = 50                # per-episode turn limit
     patience: int | None = 3000      # per-instance stagnant steps; None = off
@@ -54,25 +54,44 @@ class ExplorationConfig:
     gamma: float = 0.9
     learning_rate: float = 0.05
     entropy_coef: float = 0.01
-    backend: str = "oracle"
     p_drop: float = 0.1
     p_swap: float = 0.05
+
+
+@dataclass(frozen=True)
+class ExplorationConfig(TrainingSettings):
+    """A training call's settings; each field's rules are checked here."""
+    seed: int = 0
+    total_steps: int = 100_000       # summed over the instance batch
     stop_at_max: bool = True
     encoder: policy.EncoderConfig = field(default_factory=policy.EncoderConfig)
 
     def __post_init__(self):
-        if self.seed < 0:       # numpy's generators take none
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        for name in ("batch_size", "horizon", "patience", "buffer_size"):
+        sizes = ("batch_size", "horizon", "patience", "buffer_size")
+        for name in ("seed", "total_steps", *sizes):
             value = getattr(self, name)
-            if (value is not None or name != "patience") and value < 1:
+            if value is None and name == "patience":
+                continue
+            if type(value) is not int:      # a bool is not one
+                raise ValueError(f"{name} must be an integer")
+            if value < 1 and name in sizes:
                 raise ValueError(f"{name} must be at least 1")
-        # with these, a step without reward has shaped reward 0.0 exactly
-        for name in ("alpha", "eps"):
+            if value < 0:       # numpy's generators take no negative seed
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        # for alpha and eps, this makes a rewardless step's shaped reward 0.0
+        for name in ("alpha", "eps", "gamma", "learning_rate",
+                     "entropy_coef", "p_drop", "p_swap"):
             value = getattr(self, name)
+            if type(value) not in (int, float):     # nor a bool
+                raise ValueError(f"{name} must be a number")
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, "
                                  f"got {value!r}")
+            if name in ("gamma", "p_drop", "p_swap") and value > 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if self.backend not in extraction.BACKENDS:
+            raise ValueError(f"backend must be one of {extraction.BACKENDS}, "
+                             f"got {self.backend!r}")
 
 
 @dataclass
@@ -345,7 +364,9 @@ _REPLAY_CONFIG = ExplorationConfig(alpha=0.0, horizon=10**9)
 def _replay_env(game, encoder):
     """An oracle AgentEnv that never truncates and pays no intrinsic
     reward, for walking recorded actions.  It keeps no RunMemo: no walk
-    begins twice from one launch, and its lookups would miss."""
+    begins twice from one launch, so a fresh memo per walk would miss;
+    sharing the training call's step memo with the walks is an open perf
+    item."""
     return AgentEnv(game, encoder, extraction.make_backend("oracle", game),
                     kg.GlobalEdgeSet(), _REPLAY_CONFIG, 0)
 
@@ -969,12 +990,13 @@ def mc_train(game, config):
         """Detour splicing for a backtrack entry.
 
         When an episode launched from the entry returns to the entry's room
-        with a score gain or globally new triples, graft the detour into the
-        best trajectory (prefix + detour + old suffix) and adopt it if the
-        end of its loop-removal walk has a higher score, or an equal score
-        with strictly more items or flags.  This is how missed latent
-        dependencies (the egg, the lamp) get inserted without ever beating
-        the raw high score directly from an old entry.
+        with more score than the entry, or strictly more items or flags,
+        graft the detour into the best trajectory (prefix + detour + old
+        suffix) and adopt it if the end of its loop-removal walk has a
+        higher score, or an equal score with strictly more items or flags.
+        This is how missed latent dependencies (the egg, the lamp) get
+        inserted without ever beating the raw high score directly from an
+        old entry.
         """
         suffix = tuple(best_actions[len(entry.actions):])
         entry_room = entry.state.current_room

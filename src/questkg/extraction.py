@@ -183,6 +183,9 @@ def noisy_answer(answers, p_drop, p_swap, rng, vocabulary):
     )
 
 
+BACKENDS = ("oracle", "rule", "noisy")
+
+
 def make_backend(name, game, seed=0, p_drop=0.1, p_swap=0.05):
     """Answer backend factory: (state, obs) -> AnswerSet.
 

@@ -608,18 +608,20 @@ def a2c_loss_and_grads(params, rollout, targets, entropy_coef=0.01, X=None):
 def a2c_update(params, rollout, learning_rate=0.01, entropy_coef=0.01):
     """One semi-gradient A2C step over a Rollout (in place).
 
-    Raises on non-finite gradients, leaving params untouched.
+    Raises on a non-finite updated array, which a non-finite gradient
+    always makes, leaving params untouched.
     """
     if not rollout:
         raise ValueError("empty trajectory")
     X = _states(params, rollout)     # stacked once for both
     loss, grads = a2c_loss_and_grads(
         params, rollout, prepare_targets(params, rollout, X), entropy_coef, X)
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in {name}")
     scale = learning_rate / len(rollout)
+    updated = {}
     for name, g in grads.items():
-        arr = getattr(params, name)
-        arr -= scale * g
+        updated[name] = getattr(params, name) - scale * g
+        if not np.isfinite(updated[name]).all():
+            raise FloatingPointError(f"non-finite update of {name}")
+    for name, arr in updated.items():
+        getattr(params, name)[...] = arr
     return loss

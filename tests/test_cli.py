@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -245,6 +246,7 @@ def test_out_of_range_learner_settings_are_config_errors(overrides,
     ("horizon", True),
     ("seeds", [True]),
     ("seeds", [0, 1.5]),
+    ("patience", None),
 ])
 def test_non_integer_settings_are_config_errors(field, value, tmp_path):
     # batch_size 2.5 used to fail mid-run after writing
@@ -288,6 +290,92 @@ def test_non_number_real_settings_are_config_errors(fields, name, tmp_path,
     validate_config(RunConfig(strategy="mc+im", alpha=2, eps=1, gamma=1,
                               learning_rate=0, entropy_coef=0, p_drop=0,
                               p_swap=1))
+
+
+def run_fields(field, value):
+    """The RunConfig fields that carry an ExplorationConfig field's value."""
+    return {"seed": {"seeds": (value,)},
+            "total_steps": {"budget": value}}.get(field, {field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", 5.0), ("learning_rate", -1.0), ("learning_rate", float("inf")),
+    ("entropy_coef", float("nan")), ("batch_size", True), ("horizon", 2.5),
+    ("seed", 1.5), ("total_steps", -5), ("backend", "bogus"),
+    ("p_drop", 2.0)])
+def test_both_entry_points_reject_the_same_values(field, value, tmp_path,
+                                                   capsys):
+    # ExplorationConfig used to take each of these: an inf learning rate
+    # ended mid-run in a bare KeyError, a NaN entropy_coef in
+    # FloatingPointError after the first update, and gamma 5.0, learning
+    # rate -1.0, batch size True and horizon 2.5 trained
+    with pytest.raises(ValueError, match=f"^{field} ") as direct:
+        exploration.ExplorationConfig(**{field: value})
+    through = run_fields(field, value)
+    with pytest.raises(ConfigError) as through_run:
+        validate_config(RunConfig(**through))
+    if field == "total_steps":      # the run calls it budget
+        assert str(through_run.value) == "budget must be non-negative"
+    else:
+        assert str(through_run.value) == str(direct.value)
+    outdir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"budget": 50, "seeds": [0],
+                                    "outdir": str(outdir), **through}))
+    code, _ = run_cli(["run", "--config", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {through_run.value}\n"
+    assert not outdir.exists()
+
+
+def test_the_run_config_file_format_is_pinned():
+    """RunConfig's JSON keeps its bytes, and its keys and the run flags
+    follow the config's fields, wherever a field is declared."""
+    assert RunConfig().to_json() == """\
+{
+  "alpha": null,
+  "backend": "oracle",
+  "batch_size": 16,
+  "budget": 100000,
+  "buffer_size": 40,
+  "entropy_coef": 0.01,
+  "eps": 1.0,
+  "game": "miniz",
+  "gamma": 0.9,
+  "horizon": 50,
+  "learning_rate": 0.05,
+  "outdir": "",
+  "p_drop": 0.1,
+  "p_swap": 0.05,
+  "patience": 3000,
+  "seeds": [
+    0,
+    1,
+    2,
+    3,
+    4
+  ],
+  "strategy": "mc+im"
+}
+"""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(json.loads(RunConfig().to_json())) == names
+    run_p = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+    flags = {s for a in run_p._actions for s in a.option_strings}
+    assert {f"--{name.replace('_', '-')}" for name in names} <= flags
+
+
+@pytest.mark.parametrize("strategy", ["mc+im", "go"])
+def test_a_learning_rate_that_overflows_the_params_names_the_update(
+        strategy, tmp_path, capsys):
+    # the second update's gradient was finite but left w_entity and the
+    # other heads non-finite, and act_batch failed with "tuple index out of
+    # range"
+    code, _ = run_cli(["run", "--strategy", strategy, "--learning-rate",
+                       "1e300", "--budget", "2000", "--seeds", "0",
+                       "--outdir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: non-finite update of ")
 
 
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)

@@ -786,3 +786,18 @@ def test_a2c_update_leaves_params_untouched_on_non_finite_gradient(
     with pytest.raises(FloatingPointError):
         a2c_update(params, rollout)
     assert np.array_equal(params.to_vector(), before)
+
+
+def test_a2c_update_leaves_params_untouched_on_non_finite_update(miniz):
+    """A finite gradient times a learning rate can still overflow; no array
+    is written then, and the error names the first one that would be."""
+    rng = np.random.default_rng(17)
+    params = random_params(miniz, rng)
+    encoder = small_encoder()
+    rollout = rollout_of(random_transition(miniz, params, encoder, rng)
+                         for _ in range(4))
+    before = params.to_vector()
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite update of w_template$"):
+        a2c_update(params, rollout, learning_rate=float("inf"))
+    assert params.to_vector().tobytes() == before.tobytes()
