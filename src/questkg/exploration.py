@@ -110,29 +110,17 @@ class LogRow:
 
 
 class TrajectoryHasher:
-    """blake2b of one line per recorded step.  The lines reach the hash
-    `block` at a time and the rest at hexdigest; blake2b is a stream, so
-    the digest is that of one update per line."""
-
-    block = 1024
+    """blake2b of one line per recorded step."""
 
     def __init__(self):
         self._h = hashlib.blake2b(digest_size=16)
-        self._lines = []
 
     def record(self, instance, action_text, reward, score, shash, kghash):
-        lines = self._lines
-        lines.append(
-            f"{instance}|{action_text}|{reward}|{score}|{shash}|{kghash}\n")
-        if len(lines) >= self.block:
-            self._feed()
-
-    def _feed(self):
-        self._h.update("".join(self._lines).encode())
-        self._lines.clear()
+        self._h.update(
+            f"{instance}|{action_text}|{reward}|{score}|{shash}|{kghash}\n"
+            .encode())
 
     def hexdigest(self):
-        self._feed()
         return self._h.hexdigest()
 
 
@@ -745,13 +733,11 @@ class _Trainer:
         self.fallbacks = 0
 
     def fresh_policy(self):
-        """Install a new zero-initialized acting policy, start an empty
-        rollout in place of the steps the old one gathered, and return the
-        new params."""
+        """Install a new zero-initialized acting policy and start an empty
+        rollout in place of the steps the old one gathered."""
         self.params = policy.init_params(self.game, self.config.encoder,
                                          gamma=self.config.gamma)
         self.rollout = policy.Rollout()
-        return self.params
 
     def at_max(self, score):
         """The stop rule: stop_at_max and score is the game's maximum."""
@@ -908,17 +894,17 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
     policy.  A fresh policy is trained from every entry, latest first,
     for at most per_snapshot_budget steps and max_total steps in all.
 
-    Trains in trainer.params.  Returns (entry, params, improvement, steps
-    used), where improvement is the improving env of _phase or "splice";
-    on exhaustion the first three are None and trainer.params is put back
-    as it was.
+    Trains in trainer.params.  Returns (entry, steps used, improvement),
+    where improvement is the improving env of _phase or "splice"; on
+    exhaustion entry and improvement are None and trainer.params is put
+    back as it was.
     """
     main = trainer.params
     total = 0
     for entry in reversed(buffer_entries):
         if total >= max_total:
             break
-        fresh = trainer.fresh_policy()
+        trainer.fresh_policy()
         envs = trainer.make_envs(trainer.config.batch_size)
         improvement, used = _phase(
             trainer, envs, lambda: entry,
@@ -927,9 +913,9 @@ def backtrack(trainer, buffer_entries, j_target, per_snapshot_budget,
         total += used
         trainer.rollout = policy.Rollout()
         if improvement is not None:
-            return entry, fresh, improvement, total
+            return entry, total, improvement
     trainer.params = main
-    return None, None, None, total
+    return None, total, None
 
 
 def mc_train(game, config):
@@ -1047,7 +1033,7 @@ def mc_train(game, config):
         advanced = False
         while trainer.steps < cfg.total_steps:
             j_before = j_max
-            entry, _, improvement, _ = backtrack(
+            entry, _, improvement = backtrack(
                 trainer, buffer_entries, j_max, n_backtrack,
                 max_total=cfg.total_steps - trainer.steps,
                 tie_guard=tie_guard, make_splice=make_splice)

@@ -139,8 +139,9 @@ def rule_answer(ctx, lexicon):
     for obj_id in list(surroundings) + list(inventory):
         near = []
         # Only state-dependent attributes are recoverable from text.
-        if re.search(rf"{obj_id}[a-z ]* which is open", ctx.loc.lower()) or \
-                re.search(rf"opening the [a-z ]*{obj_id}", ctx.obs.lower()):
+        pattern = re.escape(obj_id)
+        if re.search(rf"{pattern}[a-z ]* which is open", ctx.loc.lower()) or \
+                re.search(rf"opening the [a-z ]*{pattern}", ctx.obs.lower()):
             near.append("open")
         hits = tuple(a for a in sorted(near) if a in attr_words)
         if hits:

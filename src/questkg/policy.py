@@ -70,12 +70,14 @@ class EncoderConfig:
 
 
 class StateEncoder:
-    """Deterministic featurizer; owns the fixed seeded weights and caches.
+    """Deterministic featurizer; owns the fixed seeded weights and three
+    caches: per triple message, per text vector and per context tail.
 
-    Every weight and cached vector is seeded from its own key alone, so an
-    encoder returns the same bits whatever it has computed before; the
-    training loops and execute_chain share one per config (shared_encoder).
-    Cached arrays are read-only."""
+    Every weight and vector is seeded from its own key alone, so an encoder
+    returns the same bits whatever it has computed before; the relation
+    filters, node and decode vectors and token slots behind the caches are
+    derived again on each miss.  The training loops and execute_chain share
+    one encoder per config (shared_encoder).  Its arrays are read-only."""
 
     def __init__(self, config=EncoderConfig()):
         self.config = config
@@ -84,34 +86,21 @@ class StateEncoder:
         self._w_out = _frozen(rng.normal(0, 1.0 / np.sqrt(c.d_graph),
                                          (c.d_graph, c.d_graph)))
         self._b_out = _frozen(rng.normal(0, 0.1, c.d_graph))
-        self._w_rel = {}        # relation -> (d_graph, d_node) filter
-        self._node_vec = {}     # token -> d_node embedding
         self._msg = {}          # triple -> d_graph message vector
-        self._tok = {}          # token -> (bucket index, sign)
         self._text_vec = {}     # component text -> d_obs vector
-        self._decode_vec = {}   # (kind, key) -> d_decode vector
         self._tail = {}         # (first blank, template, prev) -> context tail
 
     # -- fixed seeded weights -------------------------------------------
 
     def _relation_filter(self, relation):
-        w = self._w_rel.get(relation)
-        if w is None:
-            c = self.config
-            rng = _seeded_rng("rel", c.seed, relation)
-            w = _frozen(rng.normal(0, 1.0 / np.sqrt(c.d_node),
-                                   (c.d_graph, c.d_node)))
-            self._w_rel[relation] = w
-        return w
+        c = self.config
+        return _frozen(_seeded_rng("rel", c.seed, relation).normal(
+            0, 1.0 / np.sqrt(c.d_node), (c.d_graph, c.d_node)))
 
     def node_vector(self, token):
-        h = self._node_vec.get(token)
-        if h is None:
-            c = self.config
-            h = _frozen(_seeded_rng("node", c.seed, token).normal(
-                0, 1, c.d_node))
-            self._node_vec[token] = h
-        return h
+        c = self.config
+        return _frozen(_seeded_rng("node", c.seed, token).normal(
+            0, 1, c.d_node))
 
     def message(self, triple):
         """Per-edge contribution to the pooled relational summary."""
@@ -130,15 +119,12 @@ class StateEncoder:
     # -- observation hashing ---------------------------------------------
 
     def _token_slot(self, token):
-        slot = self._tok.get(token)
-        if slot is None:
-            c = self.config
-            raw = hashlib.blake2b(f"tok\x1f{c.seed}\x1f{token}".encode(),
-                                  digest_size=8).digest()
-            value = int.from_bytes(raw, "big")
-            slot = (value % c.d_obs, 1.0 if (value >> 32) & 1 else -1.0)
-            self._tok[token] = slot
-        return slot
+        """(bucket index, sign) of a token."""
+        c = self.config
+        raw = hashlib.blake2b(f"tok\x1f{c.seed}\x1f{token}".encode(),
+                              digest_size=8).digest()
+        value = int.from_bytes(raw, "big")
+        return value % c.d_obs, 1.0 if (value >> 32) & 1 else -1.0
 
     def text_vector(self, text):
         vec = self._text_vec.get(text)
@@ -156,13 +142,9 @@ class StateEncoder:
 
     def decode_vector(self, kind, key):
         """Fixed context embedding for partial-decode conditioning."""
-        vec = self._decode_vec.get((kind, key))
-        if vec is None:
-            vec = _frozen(_seeded_rng(
-                "dec", self.config.seed, f"{kind}:{key}").normal(
-                    0, 1, self.config.d_decode))
-            self._decode_vec[kind, key] = vec
-        return vec
+        return _frozen(_seeded_rng(
+            "dec", self.config.seed, f"{kind}:{key}").normal(
+                0, 1, self.config.d_decode))
 
     def context_tail(self, first, template_pattern, prev_entity):
         """The entity context after the state features: the blank's
@@ -429,13 +411,12 @@ def act_batch(params, feats, masks, uniforms, encoder, template_blanks):
     position = 0
     while rows := [i for i, t in enumerate(templates)
                    if template_blanks[t] > position]:
-        all_rows = len(rows) == len(X)
-        C = np.concatenate((X if all_rows else X[rows], [encoder.context_tail(
+        C = np.concatenate((X[rows], [encoder.context_tail(
             position == 0, params.templates[templates[i]],
             params.entities[fillers[i][-1]] if position else "")
             for i in rows]), axis=1)
         logits = _gemv_rows(params.w_entity, C) + params.b_entity
-        logits[off if all_rows else off[rows]] = NEG_INF
+        logits[off[rows]] = NEG_INF
         for i, row, x in zip(rows, _cdf_rows(logits).tolist(), C):
             fillers[i].append(bisect.bisect_right(row,
                                                   u[starts[i] + position]))
@@ -510,14 +491,6 @@ def _stack(rows, width):
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-def _blank_offs(offs, blanks, width):
-    """The (M, width) off-mask rows of M blanks, each its step's row of
-    offs: the steps' rows joined by one concatenate, then repeated by
-    blanks, the blank counts as an array."""
-    return np.concatenate(offs).reshape(len(offs), width).repeat(blanks,
-                                                                  axis=0)
-
-
 def _states(params, rollout):
     """The (N, F) matrix of the rollout's states, X."""
     return _stack(rollout.feats, params.w_value.size)
@@ -583,7 +556,7 @@ def a2c_loss_and_grads(params, rollout, targets, entropy_coef=0.01, X=None):
     # entity head: one row per blank, off-mask logits pinned to NEG_INF
     C = _stack(rollout.contexts, params.w_entity.shape[1])
     blanks = np.array(rollout.blanks)
-    off = _blank_offs(rollout.offs, blanks, params.w_entity.shape[0])
+    off = np.repeat(rollout.offs, blanks, axis=0)
     logits_e = np.where(off, NEG_INF, C @ params.w_entity.T + params.b_entity)
     loss_e, d_e = _head_loss_and_dlogits(
         _log_softmax_rows(logits_e), np.array(rollout.fillers, dtype=int),

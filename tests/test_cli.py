@@ -595,3 +595,34 @@ def test_replay_chain_detects_tampering(tmp_path):
     code, _ = run_cli(["replay-chain", str(chain_path),
                        "--game", "chainworld"])
     assert code == 1
+
+
+def test_the_rule_backend_runs_a_game_whose_object_id_is_a_regex(tmp_path,
+                                                                 capsys):
+    # the object id went into the rule backend's patterns unescaped, and
+    # "lamp(old" failed with "missing ), unterminated subpattern"
+    path = tmp_path / "lamp.game"
+    path.write_text("""\
+questgame 1
+[meta]
+name lamp
+start hall
+max-score 5
+[room hall]
+name Hall
+desc A dusty hall.
+[object lamp(old]
+name old lamp
+loc hall
+attrs portable
+[templates]
+take ___
+drop ___
+[event lamp(old]
+when carrying lamp(old
+reward 5
+""")
+    code, _ = run_cli(["run", "--game", str(path), "--strategy", "vanilla",
+                       "--backend", "rule", "--budget", "200", "--seeds", "0",
+                       "--outdir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
